@@ -33,10 +33,9 @@ def main() -> int:
     t0 = time.perf_counter()
     expectation = mean_fg(geom)
     elapsed = time.perf_counter() - t0
-    value = -expectation.mean_f / (1.0 + expectation.mean_g)
     print(f"geometry eta = ({geom.eta_perp}, {geom.eta_par})")
     print(f"  <f> = {expectation.mean_f:.9g}   <g> = {expectation.mean_g:.9g}")
-    print(f"  kappa = {value:.9g}   ({expectation.evaluations} kernel calls, {elapsed*1e3:.1f} ms)")
+    print(f"  kappa = {expectation.kappa:.9g}   ({expectation.evaluations} kernel calls, {elapsed*1e3:.1f} ms)")
     print(f"  closed-form |kappa| = {abs(kappa_approx(geom)):.9g}")
 
     mc = mc_oracle(geom, samples=10**6, seed=1729)

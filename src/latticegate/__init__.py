@@ -3,151 +3,20 @@ conditioned-pulse gate analysis for pairs of lattice-trapped atoms."""
 
 __version__ = "0.1.0"
 
-from .atomics import (
-    AngularMomentumKet,
-    AtomSpecies,
-    cesium_d2,
-    clebsch_gordan,
-    legendre_p2,
-    load_species,
-    spherical_bessel_pair,
-)
-from .dipole_kernel import (
-    NEAR_FIELD_WINDOW,
-    RelativePosition,
-    fg,
-    fg_smallkr_asymptote,
-    radial_parts,
-)
-from .ensemble import (
-    STAGES,
-    CorrectedRow,
-    LatticeFill,
-    MeasurementStage,
-    NonIdentifiableError,
-    apparent_fidelity,
-    background_subtract,
-    run_stage,
-    simulate_fill,
-    stages_to_csv,
-)
-from .gate import (
-    IDEAL_CNOT_OUTPUT,
-    STATE_LABELS,
-    FidelityReport,
-    GateEnvironment,
-    LogicalBasis,
-    PulseSpec,
-    ReadoutProjection,
-    TruthTable,
-    TwoQubitState,
-    dd_matrix_element,
-    default_pulse,
-    evolve_pulse,
-    readout_projection,
-    truth_table,
-    truth_table_fidelity,
-)
-from .lattice import (
-    MERGE_ADIABATIC_THRESHOLD,
-    SATURATION_LIMIT,
-    CatalysisField,
-    CatalysisSolution,
-    LatticeBeamConfig,
-    LatticeConfig,
-    MergeSchedule,
-    TrapParams,
-    budget_report,
-    catalysis_intensity,
-    load_lattice_config,
-    merge_schedule,
-    total_lattice_scatter,
-    trap_params,
-    well_separation,
-)
-from .overlap import (
-    DEFAULT_QUAD,
-    ConvergenceError,
-    DipoleExpectation,
-    QuadratureSpec,
-    RelativeGaussian,
-    TrapGeometry,
-    kappa,
-    kappa_approx,
-    kappa_map,
-    kappa_map_csv,
-    mc_oracle,
-    mean_fg,
-    optimize_ratio,
-    relative_distribution,
-)
+from . import atomics, dipole_kernel, ensemble, gate, lattice, overlap
+from .atomics import *  # noqa: F403
+from .dipole_kernel import *  # noqa: F403
+from .ensemble import *  # noqa: F403
+from .gate import *  # noqa: F403
+from .lattice import *  # noqa: F403
+from .overlap import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "AtomSpecies",
-    "AngularMomentumKet",
-    "clebsch_gordan",
-    "spherical_bessel_pair",
-    "legendre_p2",
-    "load_species",
-    "cesium_d2",
-    "RelativePosition",
-    "NEAR_FIELD_WINDOW",
-    "radial_parts",
-    "fg",
-    "fg_smallkr_asymptote",
-    "TrapGeometry",
-    "RelativeGaussian",
-    "QuadratureSpec",
-    "DipoleExpectation",
-    "ConvergenceError",
-    "DEFAULT_QUAD",
-    "relative_distribution",
-    "mean_fg",
-    "mc_oracle",
-    "kappa",
-    "kappa_approx",
-    "optimize_ratio",
-    "kappa_map",
-    "kappa_map_csv",
-    "LatticeBeamConfig",
-    "LatticeConfig",
-    "TrapParams",
-    "CatalysisField",
-    "CatalysisSolution",
-    "MergeSchedule",
-    "MERGE_ADIABATIC_THRESHOLD",
-    "SATURATION_LIMIT",
-    "well_separation",
-    "trap_params",
-    "total_lattice_scatter",
-    "merge_schedule",
-    "catalysis_intensity",
-    "load_lattice_config",
-    "budget_report",
-    "STATE_LABELS",
-    "IDEAL_CNOT_OUTPUT",
-    "LogicalBasis",
-    "GateEnvironment",
-    "PulseSpec",
-    "TwoQubitState",
-    "TruthTable",
-    "FidelityReport",
-    "ReadoutProjection",
-    "dd_matrix_element",
-    "evolve_pulse",
-    "truth_table",
-    "truth_table_fidelity",
-    "readout_projection",
-    "default_pulse",
-    "STAGES",
-    "LatticeFill",
-    "MeasurementStage",
-    "CorrectedRow",
-    "NonIdentifiableError",
-    "simulate_fill",
-    "run_stage",
-    "background_subtract",
-    "apparent_fidelity",
-    "stages_to_csv",
+    *atomics.__all__,
+    *dipole_kernel.__all__,
+    *overlap.__all__,
+    *lattice.__all__,
+    *gate.__all__,
+    *ensemble.__all__,
 ]

@@ -1,5 +1,6 @@
-"""Atomic species data, dipole Clebsch-Gordan coefficients, and the spherical
-Bessel pairs the interaction kernel is built from.
+"""Atomic species data, dipole Clebsch-Gordan coefficients, the SI
+constants the package uses, and the ``key = value`` file reader shared by
+the species and lattice configuration loaders.
 
 Everything here is a pure function; the species record is a frozen dataclass
 loaded from a key-value text file so other alkalis can be added without code
@@ -9,7 +10,7 @@ changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -17,14 +18,19 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "PLANCK",
+    "HBAR",
     "AtomSpecies",
     "AngularMomentumKet",
     "clebsch_gordan",
-    "spherical_bessel_pair",
     "legendre_p2",
     "load_species",
     "cesium_d2",
 ]
+
+# Planck constant in J s, exact in the SI since 2019, and the reduced one.
+PLANCK = 6.62607015e-34
+HBAR = PLANCK / (2 * math.pi)
 
 
 def _check_half_integer(value: float, name: str) -> int:
@@ -192,59 +198,6 @@ def clebsch_gordan(f: float, m_f: float, q: int, f_prime: float) -> float:
     return magnitude if signed_square > 0 else -magnitude
 
 
-# ---------------------------------------------------------------------------
-# spherical Bessel pairs
-
-# Below this the trigonometric closed forms for j1, j2 lose digits to
-# cancellation (the j2 form is ~x^2/15 built from O(1/x^3) pieces); the
-# alternating series is exact to well under 1e-15 relative here.
-_SERIES_CROSSOVER = 0.25
-_SERIES_TERMS = 12
-
-
-def _j_series(n: int, x):
-    # j_n(x) = x^n/(2n+1)!! * sum_k (-x^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1));
-    # scalar or ndarray; no in-place ops so array arguments never alias
-    double_fact = 1.0
-    for m in range(1, 2 * n + 2, 2):
-        double_fact *= m
-    term = x**n / double_fact
-    total = term
-    half_x2 = -0.5 * x * x
-    for k in range(1, _SERIES_TERMS):
-        term = term * (half_x2 / (k * (2 * n + 2 * k + 1)))
-        total = total + term
-    return total
-
-
-def spherical_bessel_pair(n: int, x: float) -> tuple[float, float]:
-    """(j_n(x), y_n(x)) for n in {0, 1, 2}, x > 0.
-
-    Closed trigonometric forms, with a series branch for j1, j2 below
-    x = 0.25 where the closed forms cancel catastrophically. Relative
-    accuracy better than 1e-10 over x in [1e-6, 1e3]. The y_n forms have
-    no small-x cancellation (their terms share a sign), so they keep the
-    closed form everywhere.
-    """
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x!r}")
-    if n not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1, or 2, got {n!r}")
-    s, c = math.sin(x), math.cos(x)
-    inv = 1.0 / x
-    if n == 0:
-        return s * inv, -c * inv
-    inv2 = inv * inv
-    if n == 1:
-        y1 = -c * inv2 - s * inv
-        j1 = _j_series(1, x) if x < _SERIES_CROSSOVER else s * inv2 - c * inv
-        return j1, y1
-    inv3 = inv2 * inv
-    y2 = (-3.0 * inv3 + inv) * c - 3.0 * inv2 * s
-    j2 = _j_series(2, x) if x < _SERIES_CROSSOVER else (3.0 * inv3 - inv) * s - 3.0 * inv2 * c
-    return j2, y2
-
-
 def legendre_p2(mu):
     """P2(mu) = (3 mu^2 - 1)/2 on [-1, 1]; scalar or array."""
     arr = np.asarray(mu, dtype=float)
@@ -255,18 +208,44 @@ def legendre_p2(mu):
 
 
 # ---------------------------------------------------------------------------
-# species records
+# key = value files
 
-_FIELD_TYPES = {
-    "mass": float,
-    "lambda_res": float,
-    "gamma_natural": float,
-    "i_sat": float,
-    "nuclear_spin": float,
-    "f_up": float,
-    "f_down": float,
-    "f_max_excited": float,
-}
+
+def _read_key_values(path: str | Path, keys, noun: str, optional=(), convert=str) -> dict:
+    """Values of a ``key = value`` file, one per line; ``#`` starts a comment.
+
+    Each key must be one of ``keys`` (typos fail loudly), appear once and
+    carry a nonempty value, which ``convert`` turns into the returned value;
+    every key not in ``optional`` is required. ``noun`` names a key in the
+    error messages, which also give the file and line.
+    """
+    values = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown {noun} {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate {noun} {key!r}")
+        if not value:
+            raise ValueError(f"{path}:{lineno}: empty value for {key!r}")
+        try:
+            values[key] = convert(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
+    missing = sorted(set(keys) - set(optional) - set(values))
+    if missing:
+        raise ValueError(f"{path}: missing {noun}s: {', '.join(missing)}")
+    return values
+
+
+# ---------------------------------------------------------------------------
+# species records
 
 
 def load_species(path: str | Path) -> AtomSpecies:
@@ -276,28 +255,8 @@ def load_species(path: str | Path) -> AtomSpecies:
     fields of AtomSpecies are required; unknown keys are rejected so typos
     fail loudly.
     """
-    values: dict[str, float] = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"{path}:{lineno}: unknown species field {key!r}")
-        if key in values:
-            raise ValueError(f"{path}:{lineno}: duplicate field {key!r}")
-        try:
-            values[key] = _FIELD_TYPES[key](value.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value.strip()!r}") from exc
-    missing = sorted(set(_FIELD_TYPES) - set(values))
-    if missing:
-        raise ValueError(f"{path}: missing species fields: {', '.join(missing)}")
-    return AtomSpecies(**values)
+    names = [field.name for field in fields(AtomSpecies)]
+    return AtomSpecies(**_read_key_values(path, names, "species field", convert=float))
 
 
 def cesium_d2() -> AtomSpecies:

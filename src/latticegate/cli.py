@@ -16,6 +16,7 @@ ensemble estimator.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomics import cesium_d2
+from .atomics import PLANCK, cesium_d2
 from .ensemble import (
     NonIdentifiableError,
     apparent_fidelity,
@@ -35,7 +36,14 @@ from .ensemble import (
     simulate_fill,
     stages_to_csv,
 )
-from .gate import default_pulse, dd_matrix_element, truth_table, truth_table_fidelity
+from .gate import (
+    IDEAL_CNOT_OUTPUT,
+    STATE_LABELS,
+    dd_matrix_element,
+    default_pulse,
+    truth_table,
+    truth_table_fidelity,
+)
 from .lattice import budget_report, catalysis_intensity, load_lattice_config
 from .overlap import (
     DEFAULT_QUAD,
@@ -132,18 +140,11 @@ def _csv_header(args: argparse.Namespace) -> str:
 
 def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
     overrides = {}
-    for flag, field in (("rel_tol", "rel_tol"), ("angular_order", "angular_order"),
-                        ("eval_budget", "eval_budget")):
-        value = getattr(args, flag, None)
+    for field in ("rel_tol", "angular_order", "eval_budget"):
+        value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
-    if not overrides:
-        return DEFAULT_QUAD
-    return QuadratureSpec(
-        rel_tol=overrides.get("rel_tol", DEFAULT_QUAD.rel_tol),
-        angular_order=overrides.get("angular_order", DEFAULT_QUAD.angular_order),
-        eval_budget=overrides.get("eval_budget", DEFAULT_QUAD.eval_budget),
-    )
+    return dataclasses.replace(DEFAULT_QUAD, **overrides)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -152,7 +153,7 @@ def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
 def _cmd_kappa(args: argparse.Namespace) -> int:
     geom = TrapGeometry(args.eta_perp, args.eta_par)
     expectation = mean_fg(geom, _quad_spec(args))
-    value = -expectation.mean_f / (1.0 + expectation.mean_g)
+    value = expectation.kappa
     approx = kappa_approx(geom)
     _emit_json(
         {
@@ -207,24 +208,20 @@ def _gate_chain(args: argparse.Namespace):
     species = cesium_d2()
     geom = TrapGeometry(args.eta_perp, args.eta_par)
     expectation = mean_fg(geom, _quad_spec(args))
-    from scipy.constants import h as planck
-
     solution = catalysis_intensity(
         species,
         c_g4=species.pi_coupling**4,
         mean_f=expectation.mean_f,
         mean_g=expectation.mean_g,
-        target_shift=planck * args.shift_over_h_hz,
+        target_shift=PLANCK * args.shift_over_h_hz,
     )
     env = dd_matrix_element(
         solution.field.scatter_rate, species.pi_coupling, expectation.mean_f, expectation.mean_g
     )
     pulse = default_pulse(env, rabi_divisor=args.rabi_divisor)
     if args.duration is not None or args.detuning_from_shifted != 0.0:
-        from .gate import PulseSpec
-
-        pulse = PulseSpec(
-            rabi=pulse.rabi,
+        pulse = dataclasses.replace(
+            pulse,
             detuning_from_shifted=args.detuning_from_shifted,
             duration=pulse.duration if args.duration is None else args.duration,
         )
@@ -236,10 +233,10 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     table = truth_table(env, pulse)
     fid = truth_table_fidelity(table)
     payload = table.to_json_dict()
-    payload["figure_of_merit"] = -expectation.mean_f / (1.0 + expectation.mean_g)
+    payload["figure_of_merit"] = expectation.kappa
     payload["fidelity"] = {
-        "row": dict(zip(("00", "01", "10", "11"), fid.row_fidelity)),
-        "conditioned_row": dict(zip(("00", "01", "10", "11"), fid.conditioned_row_fidelity)),
+        "row": dict(zip(STATE_LABELS, fid.row_fidelity)),
+        "conditioned_row": dict(zip(STATE_LABELS, fid.conditioned_row_fidelity)),
         "mean": fid.mean,
         "conditioned_mean": fid.conditioned_mean,
     }
@@ -259,8 +256,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     if args.stages_csv:
         Path(args.stages_csv).write_text(_csv_header(args) + stages_to_csv(stages))
     row = background_subtract(stages)
-    from .gate import IDEAL_CNOT_OUTPUT, STATE_LABELS
-
     ideal = IDEAL_CNOT_OUTPUT[args.input]
     _emit_json(
         {

@@ -20,16 +20,35 @@ radial pieces, and the averaging integrator calls this in its hot loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomics import _SERIES_CROSSOVER, _j_series, legendre_p2
+from .atomics import legendre_p2
 
-__all__ = ["RelativePosition", "fg", "fg_smallkr_asymptote", "radial_parts", "NEAR_FIELD_WINDOW"]
+__all__ = ["RelativePosition", "fg", "radial_parts", "spherical_bessel_pair"]
 
-# fg_smallkr_asymptote is only meaningful where the 1/(kr)^3 term dominates
-NEAR_FIELD_WINDOW = 0.05
+# Below this the trigonometric closed forms for j1, j2 lose digits to
+# cancellation (the j2 form is ~x^2/15 built from O(1/x^3) pieces); the
+# alternating series is exact to well under 1e-15 relative here.
+_SERIES_CROSSOVER = 0.25
+_SERIES_TERMS = 12
+
+
+def _j_series(n: int, x):
+    # j_n(x) = x^n/(2n+1)!! * sum_k (-x^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1));
+    # scalar or ndarray; no in-place ops so array arguments never alias
+    double_fact = 1.0
+    for m in range(1, 2 * n + 2, 2):
+        double_fact *= m
+    term = x**n / double_fact
+    total = term
+    half_x2 = -0.5 * x * x
+    for k in range(1, _SERIES_TERMS):
+        term = term * (half_x2 / (k * (2 * n + 2 * k + 1)))
+        total = total + term
+    return total
 
 
 @dataclass(frozen=True)
@@ -91,15 +110,24 @@ def fg(pos: RelativePosition) -> tuple[float, float]:
     return f_mono + p2 * f_tensor, g_mono + p2 * g_tensor
 
 
-def fg_smallkr_asymptote(pos: RelativePosition) -> tuple[float, float]:
-    """Leading near-field pair (+3 P2/(kr)^3, 1); test oracle only.
+def spherical_bessel_pair(n: int, x: float) -> tuple[float, float]:
+    """(j_n(x), y_n(x)) for n in {0, 1, 2}, x > 0.
 
-    Valid (and accepted) only for kr < 0.05 where the tensor term dominates
-    f to within a few percent and g is unity to 1e-3.
+    n = 0 and n = 2 are the pieces of radial_parts; n = 1 has its own closed
+    form, with the same series branch below x = 0.25 for j1 (y1, like every
+    y_n form, has no small-x cancellation). Relative accuracy better than
+    1e-10 over x in [1e-6, 1e3].
     """
-    if not pos.kr < NEAR_FIELD_WINDOW:
-        raise ValueError(
-            f"fg_smallkr_asymptote needs kr < {NEAR_FIELD_WINDOW}, got {pos.kr!r}"
-        )
-    p2 = legendre_p2(pos.cos_theta)
-    return 3.0 * p2 / pos.kr**3, 1.0
+    if x <= 0:
+        raise ValueError(f"x must be positive, got {x!r}")
+    if n not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1, or 2, got {n!r}")
+    if n == 1:
+        s, c = math.sin(x), math.cos(x)
+        inv = 1.0 / x
+        inv2 = inv * inv
+        y1 = -c * inv2 - s * inv
+        j1 = _j_series(1, x) if x < _SERIES_CROSSOVER else s * inv2 - c * inv
+        return j1, y1
+    f_mono, f_tensor, g_mono, g_tensor = radial_parts(x)
+    return (g_mono, -f_mono) if n == 0 else (g_tensor, -f_tensor)

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.constants import hbar as _hbar
 from scipy.linalg import expm
 
-from .atomics import AngularMomentumKet, AtomSpecies
+from .atomics import HBAR, AngularMomentumKet, AtomSpecies
 
 __all__ = [
     "STATE_LABELS",
@@ -103,9 +102,9 @@ class GateEnvironment:
     (all rates 1/s).
 
     Cooperativity bounds the enhancement: gamma_dd <= gamma_single, so the
-    |11> total rate 2*gamma_single + gamma_dd never exceeds twice the
-    independent-atom value plus itself... i.e. at most a factor two per
-    atom.
+    pair's cooperative rate gamma_single + gamma_dd is at most twice the
+    single-atom rate, and the |11> total rate 2*gamma_single + gamma_dd is
+    at most 3*gamma_single.
     """
 
     v_dd: float
@@ -191,7 +190,7 @@ def dd_matrix_element(gamma_prime: float, c_g: float, mean_f: float, mean_g: flo
         raise ValueError("inputs must be finite")
     c4 = c_g**4
     return GateEnvironment(
-        v_dd=-_hbar * gamma_prime * c4 * mean_f,
+        v_dd=-HBAR * gamma_prime * c4 * mean_f,
         gamma_dd=gamma_prime * c4 * mean_g,
         gamma_single=gamma_prime * c4,
     )
@@ -210,7 +209,7 @@ def _sector_propagator(pulse: PulseSpec, env: GateEnvironment, control: int) -> 
         gamma_target1 = 2.0 * env.gamma_single + env.gamma_dd
         gamma_target0 = env.gamma_single
     else:
-        delta = pulse.detuning_from_shifted + env.v_dd / _hbar
+        delta = pulse.detuning_from_shifted + env.v_dd / HBAR
         gamma_target1 = env.gamma_single
         gamma_target0 = 0.0
     generator = np.array(
@@ -273,7 +272,7 @@ class TruthTable:
                 "duration_s": self.pulse.duration,
                 "pulse_area": self.pulse.rabi * self.pulse.duration,
                 "v_dd_joule": self.env.v_dd,
-                "v_dd_over_hbar_rad_s": self.env.v_dd / _hbar,
+                "v_dd_over_hbar_rad_s": self.env.v_dd / HBAR,
                 "gamma_dd_per_s": self.env.gamma_dd,
                 "gamma_single_per_s": self.env.gamma_single,
             },
@@ -347,5 +346,5 @@ def default_pulse(env: GateEnvironment, rabi_divisor: float = 10.0) -> PulseSpec
         raise ValueError("rabi_divisor must be positive")
     if env.v_dd == 0:
         raise ValueError("v_dd = 0 gives no conditional splitting to tune against")
-    rabi = abs(env.v_dd) / (_hbar * rabi_divisor)
+    rabi = abs(env.v_dd) / (HBAR * rabi_divisor)
     return PulseSpec(rabi=rabi, detuning_from_shifted=0.0, duration=math.pi / rabi)

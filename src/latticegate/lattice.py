@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import h as _planck
-from scipy.constants import hbar as _hbar
 
-from .atomics import AtomSpecies, cesium_d2, load_species
+from .atomics import HBAR, PLANCK, AtomSpecies, _read_key_values, cesium_d2, load_species
 from .overlap import DEFAULT_QUAD, QuadratureSpec, TrapGeometry, mean_fg
 
 __all__ = [
+    "MERGE_ADIABATIC_THRESHOLD",
+    "SATURATION_LIMIT",
     "LatticeBeamConfig",
     "TrapParams",
     "CatalysisField",
@@ -186,10 +186,10 @@ def trap_params(
             f"saturation {saturation:.3g} exceeds the far-off-resonance limit "
             f"{SATURATION_LIMIT}; the two-level light-shift model does not apply"
         )
-    single_beam_shift = _hbar * gamma**2 * (intensity / species.i_sat) / (8.0 * detuning)
+    single_beam_shift = HBAR * gamma**2 * (intensity / species.i_sat) / (8.0 * detuning)
     depth = 4.0 * single_beam_shift * geometry_factor
     omega = wave_number * math.sqrt(2.0 * depth / species.mass)
-    rms = math.sqrt(_hbar / (2.0 * species.mass * omega))
+    rms = math.sqrt(HBAR / (2.0 * species.mass * omega))
     return TrapParams(
         well_depth=depth,
         osc_freq=omega / (2.0 * math.pi),
@@ -297,7 +297,7 @@ def catalysis_intensity(
         raise ValueError("mean_g <= -1 would put the pair linewidth at or below zero")
     if mean_f == 0.0:
         raise ValueError("mean_f = 0: no field strength produces a level shift")
-    gamma_prime = abs(target_shift) / (_hbar * c_g4 * abs(mean_f))
+    gamma_prime = abs(target_shift) / (HBAR * c_g4 * abs(mean_f))
     saturation = 2.0 * gamma_prime / species.gamma_natural
     field = CatalysisField(
         intensity=saturation * species.i_sat,
@@ -396,26 +396,7 @@ def load_lattice_config(path: str | Path) -> LatticeConfig:
     resolved relative to the configuration file.
     """
     path = Path(path)
-    values: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{line_no}: expected key = value, got {line!r}")
-        key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        if key in values:
-            raise ValueError(f"{path}:{line_no}: duplicate key {key!r}")
-        if not raw:
-            raise ValueError(f"{path}:{line_no}: empty value for {key!r}")
-        values[key] = raw
-
-    missing = _CONFIG_KEYS - {"geometry_factor"} - set(values)
-    if missing:
-        raise ValueError(f"{path}: missing keys {sorted(missing)}")
+    values = _read_key_values(path, _CONFIG_KEYS, "key", optional={"geometry_factor"})
 
     species_name = values["species"]
     if species_name == "cesium_d2":
@@ -436,7 +417,7 @@ def load_lattice_config(path: str | Path) -> LatticeConfig:
         eta_perp=_dimensionless("design_eta_perp", values["design_eta_perp"]),
         eta_par=_dimensionless("design_eta_par", values["design_eta_par"]),
     )
-    target_shift = _planck * _convert("target_shift", values["target_shift"], _FREQUENCY_UNITS, "frequency")
+    target_shift = PLANCK * _convert("target_shift", values["target_shift"], _FREQUENCY_UNITS, "frequency")
     geometry_factor = _dimensionless("geometry_factor", values.get("geometry_factor", "1"))
     return LatticeConfig(
         species=species,
@@ -543,13 +524,13 @@ def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = DEFAULT_QUA
             "evaluations": expectation.evaluations,
         },
         "figure_of_merit": {
-            "kappa": -expectation.mean_f / (1.0 + expectation.mean_g),
+            "kappa": expectation.kappa,
             "magnitude": solution.figure_of_merit,
             "formula": "-mean_f / (1 + mean_g)",
         },
         "catalysis": {
             "target_shift_joule": config.target_shift,
-            "target_shift_over_h_hz": config.target_shift / _planck,
+            "target_shift_over_h_hz": config.target_shift / PLANCK,
             "pi_coupling_4": species.pi_coupling**4,
             "intensity_w_m2": solution.field.intensity,
             "intensity_uw_cm2": solution.field.intensity * 1e2,

@@ -156,6 +156,11 @@ class DipoleExpectation:
                 f"|mean_g| = {abs(self.mean_g)!r} exceeds 1 beyond its error estimate"
             )
 
+    @property
+    def kappa(self) -> float:
+        """Figure of merit -<f>/(1 + <g>)."""
+        return -self.mean_f / (1.0 + self.mean_g)
+
 
 class ConvergenceError(RuntimeError):
     """Raised instead of returning a silently unconverged expectation."""
@@ -329,8 +334,7 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
 
 def kappa(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Figure of merit -<f>/(1 + <g>); propagates non-convergence."""
-    expectation = mean_fg(geom, quad_spec)
-    return -expectation.mean_f / (1.0 + expectation.mean_g)
+    return mean_fg(geom, quad_spec).kappa
 
 
 def _kappa_approx_values(eta_perp: float, eta_par: float) -> float:

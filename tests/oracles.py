@@ -51,6 +51,24 @@ def kernel_g(x: float, mu: float) -> float:
     return spherical_jn(0, x) + p2 * spherical_jn(2, x)
 
 
+# fg_smallkr_asymptote is only meaningful where the 1/(kr)^3 term dominates
+NEAR_FIELD_WINDOW = 0.05
+
+
+def fg_smallkr_asymptote(pos) -> tuple[float, float]:
+    """Leading near-field pair (+3 P2/(kr)^3, 1) at a RelativePosition.
+
+    Valid (and accepted) only for kr < 0.05 where the tensor term dominates
+    f to within a few percent and g is unity to 1e-3.
+    """
+    if not pos.kr < NEAR_FIELD_WINDOW:
+        raise ValueError(
+            f"fg_smallkr_asymptote needs kr < {NEAR_FIELD_WINDOW}, got {pos.kr!r}"
+        )
+    p2 = 0.5 * (3.0 * pos.cos_theta**2 - 1.0)
+    return 3.0 * p2 / pos.kr**3, 1.0
+
+
 def iso_mean_fg_1d(eta: float) -> tuple[float, float]:
     """Isotropic-trap averages by plain 1D radial quadrature.
 

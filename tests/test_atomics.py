@@ -13,8 +13,8 @@ from latticegate.atomics import (
     clebsch_gordan,
     legendre_p2,
     load_species,
-    spherical_bessel_pair,
 )
+from latticegate.dipole_kernel import spherical_bessel_pair
 
 # --- Clebsch-Gordan ---------------------------------------------------------
 
@@ -228,6 +228,7 @@ def test_load_species_roundtrip(tmp_path, cesium):
         ("mass = heavy\n", "bad value"),
         ("mass = 1e-25\nmass = 2e-25\n", "duplicate"),
         ("mass 1e-25\n", "expected 'key = value'"),
+        ("mass =\n", "empty value"),
     ],
 )
 def test_load_species_errors(tmp_path, body, fragment):

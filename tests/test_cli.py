@@ -178,6 +178,10 @@ def test_gate_reference_operating_point():
     assert doc["operating_point"]["pulse_area"] == pytest.approx(math.pi, rel=1e-8)
     assert doc["figure_of_merit"] == pytest.approx(-19.3282636, rel=1e-7)
     assert_nine_digit_floats(doc)
+    # kappa, gate and budget quote the same reference point: same bits
+    kappa_doc = json.loads(run_cli("kappa", "--eta-perp", "0.1", "--eta-par", "0.2").stdout)
+    budget_doc = json.loads(run_cli("budget", "--config", CONFIG).stdout)
+    assert doc["figure_of_merit"] == kappa_doc["kappa"] == budget_doc["figure_of_merit"]["kappa"]
 
 
 def test_gate_pulse_speed_tradeoff():

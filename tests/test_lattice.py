@@ -346,6 +346,8 @@ def test_config_species_path_resolved_relative(tmp_path, cesium):
         (dict(detuning_perp="fast GHz"), "could not convert"),
         (dict(polarization_angle="1 2 rad"), "malformed"),
         (dict(intensity_perp=""), "empty value"),
+        # a value with a newline leaves a second line that has no "="
+        (dict(target_shift="5 kHz\nbeam_power 3 W"), "expected 'key = value'"),
     ],
 )
 def test_config_errors(tmp_path, overrides, fragment):

@@ -65,6 +65,8 @@ def test_kappa_is_shift_over_broadened_linewidth(reference_fg):
     assert value == pytest.approx(
         -reference_fg.mean_f / (1.0 + reference_fg.mean_g), rel=1e-12
     )
+    assert reference_fg.kappa == value
+    assert reference_fg.kappa == pytest.approx(REF_KAPPA, rel=1e-8)
     assert value < 0  # attractive shift for the elongated reference geometry
 
 
