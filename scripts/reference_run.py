@@ -10,9 +10,9 @@ import time
 from pathlib import Path
 
 from latticegate import (
+    STATE_LABELS,
     TrapGeometry,
     budget_report,
-    cesium_d2,
     dd_matrix_element,
     default_pulse,
     kappa_approx,
@@ -23,7 +23,6 @@ from latticegate import (
     truth_table,
     truth_table_fidelity,
 )
-from latticegate.lattice import catalysis_intensity
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "cesium_reference.cfg"
 
@@ -58,20 +57,16 @@ def main() -> int:
           f"superradiant rate / 2pi = "
           f"{report['catalysis']['superradiant_rate_over_2pi_hz']:.6g} Hz")
 
-    species = cesium_d2()
-    solution = catalysis_intensity(
-        species, species.pi_coupling**4, expectation.mean_f, expectation.mean_g,
-        target_shift=config.target_shift,
-    )
+    average = report["dipole_average"]
     env = dd_matrix_element(
-        solution.field.scatter_rate, species.pi_coupling,
-        expectation.mean_f, expectation.mean_g,
+        report["catalysis"]["scatter_rate_per_s"], config.species.pi_coupling,
+        average["mean_f"], average["mean_g"],
     )
     pulse = default_pulse(env)
     fid = truth_table_fidelity(truth_table(env, pulse))
     print(f"\ngate at Omega = |shift|/(10 hbar) = {pulse.rabi:.6g} rad/s, "
           f"pi time {pulse.duration*1e3:.4g} ms:")
-    for label, raw, cond in zip(("00", "01", "10", "11"),
+    for label, raw, cond in zip(STATE_LABELS,
                                 fid.row_fidelity, fid.conditioned_row_fidelity):
         print(f"  input {label}: raw {raw:.6f}   survival-conditioned {cond:.6f}")
     print(f"  mean: raw {fid.mean:.6f}   survival-conditioned {fid.conditioned_mean:.6f}")

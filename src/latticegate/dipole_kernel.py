@@ -20,14 +20,13 @@ radial pieces, and the averaging integrator calls this in its hot loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomics import legendre_p2
 
-__all__ = ["RelativePosition", "fg", "radial_parts", "spherical_bessel_pair"]
+__all__ = ["RelativePosition", "fg", "radial_parts"]
 
 # Below this the trigonometric closed forms for j1, j2 lose digits to
 # cancellation (the j2 form is ~x^2/15 built from O(1/x^3) pieces); the
@@ -109,25 +108,3 @@ def fg(pos: RelativePosition) -> tuple[float, float]:
     p2 = legendre_p2(pos.cos_theta)
     return f_mono + p2 * f_tensor, g_mono + p2 * g_tensor
 
-
-def spherical_bessel_pair(n: int, x: float) -> tuple[float, float]:
-    """(j_n(x), y_n(x)) for n in {0, 1, 2}, x > 0.
-
-    n = 0 and n = 2 are the pieces of radial_parts; n = 1 has its own closed
-    form, with the same series branch below x = 0.25 for j1 (y1, like every
-    y_n form, has no small-x cancellation). Relative accuracy better than
-    1e-10 over x in [1e-6, 1e3].
-    """
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x!r}")
-    if n not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1, or 2, got {n!r}")
-    if n == 1:
-        s, c = math.sin(x), math.cos(x)
-        inv = 1.0 / x
-        inv2 = inv * inv
-        y1 = -c * inv2 - s * inv
-        j1 = _j_series(1, x) if x < _SERIES_CROSSOVER else s * inv2 - c * inv
-        return j1, y1
-    f_mono, f_tensor, g_mono, g_tensor = radial_parts(x)
-    return (g_mono, -f_mono) if n == 0 else (g_tensor, -f_tensor)

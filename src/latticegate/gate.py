@@ -69,11 +69,8 @@ class LogicalBasis:
     zero_target: AngularMomentumKet
     one_control: AngularMomentumKet
     zero_control: AngularMomentumKet
-    vibrational_n: int = 0
 
     def __post_init__(self) -> None:
-        if self.vibrational_n != 0:
-            raise ValueError("the gate acts on the vibrational ground state only")
         for one, zero in ((self.one_target, self.zero_target), (self.one_control, self.zero_control)):
             if one.f - zero.f != 1:
                 raise ValueError("logical 1 must sit one hyperfine level above logical 0")

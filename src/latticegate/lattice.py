@@ -121,14 +121,13 @@ class CatalysisSolution:
     """Catalysis field plus the pair-level rates it implies.
 
     gamma_sup is the superradiantly enhanced scattering rate of the doubly
-    excited-logical pair; figure_of_merit is the shift-to-linewidth ratio
-    |shift| / (hbar * gamma_sup), which the Clebsch-Gordan factor cancels
-    out of.
+    excited-logical pair. The shift-to-linewidth ratio |shift| /
+    (hbar * gamma_sup) is |kappa|, independent of the drive strength and of
+    the Clebsch-Gordan factor.
     """
 
     field: CatalysisField
     gamma_sup: float
-    figure_of_merit: float
 
 
 def well_separation(theta, wave_number: float):
@@ -288,8 +287,8 @@ def catalysis_intensity(
     Inverts |shift| = hbar * Gamma' * c_g4 * |<f>| for the single-atom
     scattering rate Gamma', converts to saturation s = 2 Gamma' / Gamma and
     intensity I = s * I_sat, and reports the superradiant pair rate
-    Gamma' * c_g4 * (1 + <g>) together with the shift-to-linewidth figure
-    of merit. target_shift is in joules; its sign is ignored.
+    Gamma' * c_g4 * (1 + <g>). target_shift is in joules; its sign is
+    ignored.
     """
     if not 0.0 < c_g4 <= 1.0:
         raise ValueError("c_g4 must lie in (0, 1]")
@@ -306,9 +305,7 @@ def catalysis_intensity(
         scatter_rate=gamma_prime,
     )
     gamma_sup = gamma_prime * c_g4 * (1.0 + mean_g)
-    # the ratio is independent of the drive strength and of c_g4
-    figure = abs(mean_f) / (1.0 + mean_g)
-    return CatalysisSolution(field=field, gamma_sup=gamma_sup, figure_of_merit=figure)
+    return CatalysisSolution(field=field, gamma_sup=gamma_sup)
 
 
 # --- configuration file ---------------------------------------------------
@@ -525,7 +522,7 @@ def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = DEFAULT_QUA
         },
         "figure_of_merit": {
             "kappa": expectation.kappa,
-            "magnitude": solution.figure_of_merit,
+            "magnitude": abs(expectation.kappa),
             "formula": "-mean_f / (1 + mean_g)",
         },
         "catalysis": {

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the production code paths: special
 functions come from mpmath/scipy.special, angular-momentum algebra from
 sympy, and averages from generic adaptive integration, so agreement is a
-genuine cross-check rather than the same bug evaluated twice.
+genuine cross-check rather than the same bug evaluated twice. The one
+exception is spherical_bessel_pair, which is not a reference: it re-labels
+the production radial pieces as (j_n, y_n) so the tests can hold them
+against mp_spherical_pair.
 """
 
 import math
@@ -15,6 +18,8 @@ from scipy.special import spherical_jn, spherical_yn
 from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
 
+from latticegate.dipole_kernel import _SERIES_CROSSOVER, _j_series, radial_parts
+
 mpmath.mp.dps = 40
 
 
@@ -25,6 +30,29 @@ def mp_spherical_pair(n: int, x: float) -> tuple[float, float]:
     j = factor * mpmath.besselj(n + mpmath.mpf("0.5"), xm)
     y = factor * mpmath.bessely(n + mpmath.mpf("0.5"), xm)
     return float(j), float(y)
+
+
+def spherical_bessel_pair(n: int, x: float) -> tuple[float, float]:
+    """(j_n(x), y_n(x)) for n in {0, 1, 2}, x > 0, from the production kernel.
+
+    n = 0 and n = 2 are the pieces of radial_parts; n = 1 has its own closed
+    form, with the same series branch below x = 0.25 for j1 (y1, like every
+    y_n form, has no small-x cancellation). Relative accuracy better than
+    1e-10 over x in [1e-6, 1e3].
+    """
+    if x <= 0:
+        raise ValueError(f"x must be positive, got {x!r}")
+    if n not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1, or 2, got {n!r}")
+    if n == 1:
+        s, c = math.sin(x), math.cos(x)
+        inv = 1.0 / x
+        inv2 = inv * inv
+        y1 = -c * inv2 - s * inv
+        j1 = _j_series(1, x) if x < _SERIES_CROSSOVER else s * inv2 - c * inv
+        return j1, y1
+    f_mono, f_tensor, g_mono, g_tensor = radial_parts(x)
+    return (g_mono, -f_mono) if n == 0 else (g_tensor, -f_tensor)
 
 
 def sympy_cg(f: float, m_f: float, q: int, f_prime: float) -> float:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import spherical_bessel_pair
 from latticegate.atomics import (
     AngularMomentumKet,
     AtomSpecies,
@@ -14,7 +15,6 @@ from latticegate.atomics import (
     legendre_p2,
     load_species,
 )
-from latticegate.dipole_kernel import spherical_bessel_pair
 
 # --- Clebsch-Gordan ---------------------------------------------------------
 

@@ -273,7 +273,6 @@ def test_logical_basis_for_cesium(cesium):
     assert basis.one_control == AngularMomentumKet(4.0, -1.0)
     assert basis.zero_control == AngularMomentumKet(3.0, 1.0)
     assert basis.labels == STATE_LABELS
-    assert basis.vibrational_n == 0
 
 
 def test_logical_basis_validation():
@@ -283,8 +282,6 @@ def test_logical_basis_validation():
         one_control=AngularMomentumKet(4, -1),
         zero_control=AngularMomentumKet(3, 1),
     )
-    with pytest.raises(ValueError, match="vibrational"):
-        LogicalBasis(**good, vibrational_n=1)
     with pytest.raises(ValueError, match="one hyperfine level"):
         LogicalBasis(**{**good, "zero_target": AngularMomentumKet(4, -1)})
     with pytest.raises(ValueError, match="M"):

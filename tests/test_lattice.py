@@ -229,7 +229,7 @@ def test_catalysis_frozen_chain(cesium):
     assert field.detuning_from_resonance == 0.0
     assert solution.gamma_sup == pytest.approx(1625.387935153, rel=1e-9)
     assert solution.gamma_sup / (2.0 * math.pi) == pytest.approx(258.688524, rel=1e-8)
-    assert solution.figure_of_merit == pytest.approx(19.3282636, rel=1e-8)
+    assert h * 5000.0 / (hbar * solution.gamma_sup) == pytest.approx(19.3282636, rel=1e-8)
 
 
 def test_catalysis_round_trip_reaches_requested_shift(cesium):
@@ -237,9 +237,9 @@ def test_catalysis_round_trip_reaches_requested_shift(cesium):
     solution = catalysis_intensity(cesium, CG_PI_4, REF_MEAN_F, REF_MEAN_G, target)
     recovered = hbar * solution.field.scatter_rate * CG_PI_4 * abs(REF_MEAN_F)
     assert recovered == pytest.approx(target, rel=1e-12)
-    # and the figure of merit is the shift over the broadened linewidth
-    assert solution.figure_of_merit == pytest.approx(
-        target / (hbar * solution.gamma_sup), rel=1e-12
+    # and the shift over the broadened linewidth is the figure of merit |kappa|
+    assert target / (hbar * solution.gamma_sup) == pytest.approx(
+        abs(REF_MEAN_F) / (1.0 + REF_MEAN_G), rel=1e-12
     )
 
 
@@ -248,7 +248,9 @@ def test_catalysis_figure_independent_of_coupling_and_shift(cesium):
     # shift-to-linewidth ratio
     a = catalysis_intensity(cesium, CG_PI_4, REF_MEAN_F, REF_MEAN_G, h * 5000.0)
     b = catalysis_intensity(cesium, 0.5, REF_MEAN_F, REF_MEAN_G, h * 1.0)
-    assert a.figure_of_merit == pytest.approx(b.figure_of_merit, rel=1e-12)
+    figure_a = h * 5000.0 / (hbar * a.gamma_sup)
+    figure_b = h * 1.0 / (hbar * b.gamma_sup)
+    assert figure_a == pytest.approx(figure_b, rel=1e-12)
     # while the required intensity does scale: weaker coupling needs more light
     assert b.field.intensity != a.field.intensity
 
