@@ -81,10 +81,8 @@ def _round_floats(obj):
         return _sig9(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round_floats(float(v)) for v in obj]
     return obj
 
 

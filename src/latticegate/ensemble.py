@@ -18,6 +18,7 @@ reproducible and safe to run in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,6 @@ __all__ = [
 
 STAGES = ("paired_and_unpaired", "unpaired_only", "double_gate_with_flush")
 
-_BIN_LABELS = STATE_LABELS + ("leaked",)
-
 
 class NonIdentifiableError(RuntimeError):
     """The stage set cannot separate gate signal from background."""
@@ -48,7 +47,11 @@ class NonIdentifiableError(RuntimeError):
 @dataclass(frozen=True)
 class LatticeFill:
     """Occupancy of n_sites well pairs; column 0 is the control well,
-    column 1 the target well."""
+    column 1 the target well.
+
+    occupancy is held as a read-only view, so the site counts are taken
+    once and cached.
+    """
 
     n_sites: int
     occupancy: np.ndarray
@@ -56,26 +59,27 @@ class LatticeFill:
     seed: int
 
     def __post_init__(self) -> None:
-        occ = np.asarray(self.occupancy, dtype=bool)
+        occ = np.asarray(self.occupancy, dtype=bool).view()
+        occ.flags.writeable = False
         if occ.shape != (self.n_sites, 2):
             raise ValueError("occupancy must have shape (n_sites, 2)")
         object.__setattr__(self, "occupancy", occ)
         if not 0.0 <= self.fill_probability <= 1.0:
             raise ValueError("fill_probability must lie in [0, 1]")
 
-    @property
+    @cached_property
     def n_paired(self) -> int:
         return int(np.sum(self.occupancy[:, 0] & self.occupancy[:, 1]))
 
-    @property
+    @cached_property
     def n_control_only(self) -> int:
         return int(np.sum(self.occupancy[:, 0] & ~self.occupancy[:, 1]))
 
-    @property
+    @cached_property
     def n_target_only(self) -> int:
         return int(np.sum(~self.occupancy[:, 0] & self.occupancy[:, 1]))
 
-    @property
+    @cached_property
     def n_atoms(self) -> int:
         return int(np.sum(self.occupancy))
 
@@ -174,8 +178,8 @@ def run_stage(
     leaked = 0
 
     if stage == "unpaired_only":
-        n_control = int(np.sum(fill.occupancy[:, 0]))
-        n_target = int(np.sum(fill.occupancy[:, 1]))
+        n_control = fill.n_paired + fill.n_control_only
+        n_target = fill.n_paired + fill.n_target_only
         counts[_bin_index(control_bit, "0")] += n_control
         counts[_bin_index("0", target_bit)] += n_target
         return MeasurementStage(stage, input_label, counts, 0, 0, n_control + n_target)

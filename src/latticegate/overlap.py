@@ -29,8 +29,9 @@ from multiprocessing import Pool
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad_vec
 
+from .atomics import legendre_p2
 from .dipole_kernel import radial_parts
 
 __all__ = [
@@ -161,10 +162,6 @@ class ConvergenceError(RuntimeError):
         self.partial = partial
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> DipoleExpectation:
     """Deterministic quadrature of f and g against the relative Gaussian.
 
@@ -186,8 +183,7 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
     # while leaving mild geometries (aspect <= 5) on the base rule.
     aspect = max(a, c_ax) / min(a, c_ax)
     nodes, weights = leggauss(quad_spec.angular_order * max(1, math.ceil(aspect / 5.0)))
-    p2_nodes = 0.5 * (3.0 * nodes * nodes - 1.0)
-    wp2 = weights * p2_nodes
+    wp2 = weights * legendre_p2(nodes)
     s_mu = (1.0 - nodes * nodes) / (2.0 * a * a) + nodes * nodes / (2.0 * c_ax * c_ax)
 
     count = 0
@@ -196,7 +192,7 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
         nonlocal count
         count += 1
         if count > quad_spec.eval_budget:
-            raise _BudgetExceeded
+            raise ConvergenceError(f"evaluation budget {quad_spec.eval_budget} exhausted for {geom}")
         f_mono, f_tensor, g_mono, g_tensor = radial_parts(x)
         envelope = np.exp(-(x * x) * s_mu)
         m0 = weights @ envelope
@@ -214,30 +210,25 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
     total = np.zeros(2)
     err_sum = 0.0
     sum_abs = np.zeros(2)
-    try:
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            value, err = quad_vec(
-                integrand,
-                lo,
-                hi,
-                epsabs=1e-12,
-                epsrel=quad_spec.rel_tol,
-                norm="max",
-                limit=200,
-                quadrature="gk21",
-            )
-            total += value
-            err_sum += err
-            sum_abs += np.abs(value)
-        # F(x) is linear in x at the origin (the angular average kills the
-        # 1/x^3 and 1/x pieces), so the [0, x_lo] head is F(x_lo)*x_lo/2.
-        head = integrand(x_lo) * (0.5 * x_lo)
-        total += head
-        sum_abs += np.abs(head)
-    except _BudgetExceeded:
-        raise ConvergenceError(
-            f"evaluation budget {quad_spec.eval_budget} exhausted for {geom}"
-        ) from None
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        value, err = quad_vec(
+            integrand,
+            lo,
+            hi,
+            epsabs=1e-12,
+            epsrel=quad_spec.rel_tol,
+            norm="max",
+            limit=200,
+            quadrature="gk21",
+        )
+        total += value
+        err_sum += err
+        sum_abs += np.abs(value)
+    # F(x) is linear in x at the origin (the angular average kills the
+    # 1/x^3 and 1/x pieces), so the [0, x_lo] head is F(x_lo)*x_lo/2.
+    head = integrand(x_lo) * (0.5 * x_lo)
+    total += head
+    sum_abs += np.abs(head)
 
     prefactor = 2.0 * math.pi * gauss.norm
     mean = prefactor * total
@@ -263,36 +254,16 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
     return result
 
 
-def _tensor_static_mean(gauss: RelativeGaussian) -> float:
-    """<P2(cos theta)/(kr)^3> over the relative Gaussian, closed 1D route.
-
-    Writes P2/r^3 as half the zz second derivative of 1/r (minus its delta
-    part) and uses the auxiliary-integral representation of 1/r against a
-    Gaussian; what remains is one well-behaved 1D integral. Used as the
-    Monte Carlo control-variate constant; kept independent of both the
-    production quadrature and the closed-form branches.
-    """
-    a2 = 2.0 * gauss.sigma_perp**2
-    c2 = 2.0 * gauss.sigma_par**2
-
-    def aux(t: float) -> float:
-        t2 = t * t
-        return t2 / ((1.0 + a2 * t2) * (1.0 + c2 * t2) ** 1.5)
-
-    integral, _ = quad(aux, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return 0.5 * (
-        (4.0 * math.pi / 3.0) * gauss.norm - (4.0 / math.sqrt(math.pi)) * integral
-    )
-
-
 def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     """Monte Carlo estimate of <f>, <g> with honest standard errors.
 
     Draws the relative coordinate from its Gaussian directly. The raw sample
     mean of f has infinite variance (f ~ 3 P2/(kr)^3 near the origin against
     a finite density), so the exact tensor term is subtracted sample-wise
-    and its analytic average added back; the residual is ~1/(kr) near the
-    origin and has finite variance. Bit-identical for a fixed seed.
+    and its average 3 <P2/(kr)^3> = 2 * kappa_approx added back from the
+    closed form (which the tests check against direct nested quadrature);
+    the residual is ~1/(kr) near the origin and has finite variance.
+    Bit-identical for a fixed seed.
     """
     samples = int(samples)
     if samples < 10_000:
@@ -305,7 +276,7 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     radius = np.sqrt(np.sum(points * points, axis=1))
     radius = np.maximum(radius, 1e-300)
     mu = points[:, 2] / radius
-    p2 = 0.5 * (3.0 * mu * mu - 1.0)
+    p2 = legendre_p2(mu)
 
     f_mono, f_tensor, g_mono, g_tensor = radial_parts(radius)
     f_values = f_mono + p2 * f_tensor
@@ -314,7 +285,7 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     control = 3.0 * p2 / radius**3
     residual = f_values - control
     root_n = math.sqrt(samples)
-    mean_f = float(residual.mean()) + 3.0 * _tensor_static_mean(gauss)
+    mean_f = float(residual.mean()) + 2.0 * _kappa_approx_values(geom.eta_perp, geom.eta_par)
     err_f = float(residual.std(ddof=1)) / root_n
     mean_g = float(g_values.mean())
     err_g = float(g_values.std(ddof=1)) / root_n

@@ -70,6 +70,19 @@ def test_fill_counters():
     assert fill.n_atoms == 6
 
 
+def test_fill_counts_are_direct_sums_of_a_frozen_occupancy():
+    fill = simulate_fill(20_000, 0.6, seed=9)
+    control, target = fill.occupancy[:, 0], fill.occupancy[:, 1]
+    assert fill.n_paired == int(np.sum(control & target))
+    assert fill.n_control_only == int(np.sum(control & ~target))
+    assert fill.n_target_only == int(np.sum(~control & target))
+    assert fill.n_atoms == int(np.sum(fill.occupancy))
+    # the counts are cached, so the occupancy they were taken from must not move
+    assert not fill.occupancy.flags.writeable
+    with pytest.raises(ValueError):
+        fill.occupancy[0, 0] = not fill.occupancy[0, 0]
+
+
 def test_fill_validation():
     with pytest.raises(ValueError):
         simulate_fill(0, 0.5, seed=1)

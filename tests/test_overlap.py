@@ -168,8 +168,9 @@ def test_kappa_approx_isotropic_is_exactly_zero():
 @pytest.mark.parametrize(
     "ratio",
     # spans the oblate branch, both sides of the series window at
-    # |1 - 1/ratio^2| = 0.02, and the prolate branch
-    [0.5, 0.985, 0.9895, 0.9905, 1.0095, 1.0105, 1.015, 2.0, 4.0],
+    # |1 - 1/ratio^2| = 0.02, and the prolate branch, out to the 20:1
+    # pancake and 10:1 cigar extremes where mc_oracle also relies on it
+    [0.05, 0.5, 0.985, 0.9895, 0.9905, 1.0095, 1.0105, 1.015, 2.0, 4.0, 10.0],
 )
 def test_kappa_approx_equals_static_tensor_average(ratio):
     # closed form == (3/2) <P2/(kr)^3>, checked against direct nested
