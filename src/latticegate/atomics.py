@@ -21,7 +21,6 @@ __all__ = [
     "PLANCK",
     "HBAR",
     "AtomSpecies",
-    "AngularMomentumKet",
     "clebsch_gordan",
     "legendre_p2",
     "load_species",
@@ -87,24 +86,6 @@ class AtomSpecies:
         cooperative decay, single-atom scattering in a logical-1 state).
         """
         return clebsch_gordan(self.f_up, 1, 0, self.f_max_excited)
-
-
-@dataclass(frozen=True)
-class AngularMomentumKet:
-    """|f, m_f> label; both on the same half-integer grid."""
-
-    f: float
-    m_f: float
-
-    def __post_init__(self) -> None:
-        tf = _check_half_integer(self.f, "f")
-        tm = _check_half_integer(self.m_f, "m_f")
-        if tf < 0:
-            raise ValueError("f must be nonnegative")
-        if abs(tm) > tf:
-            raise ValueError(f"|m_f| <= f required, got f={self.f}, m_f={self.m_f}")
-        if (tf - tm) % 2:
-            raise ValueError("m_f must differ from f by an integer")
 
 
 def _half_factorial(twice: int) -> int:
@@ -211,6 +192,14 @@ def legendre_p2(mu):
 # key = value files
 
 
+def _finite_float(text: str) -> float:
+    """float(text), rejecting nan and +-inf so they never reach a formula."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _read_key_values(path: str | Path, keys, noun: str, optional=(), convert=str) -> dict:
     """Values of a ``key = value`` file, one per line; ``#`` starts a comment.
 
@@ -256,7 +245,7 @@ def load_species(path: str | Path) -> AtomSpecies:
     fail loudly.
     """
     names = [field.name for field in fields(AtomSpecies)]
-    return AtomSpecies(**_read_key_values(path, names, "species field", convert=float))
+    return AtomSpecies(**_read_key_values(path, names, "species field", convert=_finite_float))
 
 
 def cesium_d2() -> AtomSpecies:

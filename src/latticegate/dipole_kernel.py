@@ -1,4 +1,4 @@
-"""Pointwise dipole-dipole coupling functions for pi-polarized induced dipoles.
+"""Radial pieces of the dipole-dipole coupling of pi-polarized induced dipoles.
 
 A pair of driven dipoles aligned with z and separated by r at polar angle
 theta_r exchanges photons through the retarded field. With the outgoing
@@ -15,18 +15,15 @@ The level-shift matrix element multiplies this pair by an overall minus sign
 shift comes out attractive.
 
 The pair is always computed together: one sin/cos evaluation feeds all four
-radial pieces, and the averaging integrator calls this in its hot loop.
+radial pieces, and the averaging integrator calls this in its hot loop. The
+pointwise (f, g) at one position is a test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .atomics import legendre_p2
-
-__all__ = ["RelativePosition", "fg", "radial_parts"]
+__all__ = ["radial_parts"]
 
 # Below this the trigonometric closed forms for j1, j2 lose digits to
 # cancellation (the j2 form is ~x^2/15 built from O(1/x^3) pieces); the
@@ -48,20 +45,6 @@ def _j_series(n: int, x):
         term = term * (half_x2 / (k * (2 * n + 2 * k + 1)))
         total = total + term
     return total
-
-
-@dataclass(frozen=True)
-class RelativePosition:
-    """Dimensionless separation kr > 0 and cos of the angle to the dipole axis."""
-
-    kr: float
-    cos_theta: float
-
-    def __post_init__(self) -> None:
-        if not self.kr > 0:
-            raise ValueError(f"kr must be positive, got {self.kr!r}")
-        if abs(self.cos_theta) > 1.0:
-            raise ValueError(f"|cos_theta| <= 1 required, got {self.cos_theta!r}")
 
 
 def radial_parts(kr):
@@ -100,11 +83,4 @@ def radial_parts(kr):
     if scalar:
         return float(f_mono[0]), float(f_tensor[0]), float(g_mono[0]), float(g_tensor[0])
     return f_mono, f_tensor, g_mono, g_tensor
-
-
-def fg(pos: RelativePosition) -> tuple[float, float]:
-    """(f, g) at one relative position."""
-    f_mono, f_tensor, g_mono, g_tensor = radial_parts(pos.kr)
-    p2 = legendre_p2(pos.cos_theta)
-    return f_mono + p2 * f_tensor, g_mono + p2 * g_tensor
 

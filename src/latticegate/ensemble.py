@@ -79,10 +79,6 @@ class LatticeFill:
     def n_target_only(self) -> int:
         return int(np.sum(~self.occupancy[:, 0] & self.occupancy[:, 1]))
 
-    @cached_property
-    def n_atoms(self) -> int:
-        return int(np.sum(self.occupancy))
-
 
 def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
     """Independent Bernoulli occupancy per well, reproducible from seed."""
@@ -126,10 +122,6 @@ class MeasurementStage:
     def n_measured(self) -> int:
         """Entries binned: paired sites count once, single atoms once each."""
         return self.n_paired + self.n_single
-
-    @property
-    def total_atoms(self) -> int:
-        return 2 * self.n_paired + self.n_single
 
     @property
     def fractions(self) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Two-qubit basis, pair-conditioned Hamiltonian, and Raman pi-pulse gate.
 
-The two atoms of a merged well pair encode one qubit each in stretched
-hyperfine sublevels. A weak resonant field gives the doubly-excited logical
-state |11> a level shift and a cooperative decay channel that no other
-basis state has, so a pi-pulse tuned to the shifted target transition
-flips the target only when the control is 1. Decay is modeled as
-non-Hermitian amplitude damping: population that scatters leaves the
-computational space and is accumulated in `leaked`.
+The two atoms of a merged well pair encode one qubit each in the |M| = 1
+hyperfine sublevels, both in the vibrational ground state. The sigma+ atom
+(target) holds |1> in the upper hyperfine level at M = +1 and |0> in the
+lower level at M = -1; the sigma- atom (control) uses the mirrored
+sublevels, |1> at M = -1 and |0> at M = +1. A weak resonant field gives the
+doubly-excited logical state |11> a level shift and a cooperative decay
+channel that no other basis state has, so a pi-pulse tuned to the shifted
+target transition flips the target only when the control is 1. Decay is
+modeled as non-Hermitian amplitude damping: population that scatters
+leaves the computational space and is accumulated in `leaked`.
 
 Conventions: two-qubit labels are "ct" with the control bit first, and
 amplitudes are ordered ("00", "01", "10", "11"). Pulse detunings are
@@ -23,28 +26,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
 
-from .atomics import HBAR, AngularMomentumKet, AtomSpecies
+from .atomics import HBAR
 
 __all__ = [
     "STATE_LABELS",
     "IDEAL_CNOT_OUTPUT",
-    "LogicalBasis",
     "GateEnvironment",
     "PulseSpec",
     "TwoQubitState",
     "TruthTable",
     "FidelityReport",
-    "ReadoutProjection",
     "dd_matrix_element",
     "evolve_pulse",
     "truth_table",
     "truth_table_fidelity",
-    "readout_projection",
     "default_pulse",
 ]
 
@@ -54,41 +53,6 @@ STATE_LABELS = ("00", "01", "10", "11")
 IDEAL_CNOT_OUTPUT = {"00": "00", "01": "01", "10": "11", "11": "10"}
 
 _NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LogicalBasis:
-    """Hyperfine encodings of the two atoms of a pair.
-
-    The sigma+ atom (target) encodes |1> in the upper hyperfine level at
-    M = +1 and |0> in the lower level at M = -1; the sigma- atom (control)
-    uses the mirrored sublevels. Both sit in the vibrational ground state.
-    """
-
-    one_target: AngularMomentumKet
-    zero_target: AngularMomentumKet
-    one_control: AngularMomentumKet
-    zero_control: AngularMomentumKet
-
-    def __post_init__(self) -> None:
-        for one, zero in ((self.one_target, self.zero_target), (self.one_control, self.zero_control)):
-            if one.f - zero.f != 1:
-                raise ValueError("logical 1 must sit one hyperfine level above logical 0")
-            if abs(one.m_f) != 1 or abs(zero.m_f) != 1:
-                raise ValueError("logical states use the |M| = 1 sublevels")
-
-    @classmethod
-    def for_species(cls, species: AtomSpecies) -> "LogicalBasis":
-        return cls(
-            one_target=AngularMomentumKet(species.f_up, +1),
-            zero_target=AngularMomentumKet(species.f_down, -1),
-            one_control=AngularMomentumKet(species.f_up, -1),
-            zero_control=AngularMomentumKet(species.f_down, +1),
-        )
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return STATE_LABELS
 
 
 @dataclass(frozen=True)
@@ -128,10 +92,12 @@ class PulseSpec:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.rabi <= 0:
-            raise ValueError("rabi must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.rabi < math.inf:
+            raise ValueError("rabi must be finite and positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and positive")
+        if not math.isfinite(self.detuning_from_shifted):
+            raise ValueError("detuning_from_shifted must be finite")
 
 
 @dataclass(eq=False)
@@ -320,18 +286,6 @@ def truth_table_fidelity(table: TruthTable) -> FidelityReport:
     )
 
 
-class ReadoutProjection(NamedTuple):
-    """Logical-1 population per atom: the upper-level fluorescence proxy."""
-
-    control: float
-    target: float
-
-
-def readout_projection(state: TwoQubitState) -> ReadoutProjection:
-    p = state.populations
-    return ReadoutProjection(control=float(p[2] + p[3]), target=float(p[1] + p[3]))
-
-
 def default_pulse(env: GateEnvironment, rabi_divisor: float = 10.0) -> PulseSpec:
     """Resonant pi-pulse at the standard perturbative operating point.
 
@@ -339,8 +293,8 @@ def default_pulse(env: GateEnvironment, rabi_divisor: float = 10.0) -> PulseSpec
     enough that the control-0 sector flips with probability about
     1/(divisor^2 + 1); duration is the pi time.
     """
-    if rabi_divisor <= 0:
-        raise ValueError("rabi_divisor must be positive")
+    if not 0 < rabi_divisor < math.inf:
+        raise ValueError("rabi_divisor must be finite and positive")
     if env.v_dd == 0:
         raise ValueError("v_dd = 0 gives no conditional splitting to tune against")
     rabi = abs(env.v_dd) / (HBAR * rabi_divisor)

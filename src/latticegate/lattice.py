@@ -3,11 +3,10 @@
 Covers the classical engineering side of the scheme: where the two
 polarization-split standing waves put their wells as the polarization angle
 turns, what trap frequencies / Lamb-Dicke parameters / photon-scattering
-rates a given set of beam intensities and detunings buys, how fast the
-wells may be merged without shaking the atoms up, and how strong the
-near-resonant catalysis field must be to reach a requested dipole-dipole
-shift. `budget_report` strings the pieces together into one JSON-ready
-dictionary.
+rates a given set of beam intensities and detunings buys, and how strong
+the near-resonant catalysis field must be to reach a requested
+dipole-dipole shift. `budget_report` strings the pieces together into one
+JSON-ready dictionary.
 """
 
 from __future__ import annotations
@@ -18,28 +17,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomics import HBAR, PLANCK, AtomSpecies, _read_key_values, cesium_d2, load_species
+from .atomics import HBAR, PLANCK, AtomSpecies, _finite_float, _read_key_values, cesium_d2, load_species
 from .overlap import DEFAULT_QUAD, QuadratureSpec, TrapGeometry, mean_fg
 
 __all__ = [
-    "MERGE_ADIABATIC_THRESHOLD",
     "SATURATION_LIMIT",
     "LatticeBeamConfig",
     "TrapParams",
     "CatalysisField",
     "CatalysisSolution",
-    "MergeSchedule",
     "LatticeConfig",
     "well_separation",
     "trap_params",
     "total_lattice_scatter",
-    "merge_schedule",
     "catalysis_intensity",
     "load_lattice_config",
     "budget_report",
 ]
 
-MERGE_ADIABATIC_THRESHOLD = 0.1
 SATURATION_LIMIT = 0.1
 
 
@@ -102,12 +97,10 @@ class TrapParams:
 
 @dataclass(frozen=True)
 class CatalysisField:
-    """Near-resonant field driving the dipoles: intensity in W/m^2,
-    detuning from the bare resonance in rad/s, saturation parameter, and
-    the single-atom scattering rate it causes."""
+    """Resonant field driving the dipoles: intensity in W/m^2, saturation
+    parameter, and the single-atom scattering rate it causes."""
 
     intensity: float
-    detuning_from_resonance: float
     saturation: float
     scatter_rate: float
 
@@ -204,77 +197,6 @@ def total_lattice_scatter(transverse: TrapParams, longitudinal: TrapParams) -> f
     return 2.0 * transverse.scatter_rate + longitudinal.scatter_rate
 
 
-@dataclass(frozen=True)
-class MergeSchedule:
-    """Raised-cosine polarization-angle ramp with its adiabaticity figure.
-
-    adiabaticity compares the peak well velocity against the oscillator
-    velocity scale (trap frequency times ground-state width); values at or
-    above MERGE_ADIABATIC_THRESHOLD are flagged as too fast.
-    """
-
-    theta_start: float
-    theta_end: float
-    duration: float
-    nu_osc: float
-    lamb_dicke: float
-    adiabaticity: float
-
-    @property
-    def adiabatic(self) -> bool:
-        return self.adiabaticity < MERGE_ADIABATIC_THRESHOLD
-
-    def theta_at(self, t):
-        """Angle along the ramp; clamps outside [0, duration]."""
-        frac = np.clip(np.asarray(t, dtype=float) / self.duration, 0.0, 1.0)
-        th = self.theta_start + (self.theta_end - self.theta_start) * 0.5 * (
-            1.0 - np.cos(math.pi * frac)
-        )
-        return float(th) if np.isscalar(t) else th
-
-    def separation_at(self, t, wave_number: float):
-        return well_separation(self.theta_at(t), wave_number)
-
-
-_MERGE_GRID = 200_001
-
-
-def merge_schedule(
-    theta_start: float,
-    theta_end: float,
-    duration: float,
-    nu_osc: float,
-    lamb_dicke: float,
-) -> MergeSchedule:
-    """Plan a well merge and score how adiabatic it is.
-
-    The figure is A = max_t |d(separation)/dt| / (nu_osc * ground_rms).
-    Both separation and ground_rms carry 1/wave_number, so A only needs
-    the Lamb-Dicke parameter. The maximum is taken on a dense time grid;
-    the ramp rate is smooth and vanishes at both ends, so the grid error
-    is far below the printed precision.
-    """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if nu_osc <= 0 or lamb_dicke <= 0:
-        raise ValueError("nu_osc and lamb_dicke must be positive")
-    for th in (theta_start, theta_end):
-        if not 0.0 <= th <= math.pi:
-            raise ValueError("ramp angles must lie in [0, pi]")
-    if theta_start == theta_end:
-        return MergeSchedule(theta_start, theta_end, duration, nu_osc, lamb_dicke, 0.0)
-
-    t = np.linspace(0.0, duration, _MERGE_GRID)
-    frac = t / duration
-    theta = theta_start + (theta_end - theta_start) * 0.5 * (1.0 - np.cos(math.pi * frac))
-    dtheta_dt = (theta_end - theta_start) * 0.5 * math.pi / duration * np.sin(math.pi * frac)
-    # d(k * separation)/d(theta) for the continuous branch
-    dphi_dtheta = 2.0 / (4.0 * np.cos(theta) ** 2 + np.sin(theta) ** 2)
-    peak_rate = float(np.max(np.abs(dphi_dtheta * dtheta_dt)))
-    figure = peak_rate / (nu_osc * lamb_dicke)
-    return MergeSchedule(theta_start, theta_end, duration, nu_osc, lamb_dicke, figure)
-
-
 def catalysis_intensity(
     species: AtomSpecies,
     c_g4: float,
@@ -300,7 +222,6 @@ def catalysis_intensity(
     saturation = 2.0 * gamma_prime / species.gamma_natural
     field = CatalysisField(
         intensity=saturation * species.i_sat,
-        detuning_from_resonance=0.0,
         saturation=saturation,
         scatter_rate=gamma_prime,
     )
@@ -343,11 +264,13 @@ class LatticeConfig:
 
 def _split_quantity(key: str, raw: str) -> tuple[float, str | None]:
     parts = raw.split()
-    if len(parts) == 1:
-        return float(parts[0]), None
-    if len(parts) == 2:
-        return float(parts[0]), parts[1]
-    raise ValueError(f"malformed value for {key!r}: {raw!r}")
+    if len(parts) not in (1, 2):
+        raise ValueError(f"malformed value for {key!r}: {raw!r}")
+    try:
+        value = _finite_float(parts[0])
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from exc
+    return value, parts[1] if len(parts) == 2 else None
 
 
 def _convert(key: str, raw: str, units: dict[str, float], kind: str) -> float:

@@ -70,10 +70,6 @@ class TrapGeometry:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
 
-    def rms_widths(self, k: float) -> tuple[float, float]:
-        """(x0, z0) in meters for wave number k."""
-        return self.eta_perp / k, self.eta_par / k
-
 
 @dataclass(frozen=True)
 class RelativeGaussian:

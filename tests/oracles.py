@@ -3,13 +3,15 @@
 Everything here deliberately avoids the production code paths: special
 functions come from mpmath/scipy.special, angular-momentum algebra from
 sympy, and averages from generic adaptive integration, so agreement is a
-genuine cross-check rather than the same bug evaluated twice. The one
-exception is spherical_bessel_pair, which is not a reference: it re-labels
-the production radial pieces as (j_n, y_n) so the tests can hold them
-against mp_spherical_pair.
+genuine cross-check rather than the same bug evaluated twice. Two
+exceptions are not references: spherical_bessel_pair re-labels the
+production radial pieces as (j_n, y_n) so the tests can hold them against
+mp_spherical_pair, and fg assembles the production pieces into the
+pointwise (f, g) pair so the tests can hold it against kernel_f/kernel_g.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -18,6 +20,7 @@ from scipy.special import spherical_jn, spherical_yn
 from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
 
+from latticegate.atomics import legendre_p2
 from latticegate.dipole_kernel import _SERIES_CROSSOVER, _j_series, radial_parts
 
 mpmath.mp.dps = 40
@@ -68,6 +71,27 @@ def sympy_cg(f: float, m_f: float, q: int, f_prime: float) -> float:
     return float(val)
 
 
+@dataclass(frozen=True)
+class RelativePosition:
+    """Dimensionless separation kr > 0 and cos of the angle to the dipole axis."""
+
+    kr: float
+    cos_theta: float
+
+    def __post_init__(self) -> None:
+        if not self.kr > 0:
+            raise ValueError(f"kr must be positive, got {self.kr!r}")
+        if abs(self.cos_theta) > 1.0:
+            raise ValueError(f"|cos_theta| <= 1 required, got {self.cos_theta!r}")
+
+
+def fg(pos: RelativePosition) -> tuple[float, float]:
+    """(f, g) at one relative position, from the production radial pieces."""
+    f_mono, f_tensor, g_mono, g_tensor = radial_parts(pos.kr)
+    p2 = legendre_p2(pos.cos_theta)
+    return f_mono + p2 * f_tensor, g_mono + p2 * g_tensor
+
+
 def kernel_f(x: float, mu: float) -> float:
     """Interaction functions straight from scipy.special."""
     p2 = 0.5 * (3.0 * mu * mu - 1.0)
@@ -83,7 +107,7 @@ def kernel_g(x: float, mu: float) -> float:
 NEAR_FIELD_WINDOW = 0.05
 
 
-def fg_smallkr_asymptote(pos) -> tuple[float, float]:
+def fg_smallkr_asymptote(pos: RelativePosition) -> tuple[float, float]:
     """Leading near-field pair (+3 P2/(kr)^3, 1) at a RelativePosition.
 
     Valid (and accepted) only for kr < 0.05 where the tensor term dominates

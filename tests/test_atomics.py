@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 from oracles import spherical_bessel_pair
 from latticegate.atomics import (
-    AngularMomentumKet,
     AtomSpecies,
     cesium_d2,
     clebsch_gordan,
@@ -20,7 +19,7 @@ from latticegate.atomics import (
 
 FROZEN_CG = [
     # (f, m_f, q, f_prime, value)
-    (4, 1, 0, 5, 0.730296743340221),     # pi coupling of the stretched qubit level
+    (4, 1, 0, 5, 0.730296743340221),     # pi coupling of the |M| = 1 qubit level
     (4, 4, 1, 5, 1.0),                   # stretched sigma+ is closed
     (3, 0, 0, 4, 0.755928946018455),
     (4, 1, 0, 4, 0.223606797749979),
@@ -229,6 +228,8 @@ def test_load_species_roundtrip(tmp_path, cesium):
         ("mass = 1e-25\nmass = 2e-25\n", "duplicate"),
         ("mass 1e-25\n", "expected 'key = value'"),
         ("mass =\n", "empty value"),
+        ("mass = nan\n", "bad value for 'mass'"),
+        ("mass = inf\n", "bad value for 'mass'"),
     ],
 )
 def test_load_species_errors(tmp_path, body, fragment):
@@ -248,17 +249,6 @@ def test_species_invariants_enforced(cesium):
     with pytest.raises(ValueError, match="positive"):
         AtomSpecies(-1.0, cesium.lambda_res, cesium.gamma_natural,
                     cesium.i_sat, 3.5, 4.0, 3.0, 5.0)
-
-
-def test_angular_momentum_ket_validation():
-    AngularMomentumKet(4, -4)
-    AngularMomentumKet(3.5, 0.5)
-    with pytest.raises(ValueError):
-        AngularMomentumKet(4, 5)
-    with pytest.raises(ValueError):
-        AngularMomentumKet(4, 0.5)
-    with pytest.raises(ValueError):
-        AngularMomentumKet(-1, 0)
 
 
 def test_cesium_d2_loader_is_cached_consistent():

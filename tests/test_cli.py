@@ -169,6 +169,17 @@ def test_budget_missing_config_is_usage_error(tmp_path):
     assert "error:" in result.stderr
 
 
+def test_budget_infinite_detuning_is_usage_error(tmp_path):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(Path(CONFIG).read_text().replace("detuning_par = 2 THz", "detuning_par = inf THz"))
+    assert cfg.read_text() != Path(CONFIG).read_text()
+    result = run_cli("budget", "--config", str(cfg), check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "'detuning_par'" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # --- gate -------------------------------------------------------------------
 
 def test_gate_reference_operating_point():
@@ -182,6 +193,14 @@ def test_gate_reference_operating_point():
     kappa_doc = json.loads(run_cli("kappa", "--eta-perp", "0.1", "--eta-par", "0.2").stdout)
     budget_doc = json.loads(run_cli("budget", "--config", CONFIG).stdout)
     assert doc["figure_of_merit"] == kappa_doc["kappa"] == budget_doc["figure_of_merit"]["kappa"]
+
+
+def test_gate_nan_duration_is_usage_error():
+    result = run_cli("gate", "--duration", "nan", check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "duration" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_gate_pulse_speed_tradeoff():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latticegate.dipole_kernel import RelativePosition, fg, radial_parts
-from oracles import NEAR_FIELD_WINDOW, fg_smallkr_asymptote
+from latticegate.dipole_kernel import radial_parts
+from oracles import NEAR_FIELD_WINDOW, RelativePosition, fg, fg_smallkr_asymptote
 
 P2_ZERO_MU = 1.0 / math.sqrt(3.0)  # P2 vanishes here: pure monopole kernel
 

@@ -56,7 +56,7 @@ def test_fill_statistics():
 
 
 def test_fill_degenerate_probabilities():
-    assert simulate_fill(100, 0.0, seed=1).n_atoms == 0
+    assert not simulate_fill(100, 0.0, seed=1).occupancy.any()
     full = simulate_fill(100, 1.0, seed=1)
     assert full.n_paired == 100
     assert full.n_control_only == full.n_target_only == 0
@@ -67,7 +67,6 @@ def test_fill_counters():
     assert fill.n_paired == 2
     assert fill.n_control_only == 1
     assert fill.n_target_only == 1
-    assert fill.n_atoms == 6
 
 
 def test_fill_counts_are_direct_sums_of_a_frozen_occupancy():
@@ -76,7 +75,6 @@ def test_fill_counts_are_direct_sums_of_a_frozen_occupancy():
     assert fill.n_paired == int(np.sum(control & target))
     assert fill.n_control_only == int(np.sum(control & ~target))
     assert fill.n_target_only == int(np.sum(~control & target))
-    assert fill.n_atoms == int(np.sum(fill.occupancy))
     # the counts are cached, so the occupancy they were taken from must not move
     assert not fill.occupancy.flags.writeable
     with pytest.raises(ValueError):
@@ -104,7 +102,6 @@ def test_mixed_stage_bins_with_ideal_gate():
     assert stage.leaked == 0
     assert stage.n_paired == 2 and stage.n_single == 2
     assert stage.n_measured == 4
-    assert stage.total_atoms == 6
 
 
 def test_unpaired_stage_reads_every_atom_alone():

@@ -7,14 +7,12 @@ from scipy.constants import h, hbar
 
 from conftest import CG_PI_4, REF_MEAN_F, REF_MEAN_G, REPO_ROOT
 from latticegate.lattice import (
-    MERGE_ADIABATIC_THRESHOLD,
     CatalysisField,
     LatticeBeamConfig,
     TrapParams,
     budget_report,
     catalysis_intensity,
     load_lattice_config,
-    merge_schedule,
     total_lattice_scatter,
     trap_params,
     well_separation,
@@ -161,60 +159,6 @@ def test_trap_params_record_invariants():
         TrapParams(1e-27, 1.0, 1e-9, 0.1, -1.0)
 
 
-# --- merge schedule -------------------------------------------------------------
-
-def test_merge_frozen_adiabaticity():
-    fast = merge_schedule(math.pi / 2.0, 0.0, 2e-5, nu_osc=50e3, lamb_dicke=0.2)
-    assert fast.adiabaticity == pytest.approx(15.375084, rel=1e-6)
-    assert not fast.adiabatic
-    slow = merge_schedule(math.pi / 2.0, 0.0, 2e-3, nu_osc=50e3, lamb_dicke=0.2)
-    assert slow.adiabaticity == pytest.approx(0.153751, rel=1e-5)
-    assert not slow.adiabatic  # still 1.5x over the threshold
-    safe = merge_schedule(math.pi / 2.0, 0.0, 5e-3, nu_osc=50e3, lamb_dicke=0.2)
-    assert safe.adiabaticity < MERGE_ADIABATIC_THRESHOLD
-    assert safe.adiabatic
-
-
-def test_merge_adiabaticity_scales_inversely_with_duration():
-    a = merge_schedule(math.pi / 2.0, 0.0, 2e-5, 50e3, 0.2)
-    b = merge_schedule(math.pi / 2.0, 0.0, 2e-3, 50e3, 0.2)
-    assert a.adiabaticity * 2e-5 == pytest.approx(b.adiabaticity * 2e-3, rel=1e-9)
-
-
-def test_merge_ramp_endpoints_and_clamping():
-    ramp = merge_schedule(math.pi / 2.0, 0.1, 1e-3, 50e3, 0.2)
-    assert ramp.theta_at(0.0) == math.pi / 2.0
-    assert ramp.theta_at(1e-3) == pytest.approx(0.1, rel=1e-14)
-    assert ramp.theta_at(-5.0) == math.pi / 2.0
-    assert ramp.theta_at(5.0) == pytest.approx(0.1, rel=1e-14)
-    # raised cosine: midpoint angle halfway, endpoints flat
-    assert ramp.theta_at(0.5e-3) == pytest.approx(0.5 * (math.pi / 2.0 + 0.1), rel=1e-12)
-
-
-def test_merge_separation_tracks_angle(cesium):
-    ramp = merge_schedule(math.pi / 2.0, 0.0, 1e-3, 50e3, 0.2)
-    k = cesium.wave_number
-    t = 0.3e-3
-    assert ramp.separation_at(t, k) == well_separation(ramp.theta_at(t), k)
-
-
-def test_merge_null_ramp_is_trivially_adiabatic():
-    ramp = merge_schedule(0.7, 0.7, 1e-6, 50e3, 0.2)
-    assert ramp.adiabaticity == 0.0
-    assert ramp.adiabatic
-
-
-def test_merge_validation():
-    with pytest.raises(ValueError):
-        merge_schedule(math.pi / 2.0, 0.0, 0.0, 50e3, 0.2)
-    with pytest.raises(ValueError):
-        merge_schedule(4.0, 0.0, 1e-3, 50e3, 0.2)
-    with pytest.raises(ValueError):
-        merge_schedule(math.pi / 2.0, 0.0, 1e-3, -50e3, 0.2)
-    with pytest.raises(ValueError):
-        merge_schedule(math.pi / 2.0, 0.0, 1e-3, 50e3, 0.0)
-
-
 # --- catalysis field -------------------------------------------------------------
 
 def test_catalysis_frozen_chain(cesium):
@@ -226,7 +170,6 @@ def test_catalysis_frozen_chain(cesium):
     assert field.scatter_rate == pytest.approx(2879.954452904, rel=1e-9)
     assert field.saturation == pytest.approx(1.756164702e-04, rel=1e-9)
     assert field.intensity == pytest.approx(1.931781172e-03, rel=1e-9)
-    assert field.detuning_from_resonance == 0.0
     assert solution.gamma_sup == pytest.approx(1625.387935153, rel=1e-9)
     assert solution.gamma_sup / (2.0 * math.pi) == pytest.approx(258.688524, rel=1e-8)
     assert h * 5000.0 / (hbar * solution.gamma_sup) == pytest.approx(19.3282636, rel=1e-8)
@@ -271,7 +214,7 @@ def test_catalysis_validation(cesium):
     with pytest.raises(ValueError, match="mean_f"):
         catalysis_intensity(cesium, CG_PI_4, 0.0, REF_MEAN_G, h * 5000.0)
     with pytest.raises(ValueError):
-        CatalysisField(-1.0, 0.0, 0.1, 1.0)
+        CatalysisField(-1.0, 0.1, 1.0)
 
 
 # --- configuration loading --------------------------------------------------------
@@ -350,6 +293,11 @@ def test_config_species_path_resolved_relative(tmp_path, cesium):
         (dict(intensity_perp=""), "empty value"),
         # a value with a newline leaves a second line that has no "="
         (dict(target_shift="5 kHz\nbeam_power 3 W"), "expected 'key = value'"),
+        # nan and inf parse as floats but must not reach the formulas
+        (dict(intensity_perp="nan W/cm2"), "'intensity_perp': not a finite number"),
+        (dict(target_shift="nan kHz"), "'target_shift': not a finite number"),
+        (dict(geometry_factor="nan"), "'geometry_factor': not a finite number"),
+        (dict(detuning_par="inf THz"), "'detuning_par': not a finite number"),
     ],
 )
 def test_config_errors(tmp_path, overrides, fragment):

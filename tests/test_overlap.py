@@ -335,11 +335,6 @@ def test_trap_geometry_domain():
         TrapGeometry(-0.1, 0.1)
 
 
-def test_trap_geometry_rms_widths():
-    x0, z0 = TrapGeometry(0.1, 0.2).rms_widths(k=2.0)
-    assert (x0, z0) == (0.05, 0.1)
-
-
 def test_quadrature_spec_validation():
     QuadratureSpec(rel_tol=1e-9, angular_order=32, eval_budget=1)
     for kwargs in (
