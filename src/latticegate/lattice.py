@@ -325,6 +325,8 @@ def load_lattice_config(path: str | Path) -> LatticeConfig:
         species = load_species(path.parent / species_name)
 
     wavelength = _convert("lattice_wavelength", values["lattice_wavelength"], _LENGTH_UNITS, "length")
+    if wavelength <= 0:
+        raise ValueError(f"'lattice_wavelength' must be positive, got {values['lattice_wavelength']!r}")
     beams = LatticeBeamConfig(
         intensity_perp=_convert("intensity_perp", values["intensity_perp"], _INTENSITY_UNITS, "intensity"),
         intensity_par=_convert("intensity_par", values["intensity_par"], _INTENSITY_UNITS, "intensity"),

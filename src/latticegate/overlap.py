@@ -397,15 +397,16 @@ def kappa_map(
             raise ValueError(f"{name} must be a nonempty 1D grid")
         if np.any(np.diff(grid) <= 0):
             raise ValueError(f"{name} must be strictly increasing")
-        if grid[0] <= 0 or grid[-1] > 1.0:
+        if not np.all((grid > 0) & (grid <= 1.0)):
             raise ValueError(f"{name} must lie in (0, 1]")
 
     tasks = [(ep, el, quad_spec) for ep in perp for el in par]
-    if jobs == 1:
+    workers = min(jobs, len(tasks))
+    if workers == 1:
         values = [_map_cell(task) for task in tasks]
     else:
-        with Pool(processes=jobs) as pool:
-            values = pool.map(_map_cell, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
+        with Pool(processes=workers) as pool:
+            values = pool.map(_map_cell, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
     return np.array(values, dtype=float).reshape(perp.size, par.size)
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from scipy import integrate
+from scipy.constants import hbar
+from scipy.linalg import expm
 from scipy.special import spherical_jn, spherical_yn
 from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
@@ -173,6 +175,25 @@ def rabi_flip_probability(rabi: float, detuning: float, duration: float) -> floa
     """Two-level flip probability for a square decay-free pulse."""
     w = math.hypot(rabi, detuning)
     return (rabi / w) ** 2 * math.sin(0.5 * w * duration) ** 2
+
+
+def four_level_truth_table(env, pulse) -> tuple[np.ndarray, np.ndarray]:
+    """(populations, leakage) from one 4x4 propagator over ("00", "01", "10", "11").
+
+    No split into control sectors: the generator holds each level's
+    rotating-frame energy and its decay (gamma_single per logical-1 atom,
+    plus gamma_dd on "11"), and the Raman drive couples "00" <-> "01" and
+    "10" <-> "11". Rows of populations are inputs, as in TruthTable.
+    """
+    delta = pulse.detuning_from_shifted
+    energy = np.array([0.0, -delta - env.v_dd / hbar, 0.0, -delta])
+    logical_ones = np.array([0, 1, 1, 2])
+    decay = env.gamma_single * logical_ones + env.gamma_dd * (logical_ones == 2)
+    generator = np.diag(energy - 0.5j * decay)
+    for target0, target1 in ((0, 1), (2, 3)):
+        generator[target0, target1] = generator[target1, target0] = 0.5 * pulse.rabi
+    populations = np.abs(expm(-1j * generator * pulse.duration).T) ** 2
+    return populations, 1.0 - populations.sum(axis=1)
 
 
 def mixture_row(gate_row5: np.ndarray, unpaired_row5: np.ndarray, alpha: float) -> np.ndarray:

@@ -169,14 +169,22 @@ def test_budget_missing_config_is_usage_error(tmp_path):
     assert "error:" in result.stderr
 
 
-def test_budget_infinite_detuning_is_usage_error(tmp_path):
-    cfg = tmp_path / "inf.cfg"
-    cfg.write_text(Path(CONFIG).read_text().replace("detuning_par = 2 THz", "detuning_par = inf THz"))
+@pytest.mark.parametrize(
+    "line,edited,key",
+    [
+        ("detuning_par = 2 THz", "detuning_par = inf THz", "detuning_par"),
+        ("lattice_wavelength = 852 nm", "lattice_wavelength = 0 nm", "lattice_wavelength"),
+    ],
+    ids=["inf_detuning", "zero_wavelength"],
+)
+def test_budget_bad_config_value_is_usage_error(tmp_path, line, edited, key):
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(Path(CONFIG).read_text().replace(line, edited))
     assert cfg.read_text() != Path(CONFIG).read_text()
     result = run_cli("budget", "--config", str(cfg), check=False)
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr.startswith("error:") and "'detuning_par'" in result.stderr
+    assert result.stderr.startswith("error:") and f"'{key}'" in result.stderr
     assert "Traceback" not in result.stderr
 
 

@@ -1,20 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.constants import hbar
 
 import oracles
+from latticegate import gate
 from conftest import CG_PI
 from latticegate.gate import (
     IDEAL_CNOT_OUTPUT,
     STATE_LABELS,
     GateEnvironment,
     PulseSpec,
-    TwoQubitState,
     dd_matrix_element,
     default_pulse,
-    evolve_pulse,
     truth_table,
     truth_table_fidelity,
 )
@@ -37,39 +37,63 @@ def _pi_pulse(rabi: float) -> PulseSpec:
 def test_resonant_pi_pulse_flips_target_exactly():
     env = _clean_env()
     pulse = _pi_pulse(rabi=math.pi * 1e3)
+    table = truth_table(env, pulse)
     for start, want in (("11", "10"), ("10", "11")):
-        out = evolve_pulse(TwoQubitState.from_label(start), pulse, env)
-        assert out.population(want) == pytest.approx(1.0, abs=1e-9)
-        assert out.leaked == pytest.approx(0.0, abs=1e-12)
+        assert table.row(start)[STATE_LABELS.index(want)] == pytest.approx(1.0, abs=1e-9)
+        assert table.leakage[STATE_LABELS.index(start)] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_control_zero_flip_probability_matches_two_level_formula():
     env = _clean_env()
     pulse = _pi_pulse(rabi=math.pi * 1e3)
-    out = evolve_pulse(TwoQubitState.from_label("01"), pulse, env)
+    row = truth_table(env, pulse).row("01")
     detuning = env.v_dd / hbar
     expected = oracles.rabi_flip_probability(pulse.rabi, detuning, pulse.duration)
     assert expected == pytest.approx(6.0646576186622e-05, rel=1e-9)  # oracle sanity
-    assert out.population("00") == pytest.approx(expected, rel=1e-9)
+    assert row[STATE_LABELS.index("00")] == pytest.approx(expected, rel=1e-9)
     # and it must respect the generalized-Rabi ceiling
     ceiling = pulse.rabi**2 / (pulse.rabi**2 + detuning**2)
-    assert out.population("00") <= ceiling
+    assert row[STATE_LABELS.index("00")] <= ceiling
 
 
 def test_spectator_input_00_is_inert_without_decay():
     env = _clean_env()
     pulse = _pi_pulse(rabi=math.pi * 1e3)
-    out = evolve_pulse(TwoQubitState.from_label("00"), pulse, env)
+    row = truth_table(env, pulse).row("00")
     detuning = env.v_dd / hbar
     expected = oracles.rabi_flip_probability(pulse.rabi, detuning, pulse.duration)
-    assert out.population("01") == pytest.approx(expected, rel=1e-9)
-    assert out.population("00") == pytest.approx(1.0 - expected, rel=1e-9)
+    assert row[STATE_LABELS.index("01")] == pytest.approx(expected, rel=1e-9)
+    assert row[STATE_LABELS.index("00")] == pytest.approx(1.0 - expected, rel=1e-9)
 
 
 def test_norm_accounting_with_decay(reference_table):
     totals = reference_table.populations.sum(axis=1) + reference_table.leakage
     assert np.all(np.abs(totals - 1.0) < 1e-9)
     assert np.all(reference_table.leakage >= 0.0)
+
+
+def test_truth_table_matches_full_four_level_propagation(reference_env, reference_pulse):
+    # the sector split and its row mapping against one 4x4 propagator
+    envs = (
+        reference_env,
+        _clean_env(),
+        GateEnvironment(v_dd=reference_env.v_dd, gamma_dd=0.0, gamma_single=reference_env.gamma_single),
+    )
+    for env in envs:
+        for pulse in (reference_pulse, replace(reference_pulse, detuning_from_shifted=0.37 * reference_pulse.rabi)):
+            table = truth_table(env, pulse)
+            populations, leakage = oracles.four_level_truth_table(env, pulse)
+            np.testing.assert_allclose(table.populations, populations, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(table.leakage, leakage, rtol=0, atol=1e-12)
+
+
+def test_norm_gaining_propagator_is_rejected(monkeypatch, reference_env, reference_pulse):
+    monkeypatch.setattr(gate, "_sector_propagator", lambda pulse, env, control: 1.1 * np.eye(2))
+    with pytest.raises(ValueError, match="leaked population must be nonnegative"):
+        truth_table(reference_env, reference_pulse)
+    # a rounding-sized gain is clamped, not fatal
+    monkeypatch.setattr(gate, "_sector_propagator", lambda pulse, env, control: (1.0 + 1e-13) * np.eye(2))
+    assert np.array_equal(truth_table(reference_env, reference_pulse).leakage, np.zeros(4))
 
 
 # --- frozen operating point -------------------------------------------------------
@@ -237,29 +261,12 @@ def test_pulse_spec_validation():
             PulseSpec(rabi=1.0, detuning_from_shifted=-bad, duration=1e-3)
 
 
-# --- states and readout ---------------------------------------------------------------
-
-def test_two_qubit_state_normalization_guard():
-    TwoQubitState(np.array([1.0, 0.0, 0.0, 0.0]))
-    TwoQubitState(np.array([0.6, 0.0, 0.0, 0.0]), leaked=0.64)
-    with pytest.raises(ValueError, match="not normalized"):
-        TwoQubitState(np.array([1.0, 0.5, 0.0, 0.0]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        TwoQubitState(np.array([1.0, 0.0, 0.0, 0.0]), leaked=-1e-6)
-    # tiny negative rounding residue is clamped, not fatal
-    state = TwoQubitState(np.array([1.0, 0.0, 0.0, 0.0]), leaked=-1e-13)
-    assert state.leaked == 0.0
-    with pytest.raises(ValueError, match="length-4"):
-        TwoQubitState(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="label"):
-        TwoQubitState.from_label("21")
-
+# --- readout ---------------------------------------------------------------
 
 def test_gate_flip_reflects_in_readout():
     env = _clean_env()
     pulse = _pi_pulse(rabi=math.pi * 1e3)
-    out = evolve_pulse(TwoQubitState.from_label("10"), pulse, env)
-    p = out.populations
+    p = truth_table(env, pulse).row("10")
     # logical-1 population per atom, the upper-level fluorescence proxy
     assert p[2] + p[3] == pytest.approx(1.0, abs=1e-9)  # control
     assert p[1] + p[3] == pytest.approx(1.0, abs=1e-9)  # target

@@ -298,6 +298,8 @@ def test_config_species_path_resolved_relative(tmp_path, cesium):
         (dict(target_shift="nan kHz"), "'target_shift': not a finite number"),
         (dict(geometry_factor="nan"), "'geometry_factor': not a finite number"),
         (dict(detuning_par="inf THz"), "'detuning_par': not a finite number"),
+        # 0 nm parses but would divide by zero in the wave number
+        (dict(lattice_wavelength="0 nm"), "'lattice_wavelength' must be positive"),
     ],
 )
 def test_config_errors(tmp_path, overrides, fragment):

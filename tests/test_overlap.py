@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import REF_KAPPA, REF_KAPPA_STATIC, REF_MEAN_F, REF_MEAN_G, REFERENCE_GEOMETRY
+from latticegate import overlap
 from latticegate.dipole_kernel import radial_parts
 from latticegate.overlap import (
     DEFAULT_QUAD,
@@ -262,6 +263,34 @@ def test_map_grid_validation():
         kappa_map(np.array([]), good)
     with pytest.raises(ValueError, match="\\(0, 1\\]"):
         kappa_map(np.array([0.5, 1.5]), good)
+    # nan fails every comparison, so each element is checked, not the ends
+    with pytest.raises(ValueError, match="eta_perp_grid must lie in \\(0, 1\\]"):
+        kappa_map(np.array([math.nan, math.nan]), good)
+    with pytest.raises(ValueError, match="eta_par_grid must lie in \\(0, 1\\]"):
+        kappa_map(good, np.array([math.nan]))
+
+
+def test_map_pool_never_outnumbers_cells(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks, chunksize):
+            return [func(task) for task in tasks]
+
+    monkeypatch.setattr(overlap, "Pool", SerialPool)
+    grid = np.array([0.1, 0.2])
+    values = kappa_map(grid, grid, jobs=8)
+    assert started == [4]
+    assert np.array_equal(values, kappa_map(grid, grid, jobs=1))
 
 
 def test_map_marks_failed_cells_as_nan():
