@@ -33,6 +33,11 @@ COMMANDS = (
     (0, ("map", "--perp-min", "0.1", "--perp-max", "0.2", "--perp-steps", "2",
          "--par-min", "0.1", "--par-max", "0.2", "--par-steps", "2")),
     (3, KAPPA_REF + ("--eval-budget", "50")),
+    # the aspect-20 band, where the angular order rises to 256
+    (0, ("kappa", "--eta-perp", "0.05", "--eta-par", "1.0")),
+    (0, ("kappa", "--eta-perp", "1.0", "--eta-par", "0.05")),
+    (0, ("map", "--perp-min", "0.05", "--perp-max", "1.0", "--perp-steps", "3",
+         "--par-min", "0.05", "--par-max", "1.0", "--par-steps", "3", "--jobs", "1")),
 )
 
 

@@ -25,11 +25,11 @@ while the control-1 sector never contains v_dd at all.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .atomics import HBAR
 
@@ -127,6 +127,15 @@ def _sector_propagator(pulse: PulseSpec, env: GateEnvironment, control: int) -> 
     line for control=1 and picks up the full shift for control=0. Decay per
     level counts gamma_single once per logical-1 atom, plus gamma_dd on the
     doubly-excited (1,1) level.
+
+    exp(A) for A = -i H T in closed form (Cayley-Hamilton; Moler & Van Loan,
+    SIAM Rev. 45, 3 (2003)): with m = tr(A)/2, d = (A11 - A22)/2 and
+    w^2 = d^2 + A12 A21,
+
+        exp(A) = e^m [cosh(w) I + sinh(w)/w (A - m I)].
+
+    Unlike a scaled Pade approximant its error does not grow with
+    |detuning| * duration.
     """
     if control == 1:
         delta = pulse.detuning_from_shifted
@@ -136,14 +145,31 @@ def _sector_propagator(pulse: PulseSpec, env: GateEnvironment, control: int) -> 
         delta = pulse.detuning_from_shifted + env.v_dd / HBAR
         gamma_target1 = env.gamma_single
         gamma_target0 = 0.0
-    generator = np.array(
-        [
-            [-delta - 0.5j * gamma_target1, 0.5 * pulse.rabi],
-            [0.5 * pulse.rabi, -0.5j * gamma_target0],
-        ],
-        dtype=complex,
-    )
-    return expm(-1j * generator * pulse.duration)
+    t = pulse.duration
+    m = complex(-0.25 * (gamma_target1 + gamma_target0) * t, 0.5 * delta * t)
+    d = complex(-0.25 * (gamma_target1 - gamma_target0) * t, 0.5 * delta * t)
+    off = -0.5j * pulse.rabi * t
+    w2 = d * d + off * off
+    if not cmath.isfinite(w2):
+        raise ValueError("detuning, Rabi frequency or decay rate times duration overflows")
+    # exp(A) = even * I + odd * (A - m I), even = e^m cosh(w), odd = e^m sinh(w)/w
+    if abs(w2) < 1.0:
+        # power series of cosh(w) and sinh(w)/w in w^2: no division by a
+        # vanishing w
+        cosh_w, sinhc_w, term = 1.0, 1.0, 1.0
+        for k in range(1, 12):
+            term *= w2 / ((2 * k - 1) * (2 * k))
+            cosh_w += term
+            sinhc_w += term / (2 * k + 1)
+        scale = cmath.exp(m)
+        even, odd = scale * cosh_w, scale * sinhc_w
+    else:
+        # from the eigenvalues m +- w, whose real parts are <= 0, so nothing
+        # overflows however strong the decay
+        w = cmath.sqrt(w2)
+        up, down = cmath.exp(m + w), cmath.exp(m - w)
+        even, odd = 0.5 * (up + down), (up - down) / (2.0 * w)
+    return np.array([[even + odd * d, odd * off], [odd * off, even - odd * d]])
 
 
 @dataclass(frozen=True)

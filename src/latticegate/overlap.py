@@ -15,21 +15,29 @@ eta_perp = 0.1, eta_par = 0.2.
 Deterministic path: spherical coordinates with the azimuth analytic, the
 angular integral innermost (the 1/(kr)^3 tensor piece is finite only after
 angular averaging at each radius), Gauss-Legendre in cos(theta), adaptive
-Gauss-Kronrod panels in kr. An importance-sampled Monte Carlo estimator with
-a near-field control variate provides an independent cross-check, and the
-retardation-free closed form provides a second one.
+Gauss-Kronrod panels in kr. The radial integrator is a port of
+scipy.integrate.quad_vec (scipy/integrate/_quad_vec.py, BSD-3-Clause; after
+QUADPACK, Piessens et al. 1983) for the GK21 rule and the max norm. It keeps
+quad_vec's every sum and update in the same order, so its results are
+bit-identical to quad_vec's, but it runs all radial panels in lockstep and
+hands each round's nodes to the integrand as one array. An importance-sampled
+Monte Carlo estimator with a near-field control variate provides an
+independent cross-check, and the retardation-free closed form provides a
+second one.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad_vec
 
 from .atomics import legendre_p2
 from .dipole_kernel import radial_parts
@@ -102,8 +110,8 @@ class QuadratureSpec:
     1e-14 all take 274). The achieved-error check afterwards allows
     10 * rel_tol of the result's scale. angular_order is the base
     Gauss-Legendre order in cos(theta), raised automatically for strongly
-    anisotropic traps; eval_budget caps kernel calls before an explicit
-    non-convergence report.
+    anisotropic traps; eval_budget caps the radial kernel nodes evaluated
+    before an explicit non-convergence report.
     """
 
     rel_tol: float = 1e-6
@@ -158,6 +166,204 @@ class ConvergenceError(RuntimeError):
         self.partial = partial
 
 
+# Gauss-Kronrod 21-point rule on [-1, 1]: nodes, the 10-point Gauss weights
+# (on the odd-indexed nodes) and the 21-point Kronrod weights, copied from
+# scipy/integrate/_quad_vec.py so that they parse to the same doubles.
+_GK21_NODES = np.array((
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+    -0.148874338981631210884826001129720,
+    -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784,
+    -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874,
+    -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493,
+    -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452,
+    -0.995657163025808080735527280689003,
+))
+_GK21_GAUSS = np.array((
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+    0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469,
+    0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697,
+    0.066671344308688137593568809893332,
+))
+_GK21_KRONROD = np.array((
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068,
+    0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707,
+    0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805,
+    0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190,
+    0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390,
+    0.011694638867371874278064396062192,
+))
+# quad_vec's fixed settings as mean_fg called it: absolute tolerance per
+# panel, intervals split per round, and the cap on intervals per panel
+_EPSABS = 1e-12
+_PARALLEL_COUNT = 128
+_LIMIT = 200
+
+
+def _node_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of terms[:, i] over the node axis i, added one node at a time
+    from 0.0 as quad_vec's loops add them."""
+    total = 0.0
+    for i in range(terms.shape[1]):
+        total = total + terms[:, i]
+    return total
+
+
+def _gk21(lo: np.ndarray, hi: np.ndarray, integrand) -> tuple[np.ndarray, list, list]:
+    """GK21 integral, error and rounding error on each interval [lo_i, hi_i].
+
+    quad_vec's _quadrature_gk with the max norm, run over all intervals at
+    once: one integrand call takes every node, and each sum adds its terms
+    node by node in quad_vec's order. The integral comes back with shape
+    (intervals, 2); the errors are lists of Python floats.
+    """
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    x = c[:, None] + h[:, None] * _GK21_NODES
+    fv = integrand(x.ravel()).reshape(lo.size, _GK21_NODES.size, 2)
+
+    kronrod = _GK21_KRONROD[:, None]
+    s_k, s_k_abs = np.split(_node_sum(kronrod * np.concatenate((fv, np.abs(fv)), axis=2)), 2, axis=1)
+    s_g = _node_sum(_GK21_GAUSS[:, None] * fv[:, 1::2])
+    s_k_dabs = _node_sum(kronrod * np.abs(fv - (s_k / 2.0)[:, None]))
+
+    h = h[:, None]
+    gk_err = np.max(np.abs((s_k - s_g) * h), axis=1).tolist()
+    dabs = np.max(np.abs(s_k_dabs * h), axis=1).tolist()
+    round_err = np.max(np.abs(50 * sys.float_info.epsilon * h * s_k_abs), axis=1).tolist()
+    errors = []
+    for err, d, rnd in zip(gk_err, dabs, round_err):
+        # QUADPACK's error estimate, on Python floats as in quad_vec
+        if d != 0 and err != 0:
+            err = d * min(1.0, (200 * err / d) ** 1.5)
+        if rnd > sys.float_info.min:
+            err = max(err, rnd)
+        errors.append(err)
+    return h * s_k, errors, round_err
+
+
+class _Panel:
+    """The state of one quad_vec call: running integral, error and rounding
+    error, the heap of intervals keyed on (-err, a, b), and each interval's
+    integral by (a, b)."""
+
+    def __init__(self, a: float, b: float, integral: np.ndarray, err: float, rnd: float):
+        self.integral = integral.copy()
+        self.error = err
+        self.rounding = rnd
+        self.heap = [(-err, a, b)]
+        self.cache = {(a, b): integral}
+
+    def tol(self, epsrel: float) -> float:
+        return max(_EPSABS, epsrel * float(np.max(np.abs(self.integral))))
+
+    def pop_round(self, epsrel: float) -> list[tuple[float, float, float, np.ndarray]]:
+        """The intervals to split this round: the largest errors first, at
+        most _PARALLEL_COUNT, stopping once the popped errors cover all but
+        tol/8 of the panel's error."""
+        tol = self.tol(epsrel)
+        popped = []
+        err_sum = 0
+        for j in range(_PARALLEL_COUNT):
+            if not self.heap:
+                break
+            if j > 0 and err_sum > self.error - tol / 8:
+                break
+            neg_err, a, b = heapq.heappop(self.heap)
+            popped.append((-neg_err, a, b, self.cache.pop((a, b))))
+            err_sum += -neg_err
+        return popped
+
+    def running(self, epsrel: float) -> bool:
+        """quad_vec's stops: tolerance, rounding error, non-finite error, and
+        the interval cap."""
+        if len(self.heap) >= 2:
+            tol = self.tol(epsrel)
+            if self.error < tol / 8 or self.error < self.rounding:
+                return False
+        if not (math.isfinite(self.error) and math.isfinite(self.rounding)):
+            return False
+        return 0 < len(self.heap) < _LIMIT
+
+
+def _adaptive_gk21(integrand, cuts: list[float], epsrel: float) -> list[tuple[np.ndarray, float]]:
+    """quad_vec(integrand, lo, hi, epsabs=1e-12, epsrel=epsrel, norm="max",
+    limit=200, quadrature="gk21") on each panel [cuts[i], cuts[i+1]].
+
+    Returns (integral, error + rounding error) per panel, bit-identical to
+    quad_vec's. The panels advance in lockstep, each with its own state, and
+    every round evaluates the nodes of all panels in one integrand call.
+    """
+    ig, err, rnd = _gk21(np.array(cuts[:-1]), np.array(cuts[1:]), integrand)
+    panels = [_Panel(a, b, ig[i], err[i], rnd[i]) for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))]
+    active = panels
+    while active:
+        rounds = [panel.pop_round(epsrel) for panel in active]
+        halves = []
+        for popped in rounds:
+            for _, a, b, _ in popped:
+                c = 0.5 * (a + b)
+                halves += ((a, c), (c, b))
+        lo, hi = np.array(halves).T
+        s, err, rnd = _gk21(lo, hi, integrand)
+        k = 0
+        for panel, popped in zip(active, rounds):
+            for old_err, _, _, old_int in popped:
+                panel.integral += s[k] + s[k + 1] - old_int
+                panel.error += err[k] + err[k + 1] - old_err
+                panel.rounding += rnd[k] + rnd[k + 1]
+                for j in (k, k + 1):
+                    x1, x2 = halves[j]
+                    panel.cache[(x1, x2)] = s[j]
+                    heapq.heappush(panel.heap, (-err[j], x1, x2))
+                k += 2
+        active = [panel for panel in active if panel.running(epsrel)]
+    return [(panel.integral, panel.error + panel.rounding) for panel in panels]
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights, built once per order."""
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> DipoleExpectation:
     """Deterministic quadrature of f and g against the relative Gaussian.
 
@@ -178,23 +384,26 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
     # factor of 5 restores ~1e-9 agreement with an adaptive-angle reference
     # while leaving mild geometries (aspect <= 5) on the base rule.
     aspect = max(a, c_ax) / min(a, c_ax)
-    nodes, weights = leggauss(quad_spec.angular_order * max(1, math.ceil(aspect / 5.0)))
+    nodes, weights = _gauss_legendre(quad_spec.angular_order * max(1, math.ceil(aspect / 5.0)))
     wp2 = weights * legendre_p2(nodes)
     s_mu = (1.0 - nodes * nodes) / (2.0 * a * a) + nodes * nodes / (2.0 * c_ax * c_ax)
 
     count = 0
 
-    def integrand(x: float) -> np.ndarray:
+    def integrand(x: np.ndarray) -> np.ndarray:
+        """x^2-weighted (f, g) angular averages at the radii x, shape (x.size, 2)."""
         nonlocal count
-        count += 1
+        count += x.size
         if count > quad_spec.eval_budget:
             raise ConvergenceError(f"evaluation budget {quad_spec.eval_budget} exhausted for {geom}")
         f_mono, f_tensor, g_mono, g_tensor = radial_parts(x)
-        envelope = np.exp(-(x * x) * s_mu)
-        m0 = weights @ envelope
-        m2 = wp2 @ envelope
         xx = x * x
-        return np.array([xx * (f_mono * m0 + f_tensor * m2), xx * (g_mono * m0 + g_tensor * m2)])
+        envelope = np.exp(-xx[:, None] * s_mu)
+        # one dot per radius: a matrix-vector product would sum in another
+        # order and move the last bits
+        m0 = np.array([weights @ row for row in envelope])
+        m2 = np.array([wp2 @ row for row in envelope])
+        return np.stack((xx * (f_mono * m0 + f_tensor * m2), xx * (g_mono * m0 + g_tensor * m2)), axis=1)
 
     eta_min = min(geom.eta_perp, geom.eta_par)
     x_lo = 1e-4 * eta_min
@@ -206,23 +415,13 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
     total = np.zeros(2)
     err_sum = 0.0
     sum_abs = np.zeros(2)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        value, err = quad_vec(
-            integrand,
-            lo,
-            hi,
-            epsabs=1e-12,
-            epsrel=quad_spec.rel_tol,
-            norm="max",
-            limit=200,
-            quadrature="gk21",
-        )
+    for value, err in _adaptive_gk21(integrand, cuts, quad_spec.rel_tol):
         total += value
         err_sum += err
         sum_abs += np.abs(value)
     # F(x) is linear in x at the origin (the angular average kills the
     # 1/x^3 and 1/x pieces), so the [0, x_lo] head is F(x_lo)*x_lo/2.
-    head = integrand(x_lo) * (0.5 * x_lo)
+    head = integrand(np.array([x_lo]))[0] * (0.5 * x_lo)
     total += head
     sum_abs += np.abs(head)
 

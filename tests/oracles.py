@@ -8,6 +8,8 @@ exceptions are not references: spherical_bessel_pair re-labels the
 production radial pieces as (j_n, y_n) so the tests can hold them against
 mp_spherical_pair, and fg assembles the production pieces into the
 pointwise (f, g) pair so the tests can hold it against kernel_f/kernel_g.
+quad_vec_mean_fg is a reference for the radial integration loop only: it
+feeds the production integrand, one node per call, to scipy's quad_vec.
 """
 
 import math
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.constants import hbar
 from scipy.linalg import expm
@@ -24,6 +27,7 @@ from sympy.physics.quantum.cg import CG
 
 from latticegate.atomics import legendre_p2
 from latticegate.dipole_kernel import _SERIES_CROSSOVER, _j_series, radial_parts
+from latticegate.overlap import ConvergenceError, DipoleExpectation, relative_distribution
 
 mpmath.mp.dps = 40
 
@@ -171,6 +175,75 @@ def static_tensor_mean_2d(eta_perp: float, eta_par: float) -> float:
     return value
 
 
+def quad_vec_panels(integrand, cuts: list[float], epsrel: float) -> list[tuple[np.ndarray, float]]:
+    """(integral, error) of a scalar-argument integrand on each panel
+    [cuts[i], cuts[i+1]], by scipy's quad_vec with mean_fg's settings."""
+    return [
+        integrate.quad_vec(integrand, lo, hi, epsabs=1e-12, epsrel=epsrel, norm="max",
+                           limit=200, quadrature="gk21")
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+
+
+def quad_vec_mean_fg(geom, quad_spec) -> DipoleExpectation:
+    """overlap.mean_fg as it ran on scipy.integrate.quad_vec, one node per call.
+
+    Same angular rule, panel cuts, small-kr head, budget and achieved-error
+    check as production; only the radial loop differs. The production port
+    must reproduce every returned and raised value bit for bit.
+    """
+    gauss = relative_distribution(geom)
+    a, c_ax = gauss.sigma_perp, gauss.sigma_par
+    aspect = max(a, c_ax) / min(a, c_ax)
+    nodes, weights = leggauss(quad_spec.angular_order * max(1, math.ceil(aspect / 5.0)))
+    wp2 = weights * legendre_p2(nodes)
+    s_mu = (1.0 - nodes * nodes) / (2.0 * a * a) + nodes * nodes / (2.0 * c_ax * c_ax)
+
+    count = 0
+
+    def integrand(x: float) -> np.ndarray:
+        nonlocal count
+        count += 1
+        if count > quad_spec.eval_budget:
+            raise ConvergenceError(f"evaluation budget {quad_spec.eval_budget} exhausted for {geom}")
+        f_mono, f_tensor, g_mono, g_tensor = radial_parts(x)
+        envelope = np.exp(-(x * x) * s_mu)
+        m0 = weights @ envelope
+        m2 = wp2 @ envelope
+        xx = x * x
+        return np.array([xx * (f_mono * m0 + f_tensor * m2), xx * (g_mono * m0 + g_tensor * m2)])
+
+    eta_min = min(geom.eta_perp, geom.eta_par)
+    x_lo = 1e-4 * eta_min
+    scale = math.sqrt(2.0 * a * a + c_ax * c_ax)
+    x_hi = max(14.0 * max(a, c_ax), 2.0 * scale)
+    interior = sorted({p for p in (0.1 * eta_min, scale, 10.0) if x_lo < p < x_hi})
+    cuts = [x_lo, *interior, x_hi]
+
+    total = np.zeros(2)
+    err_sum = 0.0
+    sum_abs = np.zeros(2)
+    for value, err in quad_vec_panels(integrand, cuts, quad_spec.rel_tol):
+        total += value
+        err_sum += err
+        sum_abs += np.abs(value)
+    head = integrand(x_lo) * (0.5 * x_lo)
+    total += head
+    sum_abs += np.abs(head)
+
+    prefactor = 2.0 * math.pi * gauss.norm
+    mean = prefactor * total
+    err_abs = prefactor * err_sum
+    result = DipoleExpectation(float(mean[0]), float(mean[1]), float(err_abs), float(err_abs), count)
+    tolerance = 10.0 * quad_spec.rel_tol * max(float(np.max(prefactor * sum_abs)), 1e-9)
+    if err_abs > tolerance:
+        raise ConvergenceError(
+            f"quadrature error {err_abs:.3e} above tolerance for {geom} after {count} evaluations",
+            partial=result,
+        )
+    return result
+
+
 def rabi_flip_probability(rabi: float, detuning: float, duration: float) -> float:
     """Two-level flip probability for a square decay-free pulse."""
     w = math.hypot(rabi, detuning)
@@ -194,6 +267,27 @@ def four_level_truth_table(env, pulse) -> tuple[np.ndarray, np.ndarray]:
         generator[target0, target1] = generator[target1, target0] = 0.5 * pulse.rabi
     populations = np.abs(expm(-1j * generator * pulse.duration).T) ** 2
     return populations, 1.0 - populations.sum(axis=1)
+
+
+def mp_four_level_leakage(env, pulse, dps: int = 50) -> list[float]:
+    """Per-input leakage of four_level_truth_table's model, with the 4x4
+    exponential taken by mpmath at dps digits, so the leaked population
+    keeps its digits however small it is against 1."""
+    with mpmath.workdps(dps):
+        delta = mpmath.mpf(pulse.detuning_from_shifted)
+        shift = mpmath.mpf(env.v_dd) / mpmath.mpf(hbar)
+        energy = [0, -delta - shift, 0, -delta]
+        logical_ones = [0, 1, 1, 2]
+        generator = mpmath.zeros(4, 4)
+        for i, ones in enumerate(logical_ones):
+            decay = mpmath.mpf(env.gamma_single) * ones
+            if ones == 2:
+                decay += mpmath.mpf(env.gamma_dd)
+            generator[i, i] = energy[i] - mpmath.mpc(0, 0.5) * decay
+        for target0, target1 in ((0, 1), (2, 3)):
+            generator[target0, target1] = generator[target1, target0] = mpmath.mpf(pulse.rabi) / 2
+        propagator = mpmath.expm(mpmath.mpc(0, -1) * generator * mpmath.mpf(pulse.duration))
+        return [float(1 - sum(abs(propagator[j, i]) ** 2 for j in range(4))) for i in range(4)]
 
 
 def mixture_row(gate_row5: np.ndarray, unpaired_row5: np.ndarray, alpha: float) -> np.ndarray:

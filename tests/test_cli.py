@@ -211,6 +211,14 @@ def test_gate_nan_duration_is_usage_error():
     assert "Traceback" not in result.stderr
 
 
+def test_gate_far_detuned_pulse_exits_cleanly():
+    # the true "00" leakage here is 3.4e-14; an expm-based propagator came
+    # out norm-gaining and the command exited 2
+    doc = json.loads(run_cli("gate", "--detuning-from-shifted", "1e10").stdout)
+    assert doc["rows"][0]["leaked"] == pytest.approx(3.4e-14, rel=1e-2)
+    assert all(row["leaked"] >= 0.0 for row in doc["rows"])
+
+
 def test_gate_pulse_speed_tradeoff():
     # faster pulse: less time to scatter, higher conditioned fidelity;
     # slower pulse: cooperative decay eats the target rows
@@ -270,6 +278,18 @@ def test_console_script_is_installed():
     result = subprocess.run([binary, "--version"], capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.startswith("latticegate ")
+
+
+def test_cli_import_leaves_scipy_out():
+    # the runtime depends on numpy alone; scipy is a test-only reference
+    probe = (
+        "import sys, latticegate.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO_ROOT, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_version_flag():

@@ -85,6 +85,48 @@ def test_truth_table_matches_full_four_level_propagation(reference_env, referenc
             populations, leakage = oracles.four_level_truth_table(env, pulse)
             np.testing.assert_allclose(table.populations, populations, rtol=0, atol=1e-12)
             np.testing.assert_allclose(table.leakage, leakage, rtol=0, atol=1e-12)
+    # and random generators for the closed-form 2x2 exponential: |detuning|
+    # * duration up to 60 rad, pulse areas 0.1 to 30, decay up to 3 /
+    # duration; 30 of the 1000 sectors take its |w^2| < 1 series branch
+    rng = np.random.default_rng(2003)
+    for _ in range(500):
+        duration = 10 ** rng.uniform(-5, -2)
+        gamma_single = 10 ** rng.uniform(-2, 0.5) / duration
+        env = GateEnvironment(
+            v_dd=hbar * rng.uniform(-30, 30) / duration,
+            gamma_dd=gamma_single * rng.uniform(0, 1),
+            gamma_single=gamma_single,
+        )
+        pulse = PulseSpec(
+            rabi=10 ** rng.uniform(-1, 1.5) / duration,
+            detuning_from_shifted=rng.uniform(-30, 30) / duration,
+            duration=duration,
+        )
+        table = truth_table(env, pulse)
+        populations, leakage = oracles.four_level_truth_table(env, pulse)
+        np.testing.assert_allclose(table.populations, populations, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table.leakage, leakage, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("detuning", [1e8, 1e9, 1e10])
+def test_leakage_far_off_resonance_matches_mpmath(reference_env, reference_pulse, detuning):
+    # a far-detuned 1 ms pi pulse leaks 3.4e-10, 3.4e-12 and 3.4e-14 of the
+    # "00" input. A scaled Pade expm lost these to rounding (-1.5 percent,
+    # 8x too large, negative); the closed form keeps every row's leakage to
+    # a few ulp of the unit norm it is taken from.
+    pulse = replace(reference_pulse, detuning_from_shifted=detuning)
+    table = truth_table(reference_env, pulse)
+    exact = oracles.mp_four_level_leakage(reference_env, pulse)
+    np.testing.assert_allclose(table.leakage, exact, rtol=0, atol=4 * np.finfo(float).eps)
+    assert table.leakage[0] == pytest.approx(exact[0], rel=1e-2)
+
+
+def test_overflowing_pulse_is_rejected(reference_env, reference_pulse):
+    # (detuning * duration)^2 overflows a double past ~1e154 rad: a loud
+    # error, not an all-NaN table
+    pulse = replace(reference_pulse, detuning_from_shifted=1e200)
+    with pytest.raises(ValueError, match="overflows"):
+        truth_table(reference_env, pulse)
 
 
 def test_norm_gaining_propagator_is_rejected(monkeypatch, reference_env, reference_pulse):
@@ -249,7 +291,7 @@ def test_pulse_spec_validation():
         PulseSpec(rabi=0.0, detuning_from_shifted=0.0, duration=1e-3)
     with pytest.raises(ValueError):
         PulseSpec(rabi=1.0, detuning_from_shifted=0.0, duration=0.0)
-    # non-finite inputs would otherwise run through expm into NaN populations
+    # non-finite inputs would otherwise run through the propagator into NaN populations
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="rabi"):
             PulseSpec(rabi=bad, detuning_from_shifted=0.0, duration=1e-3)

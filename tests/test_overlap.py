@@ -61,6 +61,55 @@ def test_frozen_geometries(eta_perp, eta_par, f_expected, g_expected):
     assert result.mean_g == pytest.approx(g_expected, rel=1e-7)
 
 
+# The radial loop is a port of scipy's quad_vec; it must return every field
+# bit for bit, at the frozen geometries, the aspect-20 band and a tight spec.
+PORT_CASES = [
+    *[((eta_perp, eta_par), QuadratureSpec()) for eta_perp, eta_par, _, _ in FROZEN_CORNERS],
+    ((0.1, 0.2), QuadratureSpec()),
+    ((0.05, 1.0), QuadratureSpec()),
+    ((0.1, 0.2), QuadratureSpec(rel_tol=1e-8, angular_order=96)),
+]
+
+
+def _bits(result: DipoleExpectation) -> tuple:
+    return (result.mean_f.hex(), result.mean_g.hex(), result.err_f.hex(), result.err_g.hex(),
+            result.evaluations)
+
+
+@pytest.mark.parametrize("eta,spec", PORT_CASES)
+def test_radial_loop_matches_scipy_quad_vec_bit_for_bit(eta, spec):
+    geom = TrapGeometry(*eta)
+    assert _bits(mean_fg(geom, spec)) == _bits(oracles.quad_vec_mean_fg(geom, spec))
+
+
+def test_unconverged_partial_matches_scipy_quad_vec_bit_for_bit():
+    geom = TrapGeometry(0.01, 0.01)
+    spec = QuadratureSpec(rel_tol=1e-14)
+    with pytest.raises(ConvergenceError, match="tolerance") as ours:
+        mean_fg(geom, spec)
+    with pytest.raises(ConvergenceError) as reference:
+        oracles.quad_vec_mean_fg(geom, spec)
+    assert str(ours.value) == str(reference.value)
+    assert _bits(ours.value.partial) == _bits(reference.value.partial)
+
+
+def _chirp_and_peak(x: np.ndarray) -> np.ndarray:
+    return np.stack((np.sin(1.0 / (x + 1e-4)), 1.0 / ((x - 0.7123) ** 2 + 1e-8)), axis=1)
+
+
+@pytest.mark.parametrize("epsrel", [1e-3, 1e-8, 1e-14])
+def test_adaptive_loop_matches_scipy_quad_vec_on_a_hard_integrand(epsrel):
+    # the dipole integrand converges after one split per round; this one
+    # splits up to 19 intervals in a round, stops at the 200-interval cap
+    # (1e-8, 1e-14) and on rounding error (1e-14)
+    cuts = [0.0, 0.5, 1.0, 2.0]
+    ours = overlap._adaptive_gk21(_chirp_and_peak, cuts, epsrel)
+    reference = oracles.quad_vec_panels(lambda x: _chirp_and_peak(np.array([x]))[0], cuts, epsrel)
+    for (value, err), (ref_value, ref_err) in zip(ours, reference):
+        assert value.tobytes() == ref_value.tobytes()
+        assert err.hex() == ref_err.hex()
+
+
 def test_kappa_is_shift_over_broadened_linewidth(reference_fg):
     value = kappa(REFERENCE_GEOMETRY)
     assert value == pytest.approx(REF_KAPPA, rel=1e-8)
@@ -336,6 +385,14 @@ def test_budget_exhaustion_raises_without_partial():
     with pytest.raises(ConvergenceError, match="budget") as excinfo:
         mean_fg(REFERENCE_GEOMETRY, QuadratureSpec(eval_budget=100))
     assert excinfo.value.partial is None
+    # the budget counts every kernel node, the small-kr head included: the
+    # reference point takes n = 232 of them, so n - 1 fails and n passes
+    n = oracles.quad_vec_mean_fg(REFERENCE_GEOMETRY, DEFAULT_QUAD).evaluations
+    assert n == 232
+    with pytest.raises(ConvergenceError, match=f"budget {n - 1} exhausted") as excinfo:
+        mean_fg(REFERENCE_GEOMETRY, QuadratureSpec(eval_budget=n - 1))
+    assert excinfo.value.partial is None
+    assert mean_fg(REFERENCE_GEOMETRY, QuadratureSpec(eval_budget=n)).evaluations == n
 
 
 def test_unreached_tolerance_raises_with_partial():
