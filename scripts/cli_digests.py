@@ -24,7 +24,7 @@ KAPPA_REF = ("kappa", "--eta-perp", "0.1", "--eta-par", "0.2")
 # (expected exit code, arguments)
 COMMANDS = (
     (0, KAPPA_REF),
-    (0, KAPPA_REF + ("--rel-tol", "1e-8", "--angular-order", "96")),
+    (0, KAPPA_REF + ("--rel-tol", "1e-8")),
     (0, ("kappa", "--eta-perp", "0.05", "--eta-par", "0.3", "--eval-budget", "20000")),
     (0, ("budget", "--config", CONFIG)),
     (0, ("gate",)),
@@ -33,7 +33,7 @@ COMMANDS = (
     (0, ("map", "--perp-min", "0.1", "--perp-max", "0.2", "--perp-steps", "2",
          "--par-min", "0.1", "--par-max", "0.2", "--par-steps", "2")),
     (3, KAPPA_REF + ("--eval-budget", "50")),
-    # the aspect-20 band, where the angular order rises to 256
+    # the aspect-20 band
     (0, ("kappa", "--eta-perp", "0.05", "--eta-par", "1.0")),
     (0, ("kappa", "--eta-perp", "1.0", "--eta-par", "0.05")),
     (0, ("map", "--perp-min", "0.05", "--perp-max", "1.0", "--perp-steps", "3",

@@ -1,6 +1,6 @@
-"""Atomic species data, dipole Clebsch-Gordan coefficients, the SI
-constants the package uses, and the ``key = value`` file reader shared by
-the species and lattice configuration loaders.
+"""Atomic species data, the SI constants the package uses, and the
+``key = value`` file reader shared by the species and lattice configuration
+loaders.
 
 Everything here is a pure function; the species record is a frozen dataclass
 loaded from a key-value text file so other alkalis can be added without code
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -21,7 +20,6 @@ __all__ = [
     "PLANCK",
     "HBAR",
     "AtomSpecies",
-    "clebsch_gordan",
     "legendre_p2",
     "load_species",
     "cesium_d2",
@@ -80,103 +78,16 @@ class AtomSpecies:
     @property
     def pi_coupling(self) -> float:
         """Clebsch-Gordan amplitude of the pi transition from the upper
-        hyperfine level at |M| = 1 to the strongest excited manifold.
+        hyperfine level at |M| = 1 to the strongest excited manifold,
+        <F 1; 1 0 | F+1 1> = sqrt(F (F+2) / ((2F+1) (F+1))) with F = f_up.
 
         Its fourth power scales every laser-induced pair quantity (shift,
         cooperative decay, single-atom scattering in a logical-1 state).
         """
-        return clebsch_gordan(self.f_up, 1, 0, self.f_max_excited)
-
-
-def _half_factorial(twice: int) -> int:
-    # factorial of twice/2; caller guarantees twice is even and >= 0
-    return math.factorial(twice // 2)
-
-
-def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> Fraction:
-    """Signed square of <j1 m1; j2 m2 | j m> as an exact rational.
-
-    All angular momenta are passed doubled so half-integers stay integral.
-    Racah's closed sum; every factorial argument is a plain integer whenever
-    the selection rules hold, and the Condon-Shortley phase is carried by the
-    sign of the alternating sum.
-    """
-    if tm1 + tm2 != tm:
-        return Fraction(0)
-    if tj < abs(tj1 - tj2) or tj > tj1 + tj2:
-        return Fraction(0)
-    if (tj1 + tj2 - tj) % 2:
-        return Fraction(0)
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm) > tj:
-        return Fraction(0)
-
-    kmin = max(0, -(tj - tj2 + tm1) // 2, -(tj - tj1 - tm2) // 2)
-    kmax = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    if kmin > kmax:
-        return Fraction(0)
-
-    total = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        denom = (
-            math.factorial(k)
-            * _half_factorial(tj1 + tj2 - tj - 2 * k)
-            * _half_factorial(tj1 - tm1 - 2 * k)
-            * _half_factorial(tj2 + tm2 - 2 * k)
-            * _half_factorial(tj - tj2 + tm1 + 2 * k)
-            * _half_factorial(tj - tj1 - tm2 + 2 * k)
-        )
-        total += Fraction(-1 if k % 2 else 1, denom)
-    if total == 0:
-        return Fraction(0)
-
-    prefactor = (
-        Fraction(tj + 1)
-        * Fraction(
-            _half_factorial(tj1 + tj2 - tj)
-            * _half_factorial(tj1 - tj2 + tj)
-            * _half_factorial(-tj1 + tj2 + tj),
-            _half_factorial(tj1 + tj2 + tj + 2),
-        )
-        * _half_factorial(tj1 - tm1)
-        * _half_factorial(tj1 + tm1)
-        * _half_factorial(tj2 - tm2)
-        * _half_factorial(tj2 + tm2)
-        * _half_factorial(tj - tm)
-        * _half_factorial(tj + tm)
-    )
-    square = prefactor * total * total
-    return square if total > 0 else -square
-
-
-def clebsch_gordan(f: float, m_f: float, q: int, f_prime: float) -> float:
-    """Dipole coupling coefficient <f, m_f; 1, q | f', m_f + q>.
-
-    q in {-1, 0, +1} is the spherical polarization index. Exact rational
-    arithmetic internally; float only at the boundary. Selection-rule
-    failures (m' out of range, triangle violations such as f = f' = 0)
-    return 0; malformed inputs raise.
-    """
-    tf = _check_half_integer(f, "f")
-    tfp = _check_half_integer(f_prime, "f_prime")
-    tm = _check_half_integer(m_f, "m_f")
-    if tf < 0 or tfp < 0:
-        raise ValueError("f and f_prime must be nonnegative")
-    if q not in (-1, 0, 1):
-        raise ValueError(f"q must be -1, 0, or +1, got {q!r}")
-    if (tf - tm) % 2:
-        raise ValueError("m_f must differ from f by an integer")
-    if abs(tm) > tf:
-        raise ValueError(f"|m_f| <= f required, got f={f}, m_f={m_f}")
-    if (tf - tfp) % 2:
-        raise ValueError("f and f_prime must differ by an integer")
-    if abs(tf - tfp) > 2:
-        raise ValueError("dipole coupling links f_prime to f-1, f, f+1 only")
-
-    signed_square = _cg_signed_square(tf, tm, 2, 2 * q, tfp, tm + 2 * q)
-    if signed_square == 0:
-        return 0.0
-    magnitude = math.sqrt(abs(signed_square.numerator) / signed_square.denominator)
-    return magnitude if signed_square > 0 else -magnitude
+        f = self.f_up
+        if f != int(f):
+            raise ValueError(f"M = 1 needs an integer f_up, got {f!r}")
+        return math.sqrt(f * (f + 2) / ((2 * f + 1) * (f + 1)))
 
 
 def legendre_p2(mu):

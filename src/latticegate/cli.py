@@ -138,7 +138,7 @@ def _csv_header(args: argparse.Namespace) -> str:
 
 def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
     overrides = {}
-    for field in ("rel_tol", "angular_order", "eval_budget"):
+    for field in ("rel_tol", "eval_budget"):
         value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
@@ -293,8 +293,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"random seed recorded in provenance (default {DEFAULT_SEED})")
     parser.add_argument("--rel-tol", type=float, default=None,
                         help="quadrature relative tolerance override")
-    parser.add_argument("--angular-order", type=int, default=None,
-                        help="base angular quadrature order override")
     parser.add_argument("--eval-budget", type=int, default=None,
                         help="cap on kernel evaluations before reporting non-convergence")
 

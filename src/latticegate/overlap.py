@@ -14,13 +14,14 @@ eta_perp = 0.1, eta_par = 0.2.
 
 Deterministic path: spherical coordinates with the azimuth analytic, the
 angular integral innermost (the 1/(kr)^3 tensor piece is finite only after
-angular averaging at each radius), Gauss-Legendre in cos(theta), adaptive
-Gauss-Kronrod panels in kr. The radial integrator is a port of
-scipy.integrate.quad_vec (scipy/integrate/_quad_vec.py, BSD-3-Clause; after
-QUADPACK, Piessens et al. 1983) for the GK21 rule and the max norm. It keeps
-quad_vec's every sum and update in the same order, so its results are
-bit-identical to quad_vec's, but it runs all radial panels in lockstep and
-hands each round's nodes to the integrand as one array. An importance-sampled
+angular averaging at each radius) and exact in cos(theta) through erf and
+Dawson's integral, adaptive Gauss-Kronrod panels in kr. The radial
+integrator is a port of scipy.integrate.quad_vec
+(scipy/integrate/_quad_vec.py, BSD-3-Clause; after QUADPACK, Piessens et al.
+1983) for the GK21 rule and the max norm. It keeps quad_vec's every sum and
+update in the same order, so its results are bit-identical to quad_vec's,
+but it runs all radial panels in lockstep and hands each round's nodes to
+the integrand as one array. An importance-sampled
 Monte Carlo estimator with a near-field control variate provides an
 independent cross-check, and the retardation-free closed form provides a
 second one.
@@ -29,7 +30,6 @@ second one.
 from __future__ import annotations
 
 import csv
-import functools
 import heapq
 import math
 import sys
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .atomics import legendre_p2
 from .dipole_kernel import radial_parts
@@ -96,7 +95,10 @@ class RelativeGaussian:
 def relative_distribution(geom: TrapGeometry) -> RelativeGaussian:
     sigma_perp = math.sqrt(2.0) * geom.eta_perp
     sigma_par = math.sqrt(2.0) * geom.eta_par
-    norm = (2.0 * math.pi) ** -1.5 / (sigma_perp**2 * sigma_par)
+    volume = sigma_perp**2 * sigma_par
+    if volume == 0.0:
+        raise ValueError(f"the relative Gaussian of {geom} is too narrow for double precision")
+    norm = (2.0 * math.pi) ** -1.5 / volume
     return RelativeGaussian(sigma_perp, sigma_par, norm)
 
 
@@ -108,21 +110,16 @@ class QuadratureSpec:
     a fixed absolute error floor of 1e-12 per panel, so tightening it past
     that floor adds no nodes (at eta = (0.1, 0.2), rel_tol = 1e-12, 1e-13 and
     1e-14 all take 274). The achieved-error check afterwards allows
-    10 * rel_tol of the result's scale. angular_order is the base
-    Gauss-Legendre order in cos(theta), raised automatically for strongly
-    anisotropic traps; eval_budget caps the radial kernel nodes evaluated
-    before an explicit non-convergence report.
+    10 * rel_tol of the result's scale. eval_budget caps the radial kernel
+    nodes evaluated before an explicit non-convergence report.
     """
 
     rel_tol: float = 1e-6
-    angular_order: int = 64
     eval_budget: int = 10_000_000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol <= 1e-2:
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol!r}")
-        if self.angular_order < 8:
-            raise ValueError("angular_order must be >= 8")
         if self.eval_budget < 1:
             raise ValueError("eval_budget must be >= 1")
 
@@ -355,20 +352,85 @@ def _adaptive_gk21(integrand, cuts: list[float], epsrel: float) -> list[tuple[np
     return [(panel.integral, panel.error + panel.rounding) for panel in panels]
 
 
-@functools.lru_cache(maxsize=16)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights, built once per order."""
-    nodes, weights = leggauss(order)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+# The angular moments in closed form. With s(mu) = 1/(2a^2) + beta mu^2,
+# beta = 1/(2c^2) - 1/(2a^2) and q = beta x^2, the moments are
+# m0 = 2 e^{-x^2/(2a^2)} I0(q) and m2 = 2 e^{-x^2/(2a^2)} I2(q), where
+# I0 = int_0^1 e^{-q mu^2} dmu and I2 = int_0^1 P2(mu) e^{-q mu^2} dmu
+# (DLMF 7.2, 7.6, 7.12). Each band of q has its own form: the power series
+# for |q| <= 3 and for cigars up to -q = 40, erf for pancakes, and Dawson's
+# asymptotic series beyond, with e^{-q} folded into the envelope. Every sum
+# has a fixed term count per band, so a node's value never depends on the
+# other nodes of its batch.
+_SERIES_Q = 3.0
+_CIGAR_SERIES_Q = 40.0
+
+
+def _power_series(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponents n and the coefficients of z^n in I0 and I2 at z = -q:
+    1/(n! (2n+1)) and 2n/(n! (2n+1)(2n+3)); the latter vanishes at n = 0, so
+    I2 does not cancel as q -> 0."""
+    n = range(terms)
+    i0 = np.array([1 / (math.factorial(k) * (2 * k + 1)) for k in n])
+    i2 = np.array([2 * k / (math.factorial(k) * (2 * k + 1) * (2 * k + 3)) for k in n])
+    return np.arange(terms), i0, i2
+
+
+_SMALL_SERIES = _power_series(32)
+_CIGAR_SERIES = _power_series(110)
+# Dawson's integral F(y) ~ 1/(2y) sum (2k-1)!!/(2y^2)^k, so at p = -q = y^2,
+# e^{-p} I0 = F(y)/y ~ sum (2k-1)!! t^(k+1) with t = 1/(2p). At p = 40 the
+# 40th term is the smallest, 6e-18 of the first.
+_DAWSON_POWERS = np.arange(1, 41)
+_DAWSON_COEFFS = np.array([float(math.prod(range(1, 2 * k, 2))) for k in range(40)])
+
+
+def _row_sums(z: np.ndarray, powers: np.ndarray, *coefficients: np.ndarray) -> list[np.ndarray]:
+    """sum_n coefficients[n] z^n per node, one row of the power table each."""
+    table = z[:, None] ** powers
+    return [np.sum(table * row, axis=1) for row in coefficients]
+
+
+def _angular_moments(x: np.ndarray, a: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """m0(x) and m2(x): the integrals over mu = cos(theta) in [-1, 1] of
+    exp(-x^2 s(mu)) and P2(mu) exp(-x^2 s(mu)), where
+    s(mu) = (1 - mu^2)/(2a^2) + mu^2/(2c^2) is the relative Gaussian's
+    exponent per x^2 with a = sigma_perp and c = sigma_par."""
+    xx = x * x
+    q = (0.5 / (c * c) - 0.5 / (a * a)) * xx
+    i0 = np.empty_like(x)
+    i2 = np.empty_like(x)
+    small = np.abs(q) <= _SERIES_Q
+    pancake = q > _SERIES_Q
+    cigar = (q < -_SERIES_Q) & (q >= -_CIGAR_SERIES_Q)
+    # the rest, nan included, so that a nan never reads unset memory
+    far = ~(small | pancake | cigar)
+
+    for band, series in ((small, _SMALL_SERIES), (cigar, _CIGAR_SERIES)):
+        i0[band], i2[band] = _row_sums(-q[band], *series)
+
+    qp = q[pancake]
+    root = np.sqrt(qp)
+    i0_p = (0.5 * math.sqrt(math.pi)) * np.array([math.erf(r) for r in root]) / root
+    # int_0^1 mu^2 e^{-q mu^2} dmu = (I0 - e^{-q}) / (2q), by parts
+    i0[pancake] = i0_p
+    i2[pancake] = 0.75 * (i0_p - np.exp(-qp)) / qp - 0.5 * i0_p
+
+    # here I0 and I2 carry the factor e^{-p}, which turns the envelope
+    # e^{-x^2/(2a^2)} into e^{-x^2/(2c^2)}
+    t = -0.5 / q[far]
+    (i0_f,) = _row_sums(t, _DAWSON_POWERS, _DAWSON_COEFFS)
+    i0[far] = i0_f
+    i2[far] = 1.5 * t * (1.0 - i0_f) - 0.5 * i0_f
+
+    envelope = np.exp(-xx / (2.0 * np.where(far, c * c, a * a)))
+    return 2.0 * envelope * i0, 2.0 * envelope * i2
 
 
 def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> DipoleExpectation:
     """Deterministic quadrature of f and g against the relative Gaussian.
 
     Angular moments m0(x) = <exp(-x^2 s(mu))> and m2(x) = <P2(mu) ...> are
-    taken by Gauss-Legendre at each radius, then the radial integrals of
+    exact at each radius (_angular_moments), then the radial integrals of
     x^2 (f_mono m0 + f_tensor m2) etc. run on adaptive Gauss-Kronrod panels
     split at 0.1*min(eta), the Gaussian scale radius, and kr = 10. The upper
     cutoff is 14 relative-coordinate sigmas of the *widest* axis (the wide
@@ -376,18 +438,6 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
     """
     gauss = relative_distribution(geom)
     a, c_ax = gauss.sigma_perp, gauss.sigma_par
-
-    # A strongly anisotropic Gaussian turns exp(-x^2 s(mu)) into a narrow
-    # ridge in mu at the radii that carry the integral, which a fixed-order
-    # rule misses: at 20:1 aspect the base order of 64 is off by 3e-3 in
-    # <g>. The required order grows linearly with aspect; one base step per
-    # factor of 5 restores ~1e-9 agreement with an adaptive-angle reference
-    # while leaving mild geometries (aspect <= 5) on the base rule.
-    aspect = max(a, c_ax) / min(a, c_ax)
-    nodes, weights = _gauss_legendre(quad_spec.angular_order * max(1, math.ceil(aspect / 5.0)))
-    wp2 = weights * legendre_p2(nodes)
-    s_mu = (1.0 - nodes * nodes) / (2.0 * a * a) + nodes * nodes / (2.0 * c_ax * c_ax)
-
     count = 0
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -397,12 +447,8 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
         if count > quad_spec.eval_budget:
             raise ConvergenceError(f"evaluation budget {quad_spec.eval_budget} exhausted for {geom}")
         f_mono, f_tensor, g_mono, g_tensor = radial_parts(x)
+        m0, m2 = _angular_moments(x, a, c_ax)
         xx = x * x
-        envelope = np.exp(-xx[:, None] * s_mu)
-        # one dot per radius: a matrix-vector product would sum in another
-        # order and move the last bits
-        m0 = np.array([weights @ row for row in envelope])
-        m2 = np.array([wp2 @ row for row in envelope])
         return np.stack((xx * (f_mono * m0 + f_tensor * m2), xx * (g_mono * m0 + g_tensor * m2)), axis=1)
 
     eta_min = min(geom.eta_perp, geom.eta_par)
@@ -428,6 +474,9 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
     prefactor = 2.0 * math.pi * gauss.norm
     mean = prefactor * total
     err_abs = prefactor * err_sum
+    # a silent bad value is worse than a loud failure
+    if not (np.all(np.isfinite(mean)) and math.isfinite(err_abs)):
+        raise ConvergenceError(f"non-finite quadrature result for {geom} after {count} evaluations")
     result = DipoleExpectation(
         mean_f=float(mean[0]),
         mean_g=float(mean[1]),
@@ -437,8 +486,7 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
     )
     # achieved-error check; err_abs bounds the max-norm error of the (f, g)
     # vector, so it is compared against the larger component's
-    # cancellation-aware scale. A silent bad value is worse than a loud
-    # failure.
+    # cancellation-aware scale.
     tolerance = 10.0 * quad_spec.rel_tol * max(float(np.max(prefactor * sum_abs)), 1e-9)
     if err_abs > tolerance:
         raise ConvergenceError(

@@ -3,13 +3,14 @@
 Everything here deliberately avoids the production code paths: special
 functions come from mpmath/scipy.special, angular-momentum algebra from
 sympy, and averages from generic adaptive integration, so agreement is a
-genuine cross-check rather than the same bug evaluated twice. Two
+genuine cross-check rather than the same bug evaluated twice. Three
 exceptions are not references: spherical_bessel_pair re-labels the
 production radial pieces as (j_n, y_n) so the tests can hold them against
-mp_spherical_pair, and fg assembles the production pieces into the
-pointwise (f, g) pair so the tests can hold it against kernel_f/kernel_g.
-quad_vec_mean_fg is a reference for the radial integration loop only: it
-feeds the production integrand, one node per call, to scipy's quad_vec.
+mp_spherical_pair; fg assembles the production pieces into the pointwise
+(f, g) pair so the tests can hold it against kernel_f/kernel_g; and
+quad_vec_mean_fg, whose subject is the radial integration loop only, feeds
+the production radial pieces and angular moments (overlap._angular_moments),
+one node per call, to scipy's quad_vec.
 """
 
 import math
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.constants import hbar
 from scipy.linalg import expm
@@ -27,7 +27,12 @@ from sympy.physics.quantum.cg import CG
 
 from latticegate.atomics import legendre_p2
 from latticegate.dipole_kernel import _SERIES_CROSSOVER, _j_series, radial_parts
-from latticegate.overlap import ConvergenceError, DipoleExpectation, relative_distribution
+from latticegate.overlap import (
+    ConvergenceError,
+    DipoleExpectation,
+    _angular_moments,
+    relative_distribution,
+)
 
 mpmath.mp.dps = 40
 
@@ -175,6 +180,23 @@ def static_tensor_mean_2d(eta_perp: float, eta_par: float) -> float:
     return value
 
 
+def mp_angular_moments(x: float, a: float, c: float) -> tuple[float, float]:
+    """The two angular moments of overlap._angular_moments at 40 digits:
+    2 e^{-x^2/(2a^2)} times int_0^1 e^{-q mu^2} dmu and int_0^1 P2(mu)
+    e^{-q mu^2} dmu, q = (1/(2c^2) - 1/(2a^2)) x^2, from mpmath erf (q > 0)
+    or erfi (q < 0) and int_0^1 mu^2 e^{-q mu^2} dmu = (I0 - e^{-q})/(2q)."""
+    x, a, c = (mpmath.mpf(v) for v in (x, a, c))
+    q = (1 / (2 * c * c) - 1 / (2 * a * a)) * x * x
+    if q == 0:
+        i0, j2 = mpmath.mpf(1), mpmath.mpf(1) / 3
+    else:
+        root = mpmath.sqrt(abs(q))
+        i0 = mpmath.sqrt(mpmath.pi) * (mpmath.erf(root) if q > 0 else mpmath.erfi(root)) / (2 * root)
+        j2 = (i0 - mpmath.exp(-q)) / (2 * q)
+    envelope = 2 * mpmath.exp(-x * x / (2 * a * a))
+    return float(envelope * i0), float(envelope * (3 * j2 - i0) / 2)
+
+
 def quad_vec_panels(integrand, cuts: list[float], epsrel: float) -> list[tuple[np.ndarray, float]]:
     """(integral, error) of a scalar-argument integrand on each panel
     [cuts[i], cuts[i+1]], by scipy's quad_vec with mean_fg's settings."""
@@ -188,17 +210,13 @@ def quad_vec_panels(integrand, cuts: list[float], epsrel: float) -> list[tuple[n
 def quad_vec_mean_fg(geom, quad_spec) -> DipoleExpectation:
     """overlap.mean_fg as it ran on scipy.integrate.quad_vec, one node per call.
 
-    Same angular rule, panel cuts, small-kr head, budget and achieved-error
-    check as production; only the radial loop differs. The production port
-    must reproduce every returned and raised value bit for bit.
+    Same angular moments, panel cuts, small-kr head, budget and
+    achieved-error checks as production; only the radial loop differs. The
+    production port must reproduce every returned and raised value bit for
+    bit.
     """
     gauss = relative_distribution(geom)
     a, c_ax = gauss.sigma_perp, gauss.sigma_par
-    aspect = max(a, c_ax) / min(a, c_ax)
-    nodes, weights = leggauss(quad_spec.angular_order * max(1, math.ceil(aspect / 5.0)))
-    wp2 = weights * legendre_p2(nodes)
-    s_mu = (1.0 - nodes * nodes) / (2.0 * a * a) + nodes * nodes / (2.0 * c_ax * c_ax)
-
     count = 0
 
     def integrand(x: float) -> np.ndarray:
@@ -207,9 +225,7 @@ def quad_vec_mean_fg(geom, quad_spec) -> DipoleExpectation:
         if count > quad_spec.eval_budget:
             raise ConvergenceError(f"evaluation budget {quad_spec.eval_budget} exhausted for {geom}")
         f_mono, f_tensor, g_mono, g_tensor = radial_parts(x)
-        envelope = np.exp(-(x * x) * s_mu)
-        m0 = weights @ envelope
-        m2 = wp2 @ envelope
+        (m0,), (m2,) = _angular_moments(np.array([x]), a, c_ax)
         xx = x * x
         return np.array([xx * (f_mono * m0 + f_tensor * m2), xx * (g_mono * m0 + g_tensor * m2)])
 
@@ -234,6 +250,8 @@ def quad_vec_mean_fg(geom, quad_spec) -> DipoleExpectation:
     prefactor = 2.0 * math.pi * gauss.norm
     mean = prefactor * total
     err_abs = prefactor * err_sum
+    if not (np.all(np.isfinite(mean)) and math.isfinite(err_abs)):
+        raise ConvergenceError(f"non-finite quadrature result for {geom} after {count} evaluations")
     result = DipoleExpectation(float(mean[0]), float(mean[1]), float(err_abs), float(err_abs), count)
     tolerance = 10.0 * quad_spec.rel_tol * max(float(np.max(prefactor * sum_abs)), 1e-9)
     if err_abs > tolerance:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,102 +11,9 @@ from oracles import spherical_bessel_pair
 from latticegate.atomics import (
     AtomSpecies,
     cesium_d2,
-    clebsch_gordan,
     legendre_p2,
     load_species,
 )
-
-# --- Clebsch-Gordan ---------------------------------------------------------
-
-FROZEN_CG = [
-    # (f, m_f, q, f_prime, value)
-    (4, 1, 0, 5, 0.730296743340221),     # pi coupling of the |M| = 1 qubit level
-    (4, 4, 1, 5, 1.0),                   # stretched sigma+ is closed
-    (3, 0, 0, 4, 0.755928946018455),
-    (4, 1, 0, 4, 0.223606797749979),
-    (4, 1, -1, 5, 0.471404520791032),
-    (4, 0, 0, 5, 0.745355992499930),
-    (0.5, 0.5, 0, 1.5, math.sqrt(2.0 / 3.0)),
-    (0.5, 0.5, 0, 0.5, math.sqrt(1.0 / 3.0)),
-    (0.5, -0.5, 0, 0.5, -math.sqrt(1.0 / 3.0)),  # Condon-Shortley sign
-]
-
-
-@pytest.mark.parametrize("f,m_f,q,f_prime,expected", FROZEN_CG)
-def test_clebsch_gordan_frozen_values(f, m_f, q, f_prime, expected):
-    assert clebsch_gordan(f, m_f, q, f_prime) == pytest.approx(expected, rel=1e-13, abs=1e-13)
-
-
-half_integers = st.integers(min_value=0, max_value=12).map(lambda t: t / 2.0)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    tf=st.integers(min_value=0, max_value=12),
-    df=st.sampled_from([-1, 0, 1]),
-    q=st.sampled_from([-1, 0, 1]),
-    data=st.data(),
-)
-def test_clebsch_gordan_matches_symbolic(tf, df, q, data):
-    f = tf / 2.0
-    f_prime = f + df
-    if f_prime < 0:
-        f_prime = f + 1
-    tm = data.draw(st.integers(min_value=-tf, max_value=tf).filter(lambda t: (t - tf) % 2 == 0))
-    m_f = tm / 2.0
-    ours = clebsch_gordan(f, m_f, q, f_prime)
-    assert ours == pytest.approx(oracles.sympy_cg(f, m_f, q, f_prime), rel=1e-12, abs=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(tf=st.integers(min_value=0, max_value=10), q=st.sampled_from([-1, 0, 1]), data=st.data())
-def test_clebsch_gordan_completeness(tf, q, data):
-    # |f m>|1 q> is a unit vector: its squared overlaps with the coupled
-    # basis states f' = f-1, f, f+1 add up to one
-    f = tf / 2.0
-    tm = data.draw(st.integers(min_value=-tf, max_value=tf).filter(lambda t: (t - tf) % 2 == 0))
-    m_f = tm / 2.0
-    total = 0.0
-    for f_prime in (f - 1.0, f, f + 1.0):
-        if f_prime < 0:
-            continue
-        total += clebsch_gordan(f, m_f, q, f_prime) ** 2
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_clebsch_gordan_row_orthogonality():
-    # two distinct (m, q) decompositions of the same total m are orthogonal
-    f, f_prime_values = 4.0, (3.0, 4.0, 5.0)
-    for m1, q1, m2, q2 in [(1, 0, 0, 1), (2, -1, 1, 0), (0, 0, -1, 1)]:
-        dot = sum(
-            clebsch_gordan(f, m1, q1, fp) * clebsch_gordan(f, m2, q2, fp)
-            for fp in f_prime_values
-        )
-        assert dot == pytest.approx(0.0, abs=1e-12)
-
-
-def test_clebsch_gordan_selection_rules_return_zero():
-    assert clebsch_gordan(4, 4, 1, 4) == 0.0  # m' = 5 exceeds f' = 4
-    assert clebsch_gordan(0, 0, 0, 0) == 0.0  # triangle 0-1-0 fails
-    assert clebsch_gordan(4, 0, 0, 4) == 0.0  # vanishing 404|440 element
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(f=4, m_f=1, q=2, f_prime=5),       # bad polarization index
-        dict(f=4, m_f=5, q=0, f_prime=4),       # |m| > f
-        dict(f=4, m_f=0.5, q=0, f_prime=4),     # m off the integer grid of f
-        dict(f=4, m_f=1, q=0, f_prime=4.5),     # f' off f's grid
-        dict(f=4, m_f=1, q=0, f_prime=6),       # |f - f'| > 1
-        dict(f=-1, m_f=0, q=0, f_prime=0),
-        dict(f=0.3, m_f=0, q=0, f_prime=1),     # not a half-integer
-    ],
-)
-def test_clebsch_gordan_rejects_malformed(kwargs):
-    with pytest.raises(ValueError):
-        clebsch_gordan(**kwargs)
-
 
 # --- spherical Bessel pair ---------------------------------------------------
 
@@ -202,7 +110,23 @@ def test_cesium_record(cesium):
 
 def test_pi_coupling_is_root_24_45(cesium):
     assert cesium.pi_coupling == pytest.approx(math.sqrt(24.0 / 45.0), rel=1e-13)
-    assert cesium.pi_coupling == clebsch_gordan(4, 1, 0, 5)
+    # the float the exact rational Racah sum gave
+    assert cesium.pi_coupling.hex() == "0x1.75e9746a0b098p-1"
+
+
+@pytest.mark.parametrize("nuclear_spin", [0.5, 1.5, 2.5, 3.5, 4.5, 5.5])
+def test_pi_coupling_matches_symbolic(cesium, nuclear_spin):
+    f_up = nuclear_spin + 0.5
+    species = dataclasses.replace(
+        cesium, nuclear_spin=nuclear_spin, f_up=f_up, f_down=f_up - 1, f_max_excited=f_up + 1
+    )
+    assert species.pi_coupling == pytest.approx(oracles.sympy_cg(f_up, 1, 0, f_up + 1), rel=1e-15)
+
+
+def test_pi_coupling_needs_an_integer_f_up(cesium):
+    species = dataclasses.replace(cesium, nuclear_spin=1.0, f_up=1.5, f_down=0.5, f_max_excited=2.5)
+    with pytest.raises(ValueError, match="integer f_up"):
+        species.pi_coupling
 
 
 def test_load_species_roundtrip(tmp_path, cesium):

@@ -101,6 +101,28 @@ def test_kappa_starved_budget_exits_no_convergence():
     assert "converge" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "eta_perp,eta_par",
+    [("1e-105", "1e-105"), ("1e-300", "1e-300"), ("1e-5", "0.2"), ("1e-120", "0.1")],
+)
+def test_kappa_extreme_geometry_never_prints_a_silent_number(eta_perp, eta_par):
+    # double precision runs out for these widths in different places: the
+    # density prefactor, the kernel's 1/(kr)^3, a 2e4 aspect ratio. Each
+    # answer is finite, a usage error or a convergence failure, never a
+    # traceback and never a nan with exit 0
+    result = run_cli("kappa", "--eta-perp", eta_perp, "--eta-par", eta_par, check=False)
+    assert "Traceback" not in result.stderr
+    if result.returncode == 0:
+        doc = json.loads(result.stdout)
+        for key in ("mean_f", "mean_g", "err_f", "err_g", "kappa"):
+            assert math.isfinite(doc[key]), key
+    else:
+        assert result.returncode in (2, 3)
+        assert result.stdout == ""
+        # numpy's overflow warnings may come first
+        assert result.stderr.splitlines()[-1].startswith("error:")
+
+
 # --- map --------------------------------------------------------------------
 
 def test_map_output_is_worker_independent(tmp_path):

@@ -67,7 +67,7 @@ PORT_CASES = [
     *[((eta_perp, eta_par), QuadratureSpec()) for eta_perp, eta_par, _, _ in FROZEN_CORNERS],
     ((0.1, 0.2), QuadratureSpec()),
     ((0.05, 1.0), QuadratureSpec()),
-    ((0.1, 0.2), QuadratureSpec(rel_tol=1e-8, angular_order=96)),
+    ((0.1, 0.2), QuadratureSpec(rel_tol=1e-8)),
 ]
 
 
@@ -84,7 +84,7 @@ def test_radial_loop_matches_scipy_quad_vec_bit_for_bit(eta, spec):
 
 def test_unconverged_partial_matches_scipy_quad_vec_bit_for_bit():
     geom = TrapGeometry(0.01, 0.01)
-    spec = QuadratureSpec(rel_tol=1e-14)
+    spec = QuadratureSpec(rel_tol=1e-15)
     with pytest.raises(ConvergenceError, match="tolerance") as ours:
         mean_fg(geom, spec)
     with pytest.raises(ConvergenceError) as reference:
@@ -136,12 +136,57 @@ def test_mean_fg_is_deterministic():
     assert (a.mean_f, a.mean_g, a.err_f, a.err_g) == (b.mean_f, b.mean_g, b.err_f, b.err_g)
 
 
-def test_angular_order_insensitivity():
-    # raising the base angular order must not move converged values
-    base = mean_fg(REFERENCE_GEOMETRY, QuadratureSpec(angular_order=64))
-    fine = mean_fg(REFERENCE_GEOMETRY, QuadratureSpec(angular_order=96))
-    assert base.mean_f == pytest.approx(fine.mean_f, rel=1e-9)
-    assert base.mean_g == pytest.approx(fine.mean_g, rel=1e-9)
+# (eta_perp, eta_par, the switches between closed forms, at q = beta x^2,
+# that lie on the integration range)
+MOMENT_CASES = [
+    ((0.05, 1.0), (-3.0, -40.0)),  # aspect-20 cigar
+    ((1.0, 0.05), (3.0,)),  # aspect-20 pancake
+    ((0.1, 0.2), (-3.0, -40.0)),
+    ((0.3, 0.05), (3.0,)),
+    ((0.15, 0.15), ()),  # exactly isotropic, q = 0
+    ((0.1, 0.1001), ()),  # near-isotropic, |q| < 0.1
+    ((0.15, 0.15 * (1.0 + 1e-9)), ()),
+]
+
+
+def _moment_radii(eta: tuple[float, float], switches: tuple[float, ...]) -> tuple[float, float, list[float]]:
+    """sigma_perp, sigma_par and radii over mean_fg's range [x_lo, 14 sigma_max],
+    with a pair of radii straddling each switch within 1e-12."""
+    a, c = (math.sqrt(2.0) * e for e in eta)
+    beta = 0.5 / (c * c) - 0.5 / (a * a)
+    x_hi = 14.0 * max(a, c)
+    radii = list(np.geomspace(1e-4 * min(eta), x_hi, 200))
+    for q in switches:
+        below, above = (math.sqrt(q / beta) * (1.0 + step) for step in (-1e-12, 1e-12))
+        assert above < x_hi
+        assert (beta * below * below - q) * (beta * above * above - q) < 0
+        radii += [below, above]
+    return a, c, radii
+
+
+@pytest.mark.parametrize("eta,switches", MOMENT_CASES)
+def test_angular_moments_match_mpmath(eta, switches):
+    a, c, radii = _moment_radii(eta, switches)
+    m0, m2 = overlap._angular_moments(np.array(radii), a, c)
+    for x, ours0, ours2 in zip(radii, m0, m2):
+        ref0, ref2 = oracles.mp_angular_moments(x, a, c)
+        assert abs(ours0 - ref0) <= 1e-13 * ref0
+        assert abs(ours2 - ref2) <= 1e-13 * ref0
+    if eta[0] == eta[1]:
+        assert not np.any(m2)
+
+
+@pytest.mark.parametrize("eta,switches", MOMENT_CASES)
+def test_angular_moments_of_a_node_depend_on_that_node_alone(eta, switches):
+    a, c, radii = _moment_radii(eta, switches)
+    batch = overlap._angular_moments(np.array(radii), a, c)
+    order = np.random.default_rng(3).permutation(len(radii))
+    shuffled = overlap._angular_moments(np.array(radii)[order], a, c)
+    for moment, moment_shuffled in zip(batch, shuffled):
+        assert moment[order].tobytes() == moment_shuffled.tobytes()
+    for k, x in enumerate(radii):
+        alone = overlap._angular_moments(np.array([x]), a, c)
+        assert [m[k].hex() for m in batch] == [m[0].hex() for m in alone]
 
 
 def test_small_kr_head_is_subdominant():
@@ -396,17 +441,26 @@ def test_budget_exhaustion_raises_without_partial():
 
 
 def test_unreached_tolerance_raises_with_partial():
-    # in a tight trap the panels stop at their absolute error floor, far
-    # above what rel_tol = 1e-14 asks: the refusal must still carry the
-    # (correct) partial result for diagnostics
+    # the panels stop at quad_vec's rounding-error estimate, 50 machine
+    # epsilons of each panel's integral of |F|: 4.4e-14 of the result here,
+    # above the 1e-14 that rel_tol = 1e-15 asks. The refusal must still
+    # carry the (correct) partial result for diagnostics
     geom = TrapGeometry(0.01, 0.01)
     with pytest.raises(ConvergenceError, match="tolerance") as excinfo:
-        mean_fg(geom, QuadratureSpec(rel_tol=1e-14))
+        mean_fg(geom, QuadratureSpec(rel_tol=1e-15))
     partial = excinfo.value.partial
     assert partial is not None
     mc = mc_oracle(geom, samples=10**6, seed=7)
     assert abs(partial.mean_f - mc.mean_f) <= 3.0 * mc.err_f
     assert abs(partial.mean_g - mc.mean_g) <= 3.0 * mc.err_g
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_non_finite_result_raises_without_partial():
+    # the density prefactor overflows to inf: no number may come back
+    with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
+        mean_fg(TrapGeometry(1e-105, 1e-105))
+    assert excinfo.value.partial is None
 
 
 # --- input validation ---------------------------------------------------------
@@ -422,11 +476,10 @@ def test_trap_geometry_domain():
 
 
 def test_quadrature_spec_validation():
-    QuadratureSpec(rel_tol=1e-9, angular_order=32, eval_budget=1)
+    QuadratureSpec(rel_tol=1e-9, eval_budget=1)
     for kwargs in (
         dict(rel_tol=0.0),
         dict(rel_tol=0.5),
-        dict(angular_order=4),
         dict(eval_budget=0),
     ):
         with pytest.raises(ValueError):
@@ -440,6 +493,11 @@ def test_expectation_record_invariants():
         DipoleExpectation(1.0, 1.5, 1e-6, 1e-6, 10)
     # a g estimate slightly above 1 is fine if the error bar covers it
     DipoleExpectation(1.0, 1.001, 1e-6, 2e-3, 10)
+
+
+def test_relative_distribution_rejects_an_underflowing_volume():
+    with pytest.raises(ValueError, match="too narrow"):
+        relative_distribution(TrapGeometry(1e-300, 1e-300))
 
 
 def test_relative_distribution_widths():
