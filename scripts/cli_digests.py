@@ -38,6 +38,11 @@ COMMANDS = (
     (0, ("kappa", "--eta-perp", "1.0", "--eta-par", "0.05")),
     (0, ("map", "--perp-min", "0.05", "--perp-max", "1.0", "--perp-steps", "3",
          "--par-min", "0.05", "--par-max", "1.0", "--par-steps", "3", "--jobs", "1")),
+    # a partly failing map: its three 337-node cells exhaust the budget, and
+    # the output must not depend on the worker count
+    *((3, ("map", "--perp-min", "0.05", "--perp-max", "1.0", "--perp-steps", "3",
+           "--par-min", "0.05", "--par-max", "1.0", "--par-steps", "3",
+           "--eval-budget", "300", "--jobs", jobs)) for jobs in ("1", "2")),
 )
 
 

@@ -20,8 +20,8 @@ integrator is a port of scipy.integrate.quad_vec
 (scipy/integrate/_quad_vec.py, BSD-3-Clause; after QUADPACK, Piessens et al.
 1983) for the GK21 rule and the max norm. It keeps quad_vec's every sum and
 update in the same order, so its results are bit-identical to quad_vec's,
-but it runs all radial panels in lockstep and hands each round's nodes to
-the integrand as one array. An importance-sampled
+but it runs all radial panels of a batch of geometries (the cells of a map)
+in lockstep and hands each round's nodes to the integrand as one array. An importance-sampled
 Monte Carlo estimator with a near-field control variate provides an
 independent cross-check, and the retardation-free closed form provides a
 second one.
@@ -240,18 +240,19 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _gk21(lo: np.ndarray, hi: np.ndarray, integrand) -> tuple[np.ndarray, list, list]:
+def _gk21(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, integrand) -> tuple[np.ndarray, list, list]:
     """GK21 integral, error and rounding error on each interval [lo_i, hi_i].
 
     quad_vec's _quadrature_gk with the max norm, run over all intervals at
-    once: one integrand call takes every node, and each sum adds its terms
-    node by node in quad_vec's order. The integral comes back with shape
-    (intervals, 2); the errors are lists of Python floats.
+    once: one integrand call integrand(x, cell) takes every node with the
+    index of its interval's cell, and each sum adds its terms node by node
+    in quad_vec's order. The integral comes back with shape (intervals, 2);
+    the errors are lists of Python floats.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     x = c[:, None] + h[:, None] * _GK21_NODES
-    fv = integrand(x.ravel()).reshape(lo.size, _GK21_NODES.size, 2)
+    fv = integrand(x.ravel(), np.repeat(cell, _GK21_NODES.size)).reshape(lo.size, _GK21_NODES.size, 2)
 
     kronrod = _GK21_KRONROD[:, None]
     s_k, s_k_abs = np.split(_node_sum(kronrod * np.concatenate((fv, np.abs(fv)), axis=2)), 2, axis=1)
@@ -274,11 +275,12 @@ def _gk21(lo: np.ndarray, hi: np.ndarray, integrand) -> tuple[np.ndarray, list, 
 
 
 class _Panel:
-    """The state of one quad_vec call: running integral, error and rounding
-    error, the heap of intervals keyed on (-err, a, b), and each interval's
-    integral by (a, b)."""
+    """The state of one quad_vec call: the index of the cell it belongs to,
+    running integral, error and rounding error, the heap of intervals keyed
+    on (-err, a, b), and each interval's integral by (a, b)."""
 
-    def __init__(self, a: float, b: float, integral: np.ndarray, err: float, rnd: float):
+    def __init__(self, cell: int, a: float, b: float, integral: np.ndarray, err: float, rnd: float):
+        self.cell = cell
         self.integral = integral.copy()
         self.error = err
         self.rounding = rnd
@@ -286,7 +288,7 @@ class _Panel:
         self.cache = {(a, b): integral}
 
     def tol(self, epsrel: float) -> float:
-        return max(_EPSABS, epsrel * float(np.max(np.abs(self.integral))))
+        return max(_EPSABS, epsrel * float(np.abs(self.integral).max()))
 
     def pop_round(self, epsrel: float) -> list[tuple[float, float, float, np.ndarray]]:
         """The intervals to split this round: the largest errors first, at
@@ -317,28 +319,48 @@ class _Panel:
         return 0 < len(self.heap) < _LIMIT
 
 
-def _adaptive_gk21(integrand, cuts: list[float], epsrel: float) -> list[tuple[np.ndarray, float]]:
+def _adaptive_gk21(integrand, cuts: list[list[float]], epsrel: float, budget: float) -> tuple[list, list]:
     """quad_vec(integrand, lo, hi, epsabs=1e-12, epsrel=epsrel, norm="max",
-    limit=200, quadrature="gk21") on each panel [cuts[i], cuts[i+1]].
+    limit=200, quadrature="gk21") on each panel [c[i], c[i+1]] of each
+    cell's cuts c = cuts[cell].
 
-    Returns (integral, error + rounding error) per panel, bit-identical to
-    quad_vec's. The panels advance in lockstep, each with its own state, and
-    every round evaluates the nodes of all panels in one integrand call.
+    Returns each cell's node count and its (integral, error + rounding
+    error) per panel, bit-identical to quad_vec's. A cell whose next round
+    would take it past budget nodes drops out before those nodes are
+    evaluated, and gets None in place of its panels. The panels of all cells
+    advance in lockstep, each with its own state, and every round evaluates
+    the nodes of all of them in one call integrand(x, cell), where cell[j]
+    is the cell of node x[j].
     """
-    ig, err, rnd = _gk21(np.array(cuts[:-1]), np.array(cuts[1:]), integrand)
-    panels = [_Panel(a, b, ig[i], err[i], rnd[i]) for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))]
+    count = [0] * len(cuts)
+    spans = [(cell, a, b) for cell, c in enumerate(cuts) for a, b in zip(c[:-1], c[1:])]
+    for cell, _, _ in spans:
+        count[cell] += _GK21_NODES.size
+    spans = [span for span in spans if count[span[0]] <= budget]
+    panels = []
+    if spans:
+        owners, lo, hi = (np.array(column) for column in zip(*spans))
+        ig, err, rnd = _gk21(lo, hi, owners, integrand)
+        panels = [_Panel(cell, a, b, ig[i], err[i], rnd[i]) for i, (cell, a, b) in enumerate(spans)]
     active = panels
     while active:
-        rounds = [panel.pop_round(epsrel) for panel in active]
+        rounds = [(panel, panel.pop_round(epsrel)) for panel in active]
+        for panel, popped in rounds:
+            count[panel.cell] += 2 * _GK21_NODES.size * len(popped)
+        rounds = [(panel, popped) for panel, popped in rounds if count[panel.cell] <= budget]
+        if not rounds:
+            break
         halves = []
-        for popped in rounds:
+        owners = []
+        for panel, popped in rounds:
             for _, a, b, _ in popped:
                 c = 0.5 * (a + b)
                 halves += ((a, c), (c, b))
+                owners += (panel.cell, panel.cell)
         lo, hi = np.array(halves).T
-        s, err, rnd = _gk21(lo, hi, integrand)
+        s, err, rnd = _gk21(lo, hi, np.array(owners), integrand)
         k = 0
-        for panel, popped in zip(active, rounds):
+        for panel, popped in rounds:
             for old_err, _, _, old_int in popped:
                 panel.integral += s[k] + s[k + 1] - old_int
                 panel.error += err[k] + err[k + 1] - old_err
@@ -348,8 +370,12 @@ def _adaptive_gk21(integrand, cuts: list[float], epsrel: float) -> list[tuple[np
                     panel.cache[(x1, x2)] = s[j]
                     heapq.heappush(panel.heap, (-err[j], x1, x2))
                 k += 2
-        active = [panel for panel in active if panel.running(epsrel)]
-    return [(panel.integral, panel.error + panel.rounding) for panel in panels]
+        active = [panel for panel, _ in rounds if panel.running(epsrel)]
+    results = [[] if n <= budget else None for n in count]
+    for panel in panels:
+        if results[panel.cell] is not None:
+            results[panel.cell].append((panel.integral, panel.error + panel.rounding))
+    return count, results
 
 
 # The angular moments in closed form. With s(mu) = 1/(2a^2) + beta mu^2,
@@ -390,11 +416,12 @@ def _row_sums(z: np.ndarray, powers: np.ndarray, *coefficients: np.ndarray) -> l
     return [np.sum(table * row, axis=1) for row in coefficients]
 
 
-def _angular_moments(x: np.ndarray, a: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+def _angular_moments(x: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """m0(x) and m2(x): the integrals over mu = cos(theta) in [-1, 1] of
     exp(-x^2 s(mu)) and P2(mu) exp(-x^2 s(mu)), where
     s(mu) = (1 - mu^2)/(2a^2) + mu^2/(2c^2) is the relative Gaussian's
-    exponent per x^2 with a = sigma_perp and c = sigma_par."""
+    exponent per x^2, with each node's own a = sigma_perp and c = sigma_par
+    (arrays shaped like x, or scalars)."""
     xx = x * x
     q = (0.5 / (c * c) - 0.5 / (a * a)) * xx
     i0 = np.empty_like(x)
@@ -426,48 +453,92 @@ def _angular_moments(x: np.ndarray, a: float, c: float) -> tuple[np.ndarray, np.
     return 2.0 * envelope * i0, 2.0 * envelope * i2
 
 
-def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> DipoleExpectation:
-    """Deterministic quadrature of f and g against the relative Gaussian.
+# nodes per integrand block: bounds the temporaries of a large batch. It is
+# 195 GK21 intervals, so a block of the radial loop is never a single node;
+# perfbench reads the single-node radial_parts calls as mean_fg's head term
+_NODE_BLOCK = 195 * 21
 
-    Angular moments m0(x) = <exp(-x^2 s(mu))> and m2(x) = <P2(mu) ...> are
-    exact at each radius (_angular_moments), then the radial integrals of
-    x^2 (f_mono m0 + f_tensor m2) etc. run on adaptive Gauss-Kronrod panels
-    split at 0.1*min(eta), the Gaussian scale radius, and kr = 10. The upper
-    cutoff is 14 relative-coordinate sigmas of the *widest* axis (the wide
-    axis dominates the tail for pancake geometries).
-    """
-    gauss = relative_distribution(geom)
+
+def _cuts(geom: TrapGeometry, gauss: RelativeGaussian) -> list[float]:
+    """The radial panel boundaries of mean_fg, from x_lo to the upper cutoff."""
     a, c_ax = gauss.sigma_perp, gauss.sigma_par
-    count = 0
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        """x^2-weighted (f, g) angular averages at the radii x, shape (x.size, 2)."""
-        nonlocal count
-        count += x.size
-        if count > quad_spec.eval_budget:
-            raise ConvergenceError(f"evaluation budget {quad_spec.eval_budget} exhausted for {geom}")
-        f_mono, f_tensor, g_mono, g_tensor = radial_parts(x)
-        m0, m2 = _angular_moments(x, a, c_ax)
-        xx = x * x
-        return np.stack((xx * (f_mono * m0 + f_tensor * m2), xx * (g_mono * m0 + g_tensor * m2)), axis=1)
-
     eta_min = min(geom.eta_perp, geom.eta_par)
     x_lo = 1e-4 * eta_min
     scale = math.sqrt(2.0 * a * a + c_ax * c_ax)
     x_hi = max(14.0 * max(a, c_ax), 2.0 * scale)
     interior = sorted({p for p in (0.1 * eta_min, scale, 10.0) if x_lo < p < x_hi})
-    cuts = [x_lo, *interior, x_hi]
+    return [x_lo, *interior, x_hi]
 
+
+def _mean_fg_many(
+    geoms: list[TrapGeometry], quad_spec: QuadratureSpec
+) -> list[DipoleExpectation | ConvergenceError]:
+    """mean_fg of each geometry, or the ConvergenceError it raises.
+
+    The radial panels of all cells run in one _adaptive_gk21 lockstep, so
+    each round's nodes from every cell go to one integrand call. Each cell
+    keeps its own panels, node count, evaluation budget, head term and
+    checks, and every node's value depends on that node alone, so a cell's
+    result is bit-identical to the one it gets in a batch of one.
+    """
+    gausses = [relative_distribution(geom) for geom in geoms]
+    sigma_perp = np.array([gauss.sigma_perp for gauss in gausses])
+    sigma_par = np.array([gauss.sigma_par for gauss in gausses])
+    cuts = [_cuts(geom, gauss) for geom, gauss in zip(geoms, gausses)]
+    budget = quad_spec.eval_budget
+
+    def integrand(x: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """x^2-weighted (f, g) angular averages at the radii x, shape (x.size, 2)."""
+        values = np.empty((x.size, 2))
+        for start in range(0, x.size, _NODE_BLOCK):
+            block = slice(start, start + _NODE_BLOCK)
+            xb, owner = x[block], cell[block]
+            f_mono, f_tensor, g_mono, g_tensor = radial_parts(xb)
+            m0, m2 = _angular_moments(xb, sigma_perp[owner], sigma_par[owner])
+            xx = xb * xb
+            values[block, 0] = xx * (f_mono * m0 + f_tensor * m2)
+            values[block, 1] = xx * (g_mono * m0 + g_tensor * m2)
+        return values
+
+    # an overflowing kernel or density fails the non-finite check of
+    # _expectation, which is the one report of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        counts, panel_sets = _adaptive_gk21(integrand, cuts, quad_spec.rel_tol, budget)
+        # F(x) is linear in x at the origin (the angular average kills the
+        # 1/x^3 and 1/x pieces), so the [0, x_lo] head is F(x_lo)*x_lo/2,
+        # one more node for each cell that can pay for it
+        headed = [cell for cell, n in enumerate(counts) if n < budget]
+        heads = {}
+        if headed:
+            x_lo = np.array([cuts[cell][0] for cell in headed])
+            values = integrand(x_lo, np.array(headed)) * (0.5 * x_lo)[:, None]
+            heads = dict(zip(headed, values))
+
+        return [
+            _expectation(geom, gauss, panels, heads[cell], counts[cell] + 1, quad_spec)
+            if cell in heads
+            else ConvergenceError(f"evaluation budget {budget} exhausted for {geom}")
+            for cell, (geom, gauss, panels) in enumerate(zip(geoms, gausses, panel_sets))
+        ]
+
+
+def _expectation(
+    geom: TrapGeometry,
+    gauss: RelativeGaussian,
+    panels: list[tuple[np.ndarray, float]],
+    head: np.ndarray,
+    count: int,
+    quad_spec: QuadratureSpec,
+) -> DipoleExpectation | ConvergenceError:
+    """One cell's <f>, <g> from its panels and head term, or the
+    ConvergenceError of its non-finite or achieved-error check."""
     total = np.zeros(2)
     err_sum = 0.0
     sum_abs = np.zeros(2)
-    for value, err in _adaptive_gk21(integrand, cuts, quad_spec.rel_tol):
+    for value, err in panels:
         total += value
         err_sum += err
         sum_abs += np.abs(value)
-    # F(x) is linear in x at the origin (the angular average kills the
-    # 1/x^3 and 1/x pieces), so the [0, x_lo] head is F(x_lo)*x_lo/2.
-    head = integrand(np.array([x_lo]))[0] * (0.5 * x_lo)
     total += head
     sum_abs += np.abs(head)
 
@@ -476,7 +547,7 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
     err_abs = prefactor * err_sum
     # a silent bad value is worse than a loud failure
     if not (np.all(np.isfinite(mean)) and math.isfinite(err_abs)):
-        raise ConvergenceError(f"non-finite quadrature result for {geom} after {count} evaluations")
+        return ConvergenceError(f"non-finite quadrature result for {geom} after {count} evaluations")
     result = DipoleExpectation(
         mean_f=float(mean[0]),
         mean_g=float(mean[1]),
@@ -489,11 +560,28 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> Dip
     # cancellation-aware scale.
     tolerance = 10.0 * quad_spec.rel_tol * max(float(np.max(prefactor * sum_abs)), 1e-9)
     if err_abs > tolerance:
-        raise ConvergenceError(
+        return ConvergenceError(
             f"quadrature error {err_abs:.3e} above tolerance for {geom} "
             f"after {count} evaluations",
             partial=result,
         )
+    return result
+
+
+def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> DipoleExpectation:
+    """Deterministic quadrature of f and g against the relative Gaussian.
+
+    Angular moments m0(x) = <exp(-x^2 s(mu))> and m2(x) = <P2(mu) ...> are
+    exact at each radius (_angular_moments), then the radial integrals of
+    x^2 (f_mono m0 + f_tensor m2) etc. run on adaptive Gauss-Kronrod panels
+    split at 0.1*min(eta), the Gaussian scale radius, and kr = 10. The upper
+    cutoff is 14 relative-coordinate sigmas of the *widest* axis (the wide
+    axis dominates the tail for pancake geometries). This is _mean_fg_many
+    on a batch of one; a geometry gets the same bits alone or in a batch.
+    """
+    (result,) = _mean_fg_many([geom], quad_spec)
+    if isinstance(result, ConvergenceError):
+        raise result
     return result
 
 
@@ -615,12 +703,15 @@ def optimize_ratio(eta_perp: float, use_approx: bool = True) -> tuple[float, flo
     return ratio_star, signed(ratio_star)
 
 
-def _map_cell(args: tuple[float, float, QuadratureSpec]) -> float:
-    eta_perp, eta_par, quad_spec = args
-    try:
-        return kappa(TrapGeometry(eta_perp, eta_par), quad_spec)
-    except ConvergenceError:
-        return math.nan
+# map cells per _mean_fg_many batch: enough to fill the integrand's node
+# blocks, few enough to keep a map's peak memory flat in its size
+_MAP_CHUNK = 128
+
+
+def _map_chunk(args: tuple[list[tuple[float, float]], QuadratureSpec]) -> list[float]:
+    cells, quad_spec = args
+    results = _mean_fg_many([TrapGeometry(*cell) for cell in cells], quad_spec)
+    return [math.nan if isinstance(r, ConvergenceError) else r.kappa for r in results]
 
 
 def kappa_map(
@@ -632,10 +723,13 @@ def kappa_map(
     """kappa on the outer product of two ascending eta grids.
 
     Returns shape (len(eta_perp_grid), len(eta_par_grid)); rows scan
-    eta_perp. Cells that fail to converge are nan, not fatal. With jobs > 1
-    the cells fan out to a process pool; the output is independent of the
-    worker count and scheduling because cells are independent and assembly
-    order is fixed.
+    eta_perp. Cells that fail to converge are nan, not fatal. The cells run
+    in contiguous chunks of at most _MAP_CHUNK, each chunk one lockstep
+    quadrature (_mean_fg_many); with jobs > 1 the chunks fan out to a
+    process pool of at most one worker per cell, cut small enough that every
+    worker gets one. A cell's value is the bits kappa() gives it alone, so
+    the output does not depend on the chunking, the worker count or the
+    scheduling.
     """
     perp = np.asarray(eta_perp_grid, dtype=float)
     par = np.asarray(eta_par_grid, dtype=float)
@@ -646,15 +740,19 @@ def kappa_map(
             raise ValueError(f"{name} must be strictly increasing")
         if not np.all((grid > 0) & (grid <= 1.0)):
             raise ValueError(f"{name} must lie in (0, 1]")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
 
-    tasks = [(ep, el, quad_spec) for ep in perp for el in par]
-    workers = min(jobs, len(tasks))
+    cells = [(ep, el) for ep in perp.tolist() for el in par.tolist()]
+    workers = min(jobs, len(cells))
+    size = min(_MAP_CHUNK, math.ceil(len(cells) / workers))
+    tasks = [(cells[i : i + size], quad_spec) for i in range(0, len(cells), size)]
     if workers == 1:
-        values = [_map_cell(task) for task in tasks]
+        chunks = [_map_chunk(task) for task in tasks]
     else:
         with Pool(processes=workers) as pool:
-            values = pool.map(_map_cell, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-    return np.array(values, dtype=float).reshape(perp.size, par.size)
+            chunks = pool.map(_map_chunk, tasks, chunksize=1)
+    return np.array([v for chunk in chunks for v in chunk], dtype=float).reshape(perp.size, par.size)
 
 
 def kappa_map_csv(eta_perp_grid, eta_par_grid, values: np.ndarray, fh) -> None:

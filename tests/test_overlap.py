@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,8 +95,15 @@ def test_unconverged_partial_matches_scipy_quad_vec_bit_for_bit():
     assert _bits(ours.value.partial) == _bits(reference.value.partial)
 
 
-def _chirp_and_peak(x: np.ndarray) -> np.ndarray:
-    return np.stack((np.sin(1.0 / (x + 1e-4)), 1.0 / ((x - 0.7123) ** 2 + 1e-8)), axis=1)
+def _chirp_and_peak(x: np.ndarray, peak=0.7123) -> np.ndarray:
+    return np.stack((np.sin(1.0 / (x + 1e-4)), 1.0 / ((x - peak) ** 2 + 1e-8)), axis=1)
+
+
+def _assert_panels_match_hex(ours, reference):
+    assert len(ours) == len(reference)
+    for (value, err), (ref_value, ref_err) in zip(ours, reference):
+        assert value.tobytes() == ref_value.tobytes()
+        assert err.hex() == ref_err.hex()
 
 
 @pytest.mark.parametrize("epsrel", [1e-3, 1e-8, 1e-14])
@@ -103,11 +112,43 @@ def test_adaptive_loop_matches_scipy_quad_vec_on_a_hard_integrand(epsrel):
     # splits up to 19 intervals in a round, stops at the 200-interval cap
     # (1e-8, 1e-14) and on rounding error (1e-14)
     cuts = [0.0, 0.5, 1.0, 2.0]
-    ours = overlap._adaptive_gk21(_chirp_and_peak, cuts, epsrel)
+    _, (ours,) = overlap._adaptive_gk21(lambda x, cell: _chirp_and_peak(x), [cuts], epsrel, math.inf)
     reference = oracles.quad_vec_panels(lambda x: _chirp_and_peak(np.array([x]))[0], cuts, epsrel)
-    for (value, err), (ref_value, ref_err) in zip(ours, reference):
-        assert value.tobytes() == ref_value.tobytes()
-        assert err.hex() == ref_err.hex()
+    _assert_panels_match_hex(ours, reference)
+
+
+# cells of one lockstep, each with its own cuts and its own peak, which the
+# integrand finds through the cell index of each node
+LOCKSTEP_CELLS = [([0.0, 0.5, 1.0, 2.0], 0.7123), ([0.1, 0.3, 1.7], 0.25), ([0.0, 2.0], 1.9)]
+
+
+@pytest.mark.parametrize("epsrel", [1e-3, 1e-8, 1e-14])
+def test_lockstep_cells_each_match_scipy_quad_vec(epsrel):
+    peaks = np.array([peak for _, peak in LOCKSTEP_CELLS])
+    cuts = [cell_cuts for cell_cuts, _ in LOCKSTEP_CELLS]
+
+    def integrand(x, cell):
+        return _chirp_and_peak(x, peaks[cell])
+
+    counts, ours = overlap._adaptive_gk21(integrand, cuts, epsrel, math.inf)
+    for (cell_cuts, peak), count, panels in zip(LOCKSTEP_CELLS, counts, ours):
+        nodes = []
+
+        def scalar(x, peak=peak):
+            nodes.append(x)
+            return _chirp_and_peak(np.array([x]), peak)[0]
+
+        _assert_panels_match_hex(panels, oracles.quad_vec_panels(scalar, cell_cuts, epsrel))
+        assert count == len(nodes)
+    # a budget between the cells' node counts stops the costlier cells and
+    # leaves the others' bits alone
+    budget = sorted(counts)[1]
+    _, starved = overlap._adaptive_gk21(integrand, cuts, epsrel, budget)
+    for count, panels, full in zip(counts, starved, ours):
+        if count > budget:
+            assert panels is None
+        else:
+            _assert_panels_match_hex(panels, full)
 
 
 def test_kappa_is_shift_over_broadened_linewidth(reference_fg):
@@ -362,6 +403,8 @@ def test_map_grid_validation():
         kappa_map(np.array([math.nan, math.nan]), good)
     with pytest.raises(ValueError, match="eta_par_grid must lie in \\(0, 1\\]"):
         kappa_map(good, np.array([math.nan]))
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        kappa_map(good, good, jobs=0)
 
 
 def test_map_pool_never_outnumbers_cells(monkeypatch):
@@ -391,6 +434,56 @@ def test_map_marks_failed_cells_as_nan():
     starved = QuadratureSpec(eval_budget=50)
     values = kappa_map(np.array([0.1]), np.array([0.2]), starved)
     assert math.isnan(values[0, 0])
+
+
+def _q_range(geom: TrapGeometry) -> tuple[float, float]:
+    """The extremes of q = beta x^2 on mean_fg's radial range for geom."""
+    gauss = relative_distribution(geom)
+    beta = 0.5 / gauss.sigma_par**2 - 0.5 / gauss.sigma_perp**2
+    cuts = overlap._cuts(geom, gauss)
+    return tuple(sorted((beta * cuts[0] ** 2, beta * cuts[-1] ** 2)))
+
+
+def _outcome(result) -> tuple:
+    if isinstance(result, ConvergenceError):
+        partial = result.partial
+        return ("error", str(result), None if partial is None else _bits(partial))
+    return ("ok", _bits(result))
+
+
+def test_map_cells_of_one_batch_are_independent():
+    # one batch whose nodes cross every band of _angular_moments, under a
+    # budget that some cells exhaust: each cell must get the bits it gets
+    # alone, and nan exactly where it fails alone
+    grid = np.array([0.05, 0.1, 0.3, 1.0])
+    spec = QuadratureSpec(eval_budget=300)
+    # every cell's q starts near 0 (the series band); a cigar past q = -40
+    # crosses the cigar series into the Dawson band, a pancake past 3 the erf
+    lows, highs = zip(*(_q_range(TrapGeometry(ep, el)) for ep in grid for el in grid))
+    assert min(lows) < -40.0 and max(highs) > 3.0
+    assert len(grid) ** 2 <= overlap._MAP_CHUNK
+    values = kappa_map(grid, grid, spec)
+    assert np.isnan(values).any() and np.isfinite(values).any()
+    for (i, ep), (j, el) in itertools.product(enumerate(grid), enumerate(grid)):
+        try:
+            alone = kappa(TrapGeometry(ep, el), spec)
+        except ConvergenceError:
+            assert math.isnan(values[i, j])
+        else:
+            assert values[i, j].hex() == alone.hex()
+
+
+def test_batched_failures_match_single_cell_failures():
+    # at rel_tol = 1e-15 every cell fails, some with a partial and some on
+    # the budget; messages and partials match a batch of one's bit for bit
+    geoms = [TrapGeometry(*eta) for eta in ((0.01, 0.01), (0.1, 0.2), (0.05, 1.0), (1.0, 0.05), (0.3, 0.3))]
+    for spec in (QuadratureSpec(rel_tol=1e-15), QuadratureSpec(rel_tol=1e-15, eval_budget=300)):
+        batched = overlap._mean_fg_many(geoms, spec)
+        assert all(isinstance(result, ConvergenceError) for result in batched)
+        for geom, result in zip(geoms, batched):
+            with pytest.raises(ConvergenceError) as alone:
+                mean_fg(geom, spec)
+            assert _outcome(result) == _outcome(alone.value)
 
 
 def test_map_csv_format():
@@ -455,12 +548,15 @@ def test_unreached_tolerance_raises_with_partial():
     assert abs(partial.mean_g - mc.mean_g) <= 3.0 * mc.err_g
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_non_finite_result_raises_without_partial():
-    # the density prefactor overflows to inf: no number may come back
-    with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
-        mean_fg(TrapGeometry(1e-105, 1e-105))
-    assert excinfo.value.partial is None
+    # the density prefactor or the kernel's 1/(kr)^3 overflows to inf: no
+    # number may come back, and the error says so without numpy warnings
+    for eta in ((1e-105, 1e-105), (1e-120, 0.1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
+                mean_fg(TrapGeometry(*eta))
+        assert excinfo.value.partial is None
 
 
 # --- input validation ---------------------------------------------------------
