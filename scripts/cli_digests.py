@@ -43,6 +43,13 @@ COMMANDS = (
     *((3, ("map", "--perp-min", "0.05", "--perp-max", "1.0", "--perp-steps", "3",
            "--par-min", "0.05", "--par-max", "1.0", "--par-steps", "3",
            "--eval-budget", "300", "--jobs", jobs)) for jobs in ("1", "2")),
+    # near-isotropic: the series branch of the closed form
+    (0, ("kappa", "--eta-perp", "0.15", "--eta-par", "0.151")),
+    # the edges of the domain: an aspect ratio of 1e8, where the closed
+    # form's artanh branch switches to its expansion, and a width below the
+    # 1e-98 floor
+    (0, ("kappa", "--eta-perp", "1e-8", "--eta-par", "1.0")),
+    (2, ("kappa", "--eta-perp", "1e-99", "--eta-par", "0.1")),
 )
 
 

@@ -14,13 +14,10 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 __all__ = [
     "PLANCK",
     "HBAR",
     "AtomSpecies",
-    "legendre_p2",
     "load_species",
     "cesium_d2",
 ]
@@ -88,15 +85,6 @@ class AtomSpecies:
         if f != int(f):
             raise ValueError(f"M = 1 needs an integer f_up, got {f!r}")
         return math.sqrt(f * (f + 2) / ((2 * f + 1) * (f + 1)))
-
-
-def legendre_p2(mu):
-    """P2(mu) = (3 mu^2 - 1)/2 on [-1, 1]; scalar or array."""
-    arr = np.asarray(mu, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
-        raise ValueError("legendre_p2 argument must lie in [-1, 1]")
-    out = 0.5 * (3.0 * arr * arr - 1.0)
-    return float(out) if np.ndim(mu) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .gate import (
 )
 from .lattice import budget_report, catalysis_intensity, load_lattice_config
 from .overlap import (
-    DEFAULT_QUAD,
     ConvergenceError,
     QuadratureSpec,
     TrapGeometry,
@@ -142,7 +141,7 @@ def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
         value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
-    return dataclasses.replace(DEFAULT_QUAD, **overrides)
+    return QuadratureSpec(**overrides)
 
 
 # --- subcommands ------------------------------------------------------------

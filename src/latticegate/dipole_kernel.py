@@ -54,13 +54,12 @@ def radial_parts(kr):
     dependence is carried entirely by P2, so averaging integrators can take
     angular moments once and reuse these four numbers per radius.
 
-    Accepts a scalar or an ndarray; rejects kr <= 0. Uses the closed
-    trigonometric forms with the small-argument series branch for j2 (the
-    y-pieces are hierarchical at small kr and never cancel).
+    Takes an ndarray of radii and returns four arrays of its shape; rejects
+    kr <= 0. Uses the closed trigonometric forms with the small-argument
+    series branch for j2 (the y-pieces are hierarchical at small kr and
+    never cancel).
     """
     x = np.asarray(kr, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any(x <= 0):
         raise ValueError("kr must be positive")
 
@@ -80,7 +79,5 @@ def radial_parts(kr):
 
     f_mono, f_tensor = -y0, -y2
     g_mono, g_tensor = j0, j2
-    if scalar:
-        return float(f_mono[0]), float(f_tensor[0]), float(g_mono[0]), float(g_tensor[0])
     return f_mono, f_tensor, g_mono, g_tensor
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomics import HBAR, PLANCK, AtomSpecies, _finite_float, _read_key_values, cesium_d2, load_species
-from .overlap import DEFAULT_QUAD, QuadratureSpec, TrapGeometry, mean_fg
+from .overlap import QuadratureSpec, TrapGeometry, mean_fg
 
 __all__ = [
     "SATURATION_LIMIT",
@@ -375,7 +375,7 @@ def _trap_block(params: TrapParams) -> dict:
     }
 
 
-def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> dict:
+def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = QuadratureSpec()) -> dict:
     """Full parameter budget as a JSON-ready dictionary.
 
     Trap blocks derive from the configured beams; the dipole average and

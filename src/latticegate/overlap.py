@@ -34,21 +34,16 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
-from .atomics import legendre_p2
 from .dipole_kernel import radial_parts
 
 __all__ = [
     "TrapGeometry",
-    "RelativeGaussian",
     "QuadratureSpec",
     "DipoleExpectation",
     "ConvergenceError",
-    "DEFAULT_QUAD",
-    "relative_distribution",
     "mean_fg",
     "mc_oracle",
     "kappa",
@@ -64,8 +59,15 @@ class TrapGeometry:
     """Lamb-Dicke parameters of one well: eta = k * rms ground-state width.
 
     eta_perp applies to both transverse axes, eta_par to the axis along the
-    dipole polarization. Both must lie in (0, 1]; this code assumes the deep
-    Lamb-Dicke regime and rejects wider packets.
+    dipole polarization. Both must lie in [1e-98, 1]. The upper end is the
+    deep Lamb-Dicke regime this code assumes. The lower end is where double
+    precision runs out: mean_fg's radial range starts at kr = 1e-4 * min(eta),
+    and the kernel's 1/(kr)^3 overflows below kr ~ 1.8e-103.
+
+    sigma_perp and sigma_par are the widths, in kr units, of the relative
+    coordinate of two atoms in identical ground-state packets: the
+    difference of two independent Gaussians doubles the variance, so
+    sigma = sqrt(2) * eta per axis.
     """
 
     eta_perp: float
@@ -74,32 +76,16 @@ class TrapGeometry:
     def __post_init__(self) -> None:
         for name in ("eta_perp", "eta_par"):
             value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+            if not 1e-98 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [1e-98, 1], got {value!r}")
 
+    @property
+    def sigma_perp(self) -> float:
+        return math.sqrt(2.0) * self.eta_perp
 
-@dataclass(frozen=True)
-class RelativeGaussian:
-    """Relative-coordinate distribution of two identical ground-state packets.
-
-    Widths are in kr units (dimensionless): sigma = sqrt(2) * eta per axis,
-    since the difference of two independent Gaussians doubles the variance.
-    norm is the density prefactor (2 pi)^(-3/2) / (sigma_perp^2 * sigma_par).
-    """
-
-    sigma_perp: float
-    sigma_par: float
-    norm: float
-
-
-def relative_distribution(geom: TrapGeometry) -> RelativeGaussian:
-    sigma_perp = math.sqrt(2.0) * geom.eta_perp
-    sigma_par = math.sqrt(2.0) * geom.eta_par
-    volume = sigma_perp**2 * sigma_par
-    if volume == 0.0:
-        raise ValueError(f"the relative Gaussian of {geom} is too narrow for double precision")
-    norm = (2.0 * math.pi) ** -1.5 / volume
-    return RelativeGaussian(sigma_perp, sigma_par, norm)
+    @property
+    def sigma_par(self) -> float:
+        return math.sqrt(2.0) * self.eta_par
 
 
 @dataclass(frozen=True)
@@ -122,9 +108,6 @@ class QuadratureSpec:
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol!r}")
         if self.eval_budget < 1:
             raise ValueError("eval_budget must be >= 1")
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -459,9 +442,9 @@ def _angular_moments(x: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.nd
 _NODE_BLOCK = 195 * 21
 
 
-def _cuts(geom: TrapGeometry, gauss: RelativeGaussian) -> list[float]:
+def _cuts(geom: TrapGeometry) -> list[float]:
     """The radial panel boundaries of mean_fg, from x_lo to the upper cutoff."""
-    a, c_ax = gauss.sigma_perp, gauss.sigma_par
+    a, c_ax = geom.sigma_perp, geom.sigma_par
     eta_min = min(geom.eta_perp, geom.eta_par)
     x_lo = 1e-4 * eta_min
     scale = math.sqrt(2.0 * a * a + c_ax * c_ax)
@@ -481,10 +464,9 @@ def _mean_fg_many(
     checks, and every node's value depends on that node alone, so a cell's
     result is bit-identical to the one it gets in a batch of one.
     """
-    gausses = [relative_distribution(geom) for geom in geoms]
-    sigma_perp = np.array([gauss.sigma_perp for gauss in gausses])
-    sigma_par = np.array([gauss.sigma_par for gauss in gausses])
-    cuts = [_cuts(geom, gauss) for geom, gauss in zip(geoms, gausses)]
+    sigma_perp = np.array([geom.sigma_perp for geom in geoms])
+    sigma_par = np.array([geom.sigma_par for geom in geoms])
+    cuts = [_cuts(geom) for geom in geoms]
     budget = quad_spec.eval_budget
 
     def integrand(x: np.ndarray, cell: np.ndarray) -> np.ndarray:
@@ -515,16 +497,15 @@ def _mean_fg_many(
             heads = dict(zip(headed, values))
 
         return [
-            _expectation(geom, gauss, panels, heads[cell], counts[cell] + 1, quad_spec)
+            _expectation(geom, panels, heads[cell], counts[cell] + 1, quad_spec)
             if cell in heads
             else ConvergenceError(f"evaluation budget {budget} exhausted for {geom}")
-            for cell, (geom, gauss, panels) in enumerate(zip(geoms, gausses, panel_sets))
+            for cell, (geom, panels) in enumerate(zip(geoms, panel_sets))
         ]
 
 
 def _expectation(
     geom: TrapGeometry,
-    gauss: RelativeGaussian,
     panels: list[tuple[np.ndarray, float]],
     head: np.ndarray,
     count: int,
@@ -542,7 +523,8 @@ def _expectation(
     total += head
     sum_abs += np.abs(head)
 
-    prefactor = 2.0 * math.pi * gauss.norm
+    # the azimuth's 2 pi times the density prefactor (2 pi)^(-3/2) / (a^2 c)
+    prefactor = 2.0 * math.pi * ((2.0 * math.pi) ** -1.5 / (geom.sigma_perp**2 * geom.sigma_par))
     mean = prefactor * total
     err_abs = prefactor * err_sum
     # a silent bad value is worse than a loud failure
@@ -568,7 +550,7 @@ def _expectation(
     return result
 
 
-def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> DipoleExpectation:
+def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = QuadratureSpec()) -> DipoleExpectation:
     """Deterministic quadrature of f and g against the relative Gaussian.
 
     Angular moments m0(x) = <exp(-x^2 s(mu))> and m2(x) = <P2(mu) ...> are
@@ -590,24 +572,22 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
 
     Draws the relative coordinate from its Gaussian directly. The raw sample
     mean of f has infinite variance (f ~ 3 P2/(kr)^3 near the origin against
-    a finite density), so the exact tensor term is subtracted sample-wise
-    and its average 3 <P2/(kr)^3> = 2 * kappa_approx added back from the
-    closed form (which the tests check against direct nested quadrature);
-    the residual is ~1/(kr) near the origin and has finite variance.
-    Bit-identical for a fixed seed.
+    a finite density), so the near-field tensor term 3 P2/(kr)^3 is
+    subtracted sample-wise and its exact average, 2 * kappa_approx (see
+    kappa_approx), added back; the residual is ~1/(kr) near the origin and
+    has finite variance. Bit-identical for a fixed seed.
     """
     samples = int(samples)
     if samples < 10_000:
         raise ValueError("mc_oracle needs at least 10^4 samples")
-    gauss = relative_distribution(geom)
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((samples, 3))
-    points[:, :2] *= gauss.sigma_perp
-    points[:, 2] *= gauss.sigma_par
+    points[:, :2] *= geom.sigma_perp
+    points[:, 2] *= geom.sigma_par
     radius = np.sqrt(np.sum(points * points, axis=1))
     radius = np.maximum(radius, 1e-300)
     mu = points[:, 2] / radius
-    p2 = legendre_p2(mu)
+    p2 = 0.5 * (3.0 * mu * mu - 1.0)
 
     f_mono, f_tensor, g_mono, g_tensor = radial_parts(radius)
     f_values = f_mono + p2 * f_tensor
@@ -623,14 +603,14 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     return DipoleExpectation(mean_f, mean_g, err_f, err_g, samples)
 
 
-def kappa(geom: TrapGeometry, quad_spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def kappa(geom: TrapGeometry, quad_spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Figure of merit -<f>/(1 + <g>); propagates non-convergence."""
     return mean_fg(geom, quad_spec).kappa
 
 
 def _kappa_approx_values(eta_perp: float, eta_par: float) -> float:
-    # closed form valid for any positive pair; domain checks live in the
-    # public wrapper so the ratio optimizer can probe outside (0, 1]
+    # kappa_approx for any positive pair, so that the ratio optimizer can
+    # probe eta_par beyond 1
     ratio = eta_par / eta_perp
     w = 1.0 - 1.0 / (ratio * ratio)
     if abs(w) < 0.02:
@@ -646,7 +626,12 @@ def _kappa_approx_values(eta_perp: float, eta_par: float) -> float:
         bracket = -2.0 - 3.0 * u * u + 3.0 * (u**3 + u) * math.atan(1.0 / u)
     else:
         v = ratio / math.sqrt(ratio * ratio - 1.0)
-        bracket = -2.0 + 3.0 * v * v - 3.0 * (v**3 - v) * math.atanh(1.0 / v)
+        if v == 1.0:
+            # past ratio ~ 6.7e7 v rounds to 1 and atanh(1/v) overflows; the
+            # bracket's large-ratio expansion is exact to O(ln(ratio)/ratio^4)
+            bracket = 1.0 + 3.0 * (1.0 - math.log(2.0 * ratio)) / (ratio * ratio)
+        else:
+            bracket = -2.0 + 3.0 * v * v - 3.0 * (v**3 - v) * math.atanh(1.0 / v)
     prefactor = 1.0 / (8.0 * math.sqrt(math.pi) * eta_perp**2 * eta_par)
     return prefactor * bracket
 
@@ -655,13 +640,16 @@ def kappa_approx(geom: TrapGeometry) -> float:
     """Retardation-free closed form for the figure of merit.
 
     Equals (3/2) <P2(cos theta)/(kr)^3> exactly: the pure near-field tensor
-    average with the cooperative linewidth taken at full strength. Note the
-    overall sign is opposite to kappa() at attractive-geometry points (e.g.
-    +16.9 vs -19.3 at eta = (0.1, 0.2)); the closed form is kept exactly as
-    conventionally printed and cross-checks compare magnitudes. Analytic
-    continuation across the isotropic point: arctan branch for pancake
-    (eta_par < eta_perp), artanh for cigar, a series where they meet; the
-    isotropic value is exactly 0.
+    average with the cooperative linewidth taken at full strength. Twice it
+    is the average of f's near-field term 3 P2/(kr)^3, the control constant
+    of mc_oracle; the tests check it against direct nested quadrature. Note
+    the overall sign is opposite to kappa() at attractive-geometry points
+    (e.g. +16.9 vs -19.3 at eta = (0.1, 0.2)); the closed form is kept
+    exactly as conventionally printed and cross-checks compare magnitudes.
+    Analytic continuation across the isotropic point: arctan branch for
+    pancake (eta_par < eta_perp), artanh for cigar (its large-aspect
+    expansion past aspect 6.7e7), a series where they meet; the isotropic
+    value is exactly 0.
     """
     return _kappa_approx_values(geom.eta_perp, geom.eta_par)
 
@@ -669,22 +657,18 @@ def kappa_approx(geom: TrapGeometry) -> float:
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def optimize_ratio(eta_perp: float, use_approx: bool = True) -> tuple[float, float]:
-    """Maximize |kappa| over the aspect ratio eta_par/eta_perp in [1.01, 10].
+def optimize_ratio(eta_perp: float) -> tuple[float, float]:
+    """Maximize |kappa_approx| over the aspect ratio eta_par/eta_perp in [1.01, 10].
 
-    Golden-section search to relative tolerance 1e-4 on the ratio. In approx
-    mode the closed form is used (the optimum ratio is then independent of
-    eta_perp); otherwise the full quadrature kappa, in which case eta_perp
-    should be small enough that ratio*eta_perp stays inside the geometry
-    domain. Returns (ratio_star, kappa at the optimum, signed).
+    Golden-section search to relative tolerance 1e-4 on the ratio, on the
+    closed form, so the optimum ratio does not depend on eta_perp. Returns
+    (ratio_star, kappa_approx at the optimum, signed).
     """
     if not 0.0 < eta_perp <= 0.5:
         raise ValueError(f"eta_perp must lie in (0, 0.5], got {eta_perp!r}")
 
     def signed(ratio: float) -> float:
-        if use_approx:
-            return _kappa_approx_values(eta_perp, ratio * eta_perp)
-        return kappa(TrapGeometry(eta_perp, ratio * eta_perp))
+        return _kappa_approx_values(eta_perp, ratio * eta_perp)
 
     lo, hi = 1.01, 10.0
     x1 = hi - _INV_GOLDEN * (hi - lo)
@@ -708,16 +692,15 @@ def optimize_ratio(eta_perp: float, use_approx: bool = True) -> tuple[float, flo
 _MAP_CHUNK = 128
 
 
-def _map_chunk(args: tuple[list[tuple[float, float]], QuadratureSpec]) -> list[float]:
-    cells, quad_spec = args
-    results = _mean_fg_many([TrapGeometry(*cell) for cell in cells], quad_spec)
+def _map_chunk(args: tuple[list[TrapGeometry], QuadratureSpec]) -> list[float]:
+    results = _mean_fg_many(*args)
     return [math.nan if isinstance(r, ConvergenceError) else r.kappa for r in results]
 
 
 def kappa_map(
     eta_perp_grid,
     eta_par_grid,
-    quad_spec: QuadratureSpec = DEFAULT_QUAD,
+    quad_spec: QuadratureSpec = QuadratureSpec(),
     jobs: int = 1,
 ) -> np.ndarray:
     """kappa on the outer product of two ascending eta grids.
@@ -727,9 +710,10 @@ def kappa_map(
     in contiguous chunks of at most _MAP_CHUNK, each chunk one lockstep
     quadrature (_mean_fg_many); with jobs > 1 the chunks fan out to a
     process pool of at most one worker per cell, cut small enough that every
-    worker gets one. A cell's value is the bits kappa() gives it alone, so
-    the output does not depend on the chunking, the worker count or the
-    scheduling.
+    worker gets one. Every cell's TrapGeometry is built, and so checked,
+    before any chunk runs. A cell's value is the bits kappa() gives it
+    alone, so the output does not depend on the chunking, the worker count
+    or the scheduling.
     """
     perp = np.asarray(eta_perp_grid, dtype=float)
     par = np.asarray(eta_par_grid, dtype=float)
@@ -738,18 +722,19 @@ def kappa_map(
             raise ValueError(f"{name} must be a nonempty 1D grid")
         if np.any(np.diff(grid) <= 0):
             raise ValueError(f"{name} must be strictly increasing")
-        if not np.all((grid > 0) & (grid <= 1.0)):
-            raise ValueError(f"{name} must lie in (0, 1]")
+    cells = [TrapGeometry(ep, el) for ep in perp.tolist() for el in par.tolist()]
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
 
-    cells = [(ep, el) for ep in perp.tolist() for el in par.tolist()]
     workers = min(jobs, len(cells))
     size = min(_MAP_CHUNK, math.ceil(len(cells) / workers))
     tasks = [(cells[i : i + size], quad_spec) for i in range(0, len(cells), size)]
     if workers == 1:
         chunks = [_map_chunk(task) for task in tasks]
     else:
+        # imported here so that a serial run never loads multiprocessing
+        from multiprocessing import Pool
+
         with Pool(processes=workers) as pool:
             chunks = pool.map(_map_chunk, tasks, chunksize=1)
     return np.array([v for chunk in chunks for v in chunk], dtype=float).reshape(perp.size, par.size)

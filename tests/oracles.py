@@ -25,14 +25,8 @@ from scipy.special import spherical_jn, spherical_yn
 from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
 
-from latticegate.atomics import legendre_p2
 from latticegate.dipole_kernel import _SERIES_CROSSOVER, _j_series, radial_parts
-from latticegate.overlap import (
-    ConvergenceError,
-    DipoleExpectation,
-    _angular_moments,
-    relative_distribution,
-)
+from latticegate.overlap import ConvergenceError, DipoleExpectation, _angular_moments
 
 mpmath.mp.dps = 40
 
@@ -44,6 +38,11 @@ def mp_spherical_pair(n: int, x: float) -> tuple[float, float]:
     j = factor * mpmath.besselj(n + mpmath.mpf("0.5"), xm)
     y = factor * mpmath.bessely(n + mpmath.mpf("0.5"), xm)
     return float(j), float(y)
+
+
+def radial_parts_at(x: float) -> tuple[float, float, float, float]:
+    """The production radial pieces at one radius, as floats."""
+    return tuple(float(part[0]) for part in radial_parts(np.array([x])))
 
 
 def spherical_bessel_pair(n: int, x: float) -> tuple[float, float]:
@@ -65,7 +64,7 @@ def spherical_bessel_pair(n: int, x: float) -> tuple[float, float]:
         y1 = -c * inv2 - s * inv
         j1 = _j_series(1, x) if x < _SERIES_CROSSOVER else s * inv2 - c * inv
         return j1, y1
-    f_mono, f_tensor, g_mono, g_tensor = radial_parts(x)
+    f_mono, f_tensor, g_mono, g_tensor = radial_parts_at(x)
     return (g_mono, -f_mono) if n == 0 else (g_tensor, -f_tensor)
 
 
@@ -98,8 +97,8 @@ class RelativePosition:
 
 def fg(pos: RelativePosition) -> tuple[float, float]:
     """(f, g) at one relative position, from the production radial pieces."""
-    f_mono, f_tensor, g_mono, g_tensor = radial_parts(pos.kr)
-    p2 = legendre_p2(pos.cos_theta)
+    f_mono, f_tensor, g_mono, g_tensor = radial_parts_at(pos.kr)
+    p2 = 0.5 * (3.0 * pos.cos_theta * pos.cos_theta - 1.0)
     return f_mono + p2 * f_tensor, g_mono + p2 * g_tensor
 
 
@@ -180,6 +179,17 @@ def static_tensor_mean_2d(eta_perp: float, eta_par: float) -> float:
     return value
 
 
+def mp_kappa_approx_cigar(eta_perp: float, eta_par: float) -> float:
+    """kappa_approx's artanh (cigar) branch at 40 digits, eta_par > eta_perp:
+    (-2 + 3 v^2 - 3 (v^3 - v) artanh(1/v)) / (8 sqrt(pi) eta_perp^2 eta_par)
+    with v = r / sqrt(r^2 - 1) at the aspect ratio r = eta_par / eta_perp."""
+    a, c = mpmath.mpf(eta_perp), mpmath.mpf(eta_par)
+    r = c / a
+    v = r / mpmath.sqrt(r * r - 1)
+    bracket = -2 + 3 * v * v - 3 * (v**3 - v) * mpmath.atanh(1 / v)
+    return float(bracket / (8 * mpmath.sqrt(mpmath.pi) * a * a * c))
+
+
 def mp_angular_moments(x: float, a: float, c: float) -> tuple[float, float]:
     """The two angular moments of overlap._angular_moments at 40 digits:
     2 e^{-x^2/(2a^2)} times int_0^1 e^{-q mu^2} dmu and int_0^1 P2(mu)
@@ -215,8 +225,7 @@ def quad_vec_mean_fg(geom, quad_spec) -> DipoleExpectation:
     production port must reproduce every returned and raised value bit for
     bit.
     """
-    gauss = relative_distribution(geom)
-    a, c_ax = gauss.sigma_perp, gauss.sigma_par
+    a, c_ax = geom.sigma_perp, geom.sigma_par
     count = 0
 
     def integrand(x: float) -> np.ndarray:
@@ -224,7 +233,7 @@ def quad_vec_mean_fg(geom, quad_spec) -> DipoleExpectation:
         count += 1
         if count > quad_spec.eval_budget:
             raise ConvergenceError(f"evaluation budget {quad_spec.eval_budget} exhausted for {geom}")
-        f_mono, f_tensor, g_mono, g_tensor = radial_parts(x)
+        f_mono, f_tensor, g_mono, g_tensor = radial_parts_at(x)
         (m0,), (m2,) = _angular_moments(np.array([x]), a, c_ax)
         xx = x * x
         return np.array([xx * (f_mono * m0 + f_tensor * m2), xx * (g_mono * m0 + g_tensor * m2)])
@@ -247,7 +256,7 @@ def quad_vec_mean_fg(geom, quad_spec) -> DipoleExpectation:
     total += head
     sum_abs += np.abs(head)
 
-    prefactor = 2.0 * math.pi * gauss.norm
+    prefactor = 2.0 * math.pi * ((2.0 * math.pi) ** -1.5 / (a**2 * c_ax))
     mean = prefactor * total
     err_abs = prefactor * err_sum
     if not (np.all(np.isfinite(mean)) and math.isfinite(err_abs)):

@@ -11,7 +11,6 @@ from oracles import spherical_bessel_pair
 from latticegate.atomics import (
     AtomSpecies,
     cesium_d2,
-    legendre_p2,
     load_species,
 )
 
@@ -80,20 +79,6 @@ def test_series_crossover_is_seamless():
         j, _ = spherical_bessel_pair(2, x)
         j_ref, _ = oracles.mp_spherical_pair(2, x)
         assert j == pytest.approx(j_ref, rel=1e-12)
-
-
-# --- Legendre ----------------------------------------------------------------
-
-def test_legendre_p2_values():
-    assert legendre_p2(1.0) == 1.0
-    assert legendre_p2(-1.0) == 1.0
-    assert legendre_p2(0.0) == -0.5
-    assert legendre_p2(1.0 / math.sqrt(3.0)) == pytest.approx(0.0, abs=1e-15)
-    arr = legendre_p2(np.array([0.0, 1.0]))
-    assert isinstance(arr, np.ndarray)
-    assert arr.tolist() == [-0.5, 1.0]
-    with pytest.raises(ValueError):
-        legendre_p2(1.5)
 
 
 # --- species records -----------------------------------------------------------

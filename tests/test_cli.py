@@ -101,27 +101,37 @@ def test_kappa_starved_budget_exits_no_convergence():
     assert "converge" in result.stderr
 
 
-@pytest.mark.parametrize(
-    "eta_perp,eta_par",
-    [("1e-105", "1e-105"), ("1e-300", "1e-300"), ("1e-5", "0.2"), ("1e-120", "0.1")],
-)
+# the exit code of each extreme geometry: 2 below TrapGeometry's 1e-98
+# floor, 0 inside the domain, out to its corners and to aspect ratios past
+# 6.7e7, where the closed form's artanh branch has to switch
+EXTREME_GEOMETRY_EXITS = {
+    ("1e-105", "1e-105"): 2,
+    ("1e-300", "1e-300"): 2,
+    ("1e-5", "0.2"): 0,
+    ("1e-120", "0.1"): 2,
+    ("1e-99", "0.1"): 2,
+    ("0.1", "1e-99"): 2,
+    ("1e-98", "1e-98"): 0,
+    ("1e-8", "1.0"): 0,
+    ("1e-9", "0.5"): 0,
+}
+
+
+@pytest.mark.parametrize("eta_perp,eta_par", list(EXTREME_GEOMETRY_EXITS))
 def test_kappa_extreme_geometry_never_prints_a_silent_number(eta_perp, eta_par):
-    # double precision runs out for these widths in different places: the
-    # density prefactor, the kernel's 1/(kr)^3, a 2e4 aspect ratio. Each
-    # answer is finite, a usage error or a convergence failure, never a
-    # traceback and never a nan with exit 0
+    # each answer is finite or names the domain it left, never a traceback,
+    # a numpy warning or a nan with exit 0
     result = run_cli("kappa", "--eta-perp", eta_perp, "--eta-par", eta_par, check=False)
-    assert "Traceback" not in result.stderr
+    assert result.returncode == EXTREME_GEOMETRY_EXITS[eta_perp, eta_par], result.stderr
     if result.returncode == 0:
+        assert result.stderr == ""
         doc = json.loads(result.stdout)
-        for key in ("mean_f", "mean_g", "err_f", "err_g", "kappa"):
+        for key in ("mean_f", "mean_g", "err_f", "err_g", "kappa", "kappa_approx"):
             assert math.isfinite(doc[key]), key
     else:
-        assert result.returncode in (2, 3)
         assert result.stdout == ""
-        # the error line alone: no numpy warnings before it
-        (line,) = result.stderr.splitlines()
-        assert line.startswith("error:")
+        name, value = ("eta_perp", eta_perp) if float(eta_perp) < 1e-98 else ("eta_par", eta_par)
+        assert result.stderr == f"error: {name} must lie in [1e-98, 1], got {value}\n"
 
 
 # --- map --------------------------------------------------------------------
@@ -308,6 +318,19 @@ def test_cli_import_leaves_scipy_out():
     probe = (
         "import sys, latticegate.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO_ROOT, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_and_serial_map_leave_multiprocessing_out():
+    # a pool starts only for jobs > 1, so nothing else pays for its import
+    probe = (
+        "import sys, latticegate.cli; "
+        "latticegate.cli.kappa_map([0.1, 0.2], [0.1, 0.2], jobs=1); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO_ROOT, check=True

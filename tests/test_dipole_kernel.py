@@ -66,15 +66,6 @@ def test_asymptote_rejects_large_kr():
         fg_smallkr_asymptote(RelativePosition(kr=1.0, cos_theta=0.0))
 
 
-def test_radial_parts_scalar_array_parity():
-    xs = np.array([0.01, 0.1, 0.3, 1.0, 7.5])
-    f_mono, f_tens, g_mono, g_tens = radial_parts(xs)
-    for i, x in enumerate(xs):
-        parts = radial_parts(float(x))
-        assert isinstance(parts[0], float)
-        assert parts == (f_mono[i], f_tens[i], g_mono[i], g_tens[i])
-
-
 def test_radial_parts_series_branch_does_not_mutate_input():
     xs = np.array([0.01, 0.5, 0.2])
     before = xs.copy()
@@ -84,14 +75,14 @@ def test_radial_parts_series_branch_does_not_mutate_input():
 
 def test_radial_parts_rejects_nonpositive():
     with pytest.raises(ValueError):
-        radial_parts(0.0)
+        radial_parts(np.array([0.0]))
     with pytest.raises(ValueError):
         radial_parts(np.array([0.5, -1.0]))
 
 
 def test_fg_reconstructs_from_radial_parts():
     kr, mu = 0.8, -0.6
-    f_mono, f_tens, g_mono, g_tens = radial_parts(kr)
+    (f_mono,), (f_tens,), (g_mono,), (g_tens,) = radial_parts(np.array([kr]))
     p2 = 0.5 * (3.0 * mu * mu - 1.0)
     f, g = fg(RelativePosition(kr=kr, cos_theta=mu))
     assert f == f_mono + p2 * f_tens

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from conftest import REF_KAPPA, REF_KAPPA_STATIC, REF_MEAN_F, REF_MEAN_G, REFERE
 from latticegate import overlap
 from latticegate.dipole_kernel import radial_parts
 from latticegate.overlap import (
-    DEFAULT_QUAD,
     ConvergenceError,
     DipoleExpectation,
     QuadratureSpec,
@@ -25,7 +25,6 @@ from latticegate.overlap import (
     mc_oracle,
     mean_fg,
     optimize_ratio,
-    relative_distribution,
 )
 
 # Frozen averages established by two independent routes (importance-sampled
@@ -233,15 +232,15 @@ def test_angular_moments_of_a_node_depend_on_that_node_alone(eta, switches):
 def test_small_kr_head_is_subdominant():
     # the [0, x_lo] head F(x_lo) * x_lo / 2 that mean_fg adds, rebuilt from
     # radial_parts and this test's own angular moments at the base order
-    gauss = relative_distribution(REFERENCE_GEOMETRY)
-    a, c = gauss.sigma_perp, gauss.sigma_par
+    a, c = REFERENCE_GEOMETRY.sigma_perp, REFERENCE_GEOMETRY.sigma_par
     x_lo = 1e-4 * min(REFERENCE_GEOMETRY.eta_perp, REFERENCE_GEOMETRY.eta_par)
     mu, w = np.polynomial.legendre.leggauss(64)
     weighted = w * np.exp(-(x_lo**2) * ((1.0 - mu**2) / (2.0 * a * a) + mu**2 / (2.0 * c * c)))
     m0 = weighted.sum()
     m2 = (weighted * 0.5 * (3.0 * mu**2 - 1.0)).sum()
-    f_mono, f_tensor, g_mono, g_tensor = radial_parts(x_lo)
-    scale = 2.0 * math.pi * gauss.norm * x_lo**2 * 0.5 * x_lo
+    (f_mono,), (f_tensor,), (g_mono,), (g_tensor,) = radial_parts(np.array([x_lo]))
+    norm = (2.0 * math.pi) ** -1.5 / (a * a * c)
+    scale = 2.0 * math.pi * norm * x_lo**2 * 0.5 * x_lo
     head_f = scale * (f_mono * m0 + f_tensor * m2)
     head_g = scale * (g_mono * m0 + g_tensor * m2)
     assert abs(head_f) < 1e-7 * abs(REF_MEAN_F)
@@ -317,6 +316,18 @@ def test_kappa_approx_equals_static_tensor_average(ratio):
     assert kappa_approx(geom) == pytest.approx(1.5 * static, rel=1e-7, abs=1e-9)
 
 
+@pytest.mark.parametrize("ratio", [1e7, 6.6e7, 1e8, 1e10, 1e12])
+def test_kappa_approx_at_extreme_cigar_aspects(ratio):
+    # past ratio ~ 6.7e7 the artanh branch's v = ratio/sqrt(ratio^2 - 1)
+    # rounds to 1, where artanh(1/v) overflows; the closed form must stay
+    # finite and on the mpmath value of the same formula on both sides
+    geom = TrapGeometry(1.0 / ratio, 1.0)
+    expected = oracles.mp_kappa_approx_cigar(geom.eta_perp, geom.eta_par)
+    assert kappa_approx(geom) == pytest.approx(expected, rel=1e-12)
+    # mc_oracle adds twice the closed form back as its control constant
+    assert math.isfinite(mc_oracle(geom, samples=10**4, seed=1).mean_f)
+
+
 def test_kappa_approx_pure_cubic_scaling():
     # the closed form carries no retardation scale: shrinking the geometry
     # by lambda multiplies it by exactly lambda^-3
@@ -357,14 +368,6 @@ def test_optimize_ratio_is_geometry_free_in_closed_form():
         assert abs(kappa_star) * ep**3 == pytest.approx(0.017023663, rel=1e-4)
 
 
-def test_optimize_ratio_full_quadrature_mode():
-    ratio_star, kappa_star = optimize_ratio(0.05, use_approx=False)
-    assert 1.9 < ratio_star < 2.5
-    # the optimum must beat the closed-form optimum's geometry
-    fixed = abs(kappa(TrapGeometry(0.05, 0.05 * 2.181401217)))
-    assert abs(kappa_star) >= fixed * (1.0 - 1e-6)
-
-
 def test_optimize_ratio_domain():
     with pytest.raises(ValueError):
         optimize_ratio(0.0)
@@ -396,12 +399,12 @@ def test_map_grid_validation():
         kappa_map(np.array([0.2, 0.1]), good)
     with pytest.raises(ValueError, match="nonempty"):
         kappa_map(np.array([]), good)
-    with pytest.raises(ValueError, match="\\(0, 1\\]"):
+    with pytest.raises(ValueError, match="\\[1e-98, 1\\], got 1.5"):
         kappa_map(np.array([0.5, 1.5]), good)
     # nan fails every comparison, so each element is checked, not the ends
-    with pytest.raises(ValueError, match="eta_perp_grid must lie in \\(0, 1\\]"):
+    with pytest.raises(ValueError, match="eta_perp must lie in \\[1e-98, 1\\], got nan"):
         kappa_map(np.array([math.nan, math.nan]), good)
-    with pytest.raises(ValueError, match="eta_par_grid must lie in \\(0, 1\\]"):
+    with pytest.raises(ValueError, match="eta_par must lie in \\[1e-98, 1\\], got nan"):
         kappa_map(good, np.array([math.nan]))
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         kappa_map(good, good, jobs=0)
@@ -423,7 +426,7 @@ def test_map_pool_never_outnumbers_cells(monkeypatch):
         def map(self, func, tasks, chunksize):
             return [func(task) for task in tasks]
 
-    monkeypatch.setattr(overlap, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     grid = np.array([0.1, 0.2])
     values = kappa_map(grid, grid, jobs=8)
     assert started == [4]
@@ -438,9 +441,8 @@ def test_map_marks_failed_cells_as_nan():
 
 def _q_range(geom: TrapGeometry) -> tuple[float, float]:
     """The extremes of q = beta x^2 on mean_fg's radial range for geom."""
-    gauss = relative_distribution(geom)
-    beta = 0.5 / gauss.sigma_par**2 - 0.5 / gauss.sigma_perp**2
-    cuts = overlap._cuts(geom, gauss)
+    beta = 0.5 / geom.sigma_par**2 - 0.5 / geom.sigma_perp**2
+    cuts = overlap._cuts(geom)
     return tuple(sorted((beta * cuts[0] ** 2, beta * cuts[-1] ** 2)))
 
 
@@ -525,7 +527,7 @@ def test_budget_exhaustion_raises_without_partial():
     assert excinfo.value.partial is None
     # the budget counts every kernel node, the small-kr head included: the
     # reference point takes n = 232 of them, so n - 1 fails and n passes
-    n = oracles.quad_vec_mean_fg(REFERENCE_GEOMETRY, DEFAULT_QUAD).evaluations
+    n = oracles.quad_vec_mean_fg(REFERENCE_GEOMETRY, QuadratureSpec()).evaluations
     assert n == 232
     with pytest.raises(ConvergenceError, match=f"budget {n - 1} exhausted") as excinfo:
         mean_fg(REFERENCE_GEOMETRY, QuadratureSpec(eval_budget=n - 1))
@@ -548,14 +550,24 @@ def test_unreached_tolerance_raises_with_partial():
     assert abs(partial.mean_g - mc.mean_g) <= 3.0 * mc.err_g
 
 
+def _unchecked_geometry(eta_perp: float, eta_par: float) -> TrapGeometry:
+    """A TrapGeometry that skips the domain check, to reach what it guards."""
+    geom = object.__new__(TrapGeometry)
+    object.__setattr__(geom, "eta_perp", eta_perp)
+    object.__setattr__(geom, "eta_par", eta_par)
+    return geom
+
+
 def test_non_finite_result_raises_without_partial():
-    # the density prefactor or the kernel's 1/(kr)^3 overflows to inf: no
+    # below TrapGeometry's floor the kernel's 1/(kr)^3 overflows to inf: no
     # number may come back, and the error says so without numpy warnings
     for eta in ((1e-105, 1e-105), (1e-120, 0.1)):
+        with pytest.raises(ValueError, match="must lie in"):
+            TrapGeometry(*eta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
-                mean_fg(TrapGeometry(*eta))
+                mean_fg(_unchecked_geometry(*eta))
         assert excinfo.value.partial is None
 
 
@@ -591,14 +603,23 @@ def test_expectation_record_invariants():
     DipoleExpectation(1.0, 1.001, 1e-6, 2e-3, 10)
 
 
-def test_relative_distribution_rejects_an_underflowing_volume():
-    with pytest.raises(ValueError, match="too narrow"):
-        relative_distribution(TrapGeometry(1e-300, 1e-300))
+@pytest.mark.parametrize("eta", [(1e-99, 0.1), (0.1, 1e-99), (1e-300, 1e-300)])
+def test_trap_geometry_rejects_widths_below_the_floor(eta):
+    # below 1e-98 the kernel's 1/(kr)^3 at the radial range's start
+    # kr = 1e-4 * min(eta) overflows, so the domain ends there
+    name, value = ("eta_perp", eta[0]) if eta[0] < 1e-98 else ("eta_par", eta[1])
+    with pytest.raises(ValueError, match=f"^{name} must lie in \\[1e-98, 1\\], got {value!r}$"):
+        TrapGeometry(*eta)
+
+
+@pytest.mark.parametrize("eta", [(1e-98, 1e-98), (1e-98, 1.0), (1.0, 1e-98)])
+def test_geometries_at_the_floor_converge(eta):
+    result = mean_fg(TrapGeometry(*eta))
+    assert all(map(math.isfinite, (result.mean_f, result.mean_g, result.err_f, result.kappa)))
 
 
 def test_relative_distribution_widths():
-    gauss = relative_distribution(TrapGeometry(0.1, 0.2))
-    assert gauss.sigma_perp == pytest.approx(math.sqrt(2.0) * 0.1, rel=1e-15)
-    assert gauss.sigma_par == pytest.approx(math.sqrt(2.0) * 0.2, rel=1e-15)
-    expected_norm = (2.0 * math.pi) ** -1.5 / (gauss.sigma_perp**2 * gauss.sigma_par)
-    assert gauss.norm == pytest.approx(expected_norm, rel=1e-15)
+    # the relative coordinate's widths in kr units are sqrt(2) * eta per axis
+    geom = TrapGeometry(0.1, 0.2)
+    assert geom.sigma_perp == math.sqrt(2.0) * 0.1
+    assert geom.sigma_par == math.sqrt(2.0) * 0.2
