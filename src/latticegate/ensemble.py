@@ -69,25 +69,44 @@ class LatticeFill:
 
     @cached_property
     def n_paired(self) -> int:
-        return int(np.sum(self.occupancy[:, 0] & self.occupancy[:, 1]))
+        return int(np.count_nonzero(self.occupancy[:, 0] & self.occupancy[:, 1]))
 
+    # single occupancy is a column's atoms minus the paired ones: exact
+    # integer counts, equal to counting control & ~target directly
     @cached_property
     def n_control_only(self) -> int:
-        return int(np.sum(self.occupancy[:, 0] & ~self.occupancy[:, 1]))
+        return int(np.count_nonzero(self.occupancy[:, 0])) - self.n_paired
 
     @cached_property
     def n_target_only(self) -> int:
-        return int(np.sum(~self.occupancy[:, 0] & self.occupancy[:, 1]))
+        return int(np.count_nonzero(self.occupancy[:, 1])) - self.n_paired
+
+
+# wells drawn per generator call: the float buffer stays in cache
+_FILL_CHUNK = 1 << 16
 
 
 def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
-    """Independent Bernoulli occupancy per well, reproducible from seed."""
+    """Independent Bernoulli occupancy per well, reproducible from seed.
+
+    The wells are drawn in chunks of _FILL_CHUNK uniforms into one reused
+    buffer and compared with p in place, in the C order of the (n_sites, 2)
+    occupancy. The generator yields the same stream whatever the chunking,
+    so the occupancy has the bits of rng.random((n_sites, 2)) < p without
+    the full float array.
+    """
     if n_sites <= 0:
         raise ValueError("n_sites must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("fill probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    occupancy = rng.random((n_sites, 2)) < p
+    occupancy = np.empty((n_sites, 2), dtype=bool)
+    wells = occupancy.reshape(-1)
+    buffer = np.empty(min(wells.size, _FILL_CHUNK))
+    for start in range(0, wells.size, _FILL_CHUNK):
+        draws = buffer[: wells.size - start]
+        rng.random(out=draws)
+        np.less(draws, p, out=wells[start : start + draws.size])
     return LatticeFill(n_sites=n_sites, occupancy=occupancy, fill_probability=p, seed=seed)
 
 

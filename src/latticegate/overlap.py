@@ -442,14 +442,34 @@ def _angular_moments(x: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.nd
 _NODE_BLOCK = 195 * 21
 
 
+# the widest panel [0.1 * min(eta), scale] left without decade cuts
+_DECADE_CUTS_SPAN = 1e10
+
+
 def _cuts(geom: TrapGeometry) -> list[float]:
-    """The radial panel boundaries of mean_fg, from x_lo to the upper cutoff."""
+    """The radial panel boundaries of mean_fg, from x_lo to the upper cutoff.
+
+    Interior cuts sit at 0.1 * min(eta), the Gaussian scale radius and
+    kr = 10. Decade rule: where the scale radius exceeds _DECADE_CUTS_SPAN
+    times 0.1 * min(eta) (aspects past ~5e8 for a pancake, ~7e8 for a
+    cigar), a cut is added at 10 * min(sigma) and at every decade above it
+    below the scale radius. Without them the GK21 nodes of that one wide
+    panel never reach kr ~ min(sigma), where the narrow axis puts its
+    weight, and from aspect ~1e10 on its first pass accepts a value ~1000
+    times too small. Narrower geometries keep their cuts and their bits.
+    """
     a, c_ax = geom.sigma_perp, geom.sigma_par
     eta_min = min(geom.eta_perp, geom.eta_par)
     x_lo = 1e-4 * eta_min
     scale = math.sqrt(2.0 * a * a + c_ax * c_ax)
     x_hi = max(14.0 * max(a, c_ax), 2.0 * scale)
-    interior = sorted({p for p in (0.1 * eta_min, scale, 10.0) if x_lo < p < x_hi})
+    points = {0.1 * eta_min, scale, 10.0}
+    if scale / (0.1 * eta_min) > _DECADE_CUTS_SPAN:
+        decade = 10.0 * min(a, c_ax)
+        while decade < scale:
+            points.add(decade)
+            decade *= 10.0
+    interior = sorted(p for p in points if x_lo < p < x_hi)
     return [x_lo, *interior, x_hi]
 
 
@@ -556,8 +576,10 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = QuadratureSpec()) ->
     Angular moments m0(x) = <exp(-x^2 s(mu))> and m2(x) = <P2(mu) ...> are
     exact at each radius (_angular_moments), then the radial integrals of
     x^2 (f_mono m0 + f_tensor m2) etc. run on adaptive Gauss-Kronrod panels
-    split at 0.1*min(eta), the Gaussian scale radius, and kr = 10. The upper
-    cutoff is 14 relative-coordinate sigmas of the *widest* axis (the wide
+    split at 0.1*min(eta), the Gaussian scale radius, and kr = 10, plus, past
+    aspect ~5e8, every decade from 10*min(sigma) up to the scale radius (the
+    decade rule of _cuts), so the narrow axis is resolved at any aspect. The
+    upper cutoff is 14 relative-coordinate sigmas of the *widest* axis (the wide
     axis dominates the tail for pancake geometries). This is _mean_fg_many
     on a batch of one; a geometry gets the same bits alone or in a batch.
     """
@@ -565,6 +587,16 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = QuadratureSpec()) ->
     if isinstance(result, ConvergenceError):
         raise result
     return result
+
+
+# samples per Monte Carlo chunk: the chunk's temporaries stay in cache
+_MC_CHUNK = 1 << 14
+# a bound on the rounding of the control constant 2 * kappa_approx, in ulps
+# of itself. Against 50-digit mpmath the closed form is off by at most 165
+# ulps on cigars (aspects 1e3 to 1e8, where its bracket cancels) and 52 on
+# pancakes past aspect 1.3. Within aspect 1.3 of isotropy it is off by up
+# to 2e4 ulps, about 1e-12 of the constant, far below the sampling error
+_CONTROL_ULPS = 256
 
 
 def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
@@ -575,31 +607,51 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     a finite density), so the near-field tensor term 3 P2/(kr)^3 is
     subtracted sample-wise and its exact average, 2 * kappa_approx (see
     kappa_approx), added back; the residual is ~1/(kr) near the origin and
-    has finite variance. Bit-identical for a fixed seed.
+    has finite variance.
+
+    The samples are drawn and evaluated in chunks of _MC_CHUNK into
+    full-length residual and g arrays, whose means and standard deviations
+    are taken once. The generator yields the same stream whatever the
+    chunking and every step is elementwise, so the result has the bits of
+    drawing all samples at once, and it is bit-identical for a fixed seed.
+
+    err_f is the standard error of the residual's mean combined in
+    quadrature with the rounding of the control constant, bounded by
+    _CONTROL_ULPS ulps of it; err_g is the standard error of g's mean. A
+    non-finite mean or error (widths so small that the residual cancels
+    beyond double precision) raises ConvergenceError.
     """
     samples = int(samples)
     if samples < 10_000:
         raise ValueError("mc_oracle needs at least 10^4 samples")
     rng = np.random.default_rng(seed)
-    points = rng.standard_normal((samples, 3))
-    points[:, :2] *= geom.sigma_perp
-    points[:, 2] *= geom.sigma_par
-    radius = np.sqrt(np.sum(points * points, axis=1))
-    radius = np.maximum(radius, 1e-300)
-    mu = points[:, 2] / radius
-    p2 = 0.5 * (3.0 * mu * mu - 1.0)
+    widths = np.array([geom.sigma_perp, geom.sigma_perp, geom.sigma_par])
+    residual = np.empty(samples)
+    g_values = np.empty(samples)
+    # an overflow becomes a non-finite estimate, reported below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, samples, _MC_CHUNK):
+            stop = min(start + _MC_CHUNK, samples)
+            points = rng.standard_normal((stop - start, 3)) * widths
+            squares = points * points
+            # (x^2 + y^2) + z^2: the order of a sum over each row of three
+            radius = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
+            radius = np.maximum(radius, 1e-300)
+            mu = points[:, 2] / radius
+            p2 = 0.5 * (3.0 * mu * mu - 1.0)
 
-    f_mono, f_tensor, g_mono, g_tensor = radial_parts(radius)
-    f_values = f_mono + p2 * f_tensor
-    g_values = g_mono + p2 * g_tensor
+            f_mono, f_tensor, g_mono, g_tensor = radial_parts(radius)
+            np.subtract(f_mono + p2 * f_tensor, 3.0 * p2 / radius**3, out=residual[start:stop])
+            np.add(g_mono, p2 * g_tensor, out=g_values[start:stop])
 
-    control = 3.0 * p2 / radius**3
-    residual = f_values - control
-    root_n = math.sqrt(samples)
-    mean_f = float(residual.mean()) + 2.0 * _kappa_approx_values(geom.eta_perp, geom.eta_par)
-    err_f = float(residual.std(ddof=1)) / root_n
-    mean_g = float(g_values.mean())
-    err_g = float(g_values.std(ddof=1)) / root_n
+        root_n = math.sqrt(samples)
+        control = 2.0 * _kappa_approx_values(geom.eta_perp, geom.eta_par)
+        mean_f = float(residual.mean()) + control
+        err_f = math.hypot(float(residual.std(ddof=1)) / root_n, _CONTROL_ULPS * math.ulp(control))
+        mean_g = float(g_values.mean())
+        err_g = float(g_values.std(ddof=1)) / root_n
+    if not all(map(math.isfinite, (mean_f, err_f, mean_g, err_g))):
+        raise ConvergenceError(f"non-finite Monte Carlo estimate for {geom} from {samples} samples")
     return DipoleExpectation(mean_f, mean_g, err_f, err_g, samples)
 
 

@@ -10,7 +10,11 @@ mp_spherical_pair; fg assembles the production pieces into the pointwise
 (f, g) pair so the tests can hold it against kernel_f/kernel_g; and
 quad_vec_mean_fg, whose subject is the radial integration loop only, feeds
 the production radial pieces and angular moments (overlap._angular_moments),
-one node per call, to scipy's quad_vec.
+one node per call, to scipy's quad_vec on the production panel cuts
+(overlap._cuts). The one-shot sampling references one_shot_fill and
+one_shot_mc_oracle, whose subject is the chunking of simulate_fill and
+mc_oracle, draw every sample in one generator call and evaluate the
+production radial pieces and closed form on the full arrays.
 """
 
 import math
@@ -26,7 +30,7 @@ from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
 
 from latticegate.dipole_kernel import _SERIES_CROSSOVER, _j_series, radial_parts
-from latticegate.overlap import ConvergenceError, DipoleExpectation, _angular_moments
+from latticegate.overlap import ConvergenceError, DipoleExpectation, _angular_moments, _cuts, kappa_approx
 
 mpmath.mp.dps = 40
 
@@ -238,12 +242,8 @@ def quad_vec_mean_fg(geom, quad_spec) -> DipoleExpectation:
         xx = x * x
         return np.array([xx * (f_mono * m0 + f_tensor * m2), xx * (g_mono * m0 + g_tensor * m2)])
 
-    eta_min = min(geom.eta_perp, geom.eta_par)
-    x_lo = 1e-4 * eta_min
-    scale = math.sqrt(2.0 * a * a + c_ax * c_ax)
-    x_hi = max(14.0 * max(a, c_ax), 2.0 * scale)
-    interior = sorted({p for p in (0.1 * eta_min, scale, 10.0) if x_lo < p < x_hi})
-    cuts = [x_lo, *interior, x_hi]
+    cuts = _cuts(geom)
+    x_lo = cuts[0]
 
     total = np.zeros(2)
     err_sum = 0.0
@@ -269,6 +269,37 @@ def quad_vec_mean_fg(geom, quad_spec) -> DipoleExpectation:
             partial=result,
         )
     return result
+
+
+def one_shot_fill(n_sites: int, p: float, seed: int) -> np.ndarray:
+    """The occupancy of ensemble.simulate_fill, drawn as one float array."""
+    rng = np.random.default_rng(seed)
+    return rng.random((n_sites, 2)) < p
+
+
+def one_shot_mc_oracle(geom, samples: int, seed: int) -> DipoleExpectation:
+    """overlap.mc_oracle with every sample drawn and evaluated at once."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((samples, 3))
+    points[:, :2] *= geom.sigma_perp
+    points[:, 2] *= geom.sigma_par
+    radius = np.sqrt(np.sum(points * points, axis=1))
+    radius = np.maximum(radius, 1e-300)
+    mu = points[:, 2] / radius
+    p2 = 0.5 * (3.0 * mu * mu - 1.0)
+
+    f_mono, f_tensor, g_mono, g_tensor = radial_parts(radius)
+    f_values = f_mono + p2 * f_tensor
+    g_values = g_mono + p2 * g_tensor
+
+    control = 3.0 * p2 / radius**3
+    residual = f_values - control
+    root_n = math.sqrt(samples)
+    mean_f = float(residual.mean()) + 2.0 * kappa_approx(geom)
+    err_f = float(residual.std(ddof=1)) / root_n
+    mean_g = float(g_values.mean())
+    err_g = float(g_values.std(ddof=1)) / root_n
+    return DipoleExpectation(mean_f, mean_g, err_f, err_g, samples)
 
 
 def rabi_flip_probability(rabi: float, detuning: float, duration: float) -> float:

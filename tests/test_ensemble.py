@@ -1,10 +1,13 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
+from latticegate import ensemble
 from latticegate.ensemble import (
     STAGES,
     LatticeFill,
@@ -79,6 +82,41 @@ def test_fill_counts_are_direct_sums_of_a_frozen_occupancy():
     assert not fill.occupancy.flags.writeable
     with pytest.raises(ValueError):
         fill.occupancy[0, 0] = not fill.occupancy[0, 0]
+
+
+# sites per generator chunk of simulate_fill
+CHUNK_SITES = ensemble._FILL_CHUNK // 2
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize(
+    "n_sites",
+    [1, CHUNK_SITES // 2 - 1, CHUNK_SITES // 2, CHUNK_SITES // 2 + 1,
+     CHUNK_SITES - 1, CHUNK_SITES, CHUNK_SITES + 1, 3 * CHUNK_SITES + 7],
+)
+def test_chunked_fill_matches_the_one_shot_draw(n_sites, p):
+    # drawing in chunks consumes the generator as one rng.random((n, 2))
+    # does, so the occupancy is the same array bit for bit
+    fill = simulate_fill(n_sites, p, seed=n_sites)
+    reference = oracles.one_shot_fill(n_sites, p, seed=n_sites)
+    assert fill.occupancy.dtype == bool
+    assert np.array_equal(fill.occupancy, reference)
+    control, target = reference[:, 0], reference[:, 1]
+    assert fill.n_paired == int(np.sum(control & target))
+    assert fill.n_control_only == int(np.sum(control & ~target))
+    assert fill.n_target_only == int(np.sum(~control & target))
+
+
+def test_fill_peak_memory_is_the_occupancy_and_one_chunk():
+    n_sites = 2 * 10**6
+    simulate_fill(1000, 0.6, seed=1)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        fill = simulate_fill(n_sites, 0.6, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fill.occupancy.nbytes + 2 * 2**20
 
 
 def test_fill_validation():

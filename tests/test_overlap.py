@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import multiprocessing
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -287,6 +288,79 @@ def test_mc_error_scales_as_root_n():
 def test_mc_rejects_tiny_sample_counts():
     with pytest.raises(ValueError, match="10\\^4"):
         mc_oracle(REFERENCE_GEOMETRY, samples=100, seed=1)
+
+
+@pytest.mark.parametrize(
+    "eta, samples, seed",
+    [
+        ((0.1, 0.2), 10**5, 11),
+        ((0.05, 1.0), 3 * overlap._MC_CHUNK + 7, 5),
+        ((1.0, 0.05), overlap._MC_CHUNK, 3),
+        ((0.15, 0.15), 10**4, 2),
+    ],
+)
+def test_chunked_mc_oracle_matches_the_one_shot_draw(eta, samples, seed):
+    # chunks consume the generator as one draw of all samples does, and
+    # the means and deviations are taken once over full-length arrays; at
+    # these widths the control constant's rounding vanishes from err_f
+    geom = TrapGeometry(*eta)
+    got = mc_oracle(geom, samples, seed)
+    want = oracles.one_shot_mc_oracle(geom, samples, seed)
+    fields = ("mean_f", "mean_g", "err_f", "err_g")
+    assert [getattr(got, k).hex() for k in fields] == [getattr(want, k).hex() for k in fields]
+    assert got.evaluations == want.evaluations == samples
+
+
+def test_mc_oracle_peak_memory_is_two_sample_arrays_and_a_chunk():
+    mc_oracle(REFERENCE_GEOMETRY, 10**4, 1)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        mc_oracle(REFERENCE_GEOMETRY, 10**6, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+def test_mc_error_covers_the_rounding_of_the_control_constant():
+    # at aspect 1e8 the control constant is 1.4e15, whose last bits are
+    # comparable with the sampling error of 10^6 samples: without them in
+    # err_f the estimate sat 4.2 err_f from the quadrature
+    geom = TrapGeometry(1e-8, 1.0)
+    mc = mc_oracle(geom, 10**6, 3)
+    control = 2.0 * kappa_approx(geom)
+    assert mc.err_f >= overlap._CONTROL_ULPS * math.ulp(control)
+    assert abs(mc.mean_f - mean_fg(geom).mean_f) <= 3.0 * mc.err_f
+
+
+def test_mc_non_finite_estimate_raises():
+    # at the floor the sample-wise residual cancels terms of ~1e294 and its
+    # deviation overflows: a loud failure, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="non-finite Monte Carlo estimate"):
+            mc_oracle(TrapGeometry(1e-98, 1e-98), 10**4, 1)
+
+
+def _aspect_ladder():
+    for eta_max in (0.05, 1.0):
+        for exponent in np.linspace(0.5, 98.0, 14):
+            eta_min = max(eta_max / 10**exponent, 1e-98)
+            yield (eta_min, eta_max)
+            yield (eta_max, eta_min)
+
+
+@pytest.mark.parametrize("eta", list(_aspect_ladder()))
+def test_mean_fg_agrees_with_mc_along_the_aspect_ladder(eta):
+    # from aspect ~1e10 the panel [0.1 min(eta), scale] is too wide for its
+    # GK21 nodes to find the narrow axis: without _cuts' decade rule
+    # mean_fg returned a finite <f> 1000 times too small, with exit 0
+    geom = TrapGeometry(*eta)
+    exact = mean_fg(geom)
+    mc = mc_oracle(geom, 2 * 10**4, 1)
+    assert all(map(math.isfinite, (exact.mean_f, exact.mean_g, exact.err_f)))
+    assert abs(exact.mean_f - mc.mean_f) <= 5.0 * math.hypot(exact.err_f, mc.err_f)
+    assert abs(exact.mean_g - mc.mean_g) <= 5.0 * math.hypot(exact.err_g, mc.err_g)
 
 
 # --- retardation-free closed form ----------------------------------------------
@@ -614,8 +688,19 @@ def test_trap_geometry_rejects_widths_below_the_floor(eta):
 
 @pytest.mark.parametrize("eta", [(1e-98, 1e-98), (1e-98, 1.0), (1.0, 1e-98)])
 def test_geometries_at_the_floor_converge(eta):
-    result = mean_fg(TrapGeometry(*eta))
+    geom = TrapGeometry(*eta)
+    result = mean_fg(geom)
     assert all(map(math.isfinite, (result.mean_f, result.mean_g, result.err_f, result.kappa)))
+    if eta[0] == eta[1]:
+        # mc_oracle has no digits left here (test_mc_non_finite_estimate_raises).
+        # At kr ~ 1e-98 only f's monopole cos(kr)/kr survives the isotropic
+        # average, so <f> = <1/r> = sqrt(2/pi)/sigma, and g = 1
+        assert result.mean_f == pytest.approx(math.sqrt(2.0 / math.pi) / geom.sigma_perp, rel=1e-12)
+        assert result.mean_g == pytest.approx(1.0, rel=1e-12)
+        return
+    mc = mc_oracle(geom, 10**5, 7)
+    assert abs(result.mean_f - mc.mean_f) <= 5.0 * math.hypot(result.err_f, mc.err_f)
+    assert abs(result.mean_g - mc.mean_g) <= 5.0 * math.hypot(result.err_g, mc.err_g)
 
 
 def test_relative_distribution_widths():
