@@ -54,6 +54,9 @@ COMMANDS = (
     (0, ("ensemble", "--sites", "1000000", "--fill-prob", "0.9", "--input", "11", "--seed", "7")),
     # an aspect ratio of 5e11, where the radial panels need the decade cuts
     (0, ("kappa", "--eta-perp", "1e-12", "--eta-par", "0.5")),
+    # 6,000,002 wells: 92 chunks with a partial last one, split across the
+    # fill's worker threads
+    (0, ("ensemble", "--sites", "3000001", "--fill-prob", "0.3", "--input", "01", "--seed", "11")),
 )
 
 

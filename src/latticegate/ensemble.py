@@ -10,6 +10,12 @@ with the pairing broken measures the unpaired response alone, and a linear
 estimator recovers the gate-only row. The double-gate stage (gate, flush of
 logical-0 targets, gate again) is kept as a diagnostic of pair survival.
 
+Every stage reads only three counts of the fill: paired sites and sites with
+only a control or only a target atom. The fill therefore keeps no occupancy
+array. Its wells come from one seeded PCG64 stream, split into chunk-aligned
+ranges across worker threads and counted a chunk at a time, with the same
+counts for any number of workers.
+
 All sampling is multinomial counting noise; generators are seeded from
 (fill seed, stage index, input index) so stages are independently
 reproducible and safe to run in parallel.
@@ -17,8 +23,9 @@ reproducible and safe to run in parallel.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,68 +53,105 @@ class NonIdentifiableError(RuntimeError):
 
 @dataclass(frozen=True)
 class LatticeFill:
-    """Occupancy of n_sites well pairs; column 0 is the control well,
-    column 1 the target well.
-
-    occupancy is held as a read-only view, so the site counts are taken
-    once and cached.
-    """
+    """Site counts of a loaded lattice of n_sites well pairs, each a control
+    and a target well: pairs with both wells occupied, and sites whose only
+    atom sits in the control or in the target well."""
 
     n_sites: int
-    occupancy: np.ndarray
+    n_paired: int
+    n_control_only: int
+    n_target_only: int
     fill_probability: float
     seed: int
 
     def __post_init__(self) -> None:
-        occ = np.asarray(self.occupancy, dtype=bool).view()
-        occ.flags.writeable = False
-        if occ.shape != (self.n_sites, 2):
-            raise ValueError("occupancy must have shape (n_sites, 2)")
-        object.__setattr__(self, "occupancy", occ)
+        if min(self.n_paired, self.n_control_only, self.n_target_only) < 0:
+            raise ValueError("site counts must be nonnegative")
+        if self.n_paired + self.n_control_only + self.n_target_only > self.n_sites:
+            raise ValueError("site counts must add up to at most n_sites")
         if not 0.0 <= self.fill_probability <= 1.0:
             raise ValueError("fill_probability must lie in [0, 1]")
 
-    @cached_property
-    def n_paired(self) -> int:
-        return int(np.count_nonzero(self.occupancy[:, 0] & self.occupancy[:, 1]))
 
-    # single occupancy is a column's atoms minus the paired ones: exact
-    # integer counts, equal to counting control & ~target directly
-    @cached_property
-    def n_control_only(self) -> int:
-        return int(np.count_nonzero(self.occupancy[:, 0])) - self.n_paired
-
-    @cached_property
-    def n_target_only(self) -> int:
-        return int(np.count_nonzero(self.occupancy[:, 1])) - self.n_paired
-
-
-# wells drawn per generator call: the float buffer stays in cache
+# wells drawn per generator call: the float buffer stays in cache. It is
+# even, so a site's two wells never straddle two workers' ranges
 _FILL_CHUNK = 1 << 16
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API off Linux
+        return os.cpu_count() or 1
+
+
+def _count_range(seed: int, p: float, start: int, stop: int) -> tuple[int, int, int]:
+    """(paired, control-only, target-only) sites among wells start..stop of
+    the fill's stream; start and stop are even.
+
+    Generator.random takes one 64-bit draw per double, so advancing a fresh
+    PCG64 by start draws reproduces the stream of default_rng(seed) from
+    well start on.
+    """
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(start)
+    rng = np.random.Generator(bit_generator)
+    draws = np.empty(min(stop - start, _FILL_CHUNK))
+    wells = np.empty(draws.size, dtype=bool)
+    matches = np.empty(draws.size // 2, dtype=bool)
+    atoms = paired = control_only = 0
+    for chunk in range(start, stop, _FILL_CHUNK):
+        size = min(stop - chunk, _FILL_CHUNK)
+        rng.random(out=draws[:size])
+        np.less(draws[:size], p, out=wells[:size])
+        # a site's two wells read as one code: control + 256 * target
+        codes = wells[:size].view("<u2")
+        atoms += np.count_nonzero(wells[:size])
+        paired += np.count_nonzero(np.equal(codes, 0x0101, out=matches[: size // 2]))
+        control_only += np.count_nonzero(np.equal(codes, 0x0001, out=matches[: size // 2]))
+    return int(paired), int(control_only), int(atoms - 2 * paired - control_only)
 
 
 def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
     """Independent Bernoulli occupancy per well, reproducible from seed.
 
-    The wells are drawn in chunks of _FILL_CHUNK uniforms into one reused
-    buffer and compared with p in place, in the C order of the (n_sites, 2)
-    occupancy. The generator yields the same stream whatever the chunking,
-    so the occupancy has the bits of rng.random((n_sites, 2)) < p without
-    the full float array.
+    Well 2i is site i's control well and well 2i + 1 its target well; well
+    k is occupied where draw k of default_rng(seed).random is below p. The
+    wells are split into contiguous ranges of whole _FILL_CHUNK chunks, one
+    per worker thread, at most one per available CPU. Each worker jumps its
+    own PCG64 to its range, draws a chunk at a time into one reused buffer
+    and counts its sites while the chunk is in cache; the calling thread
+    takes the first range and sums the exact integer counts. The counts are
+    those of rng.random((n_sites, 2)) < p, whatever the number of workers,
+    and no occupancy array is kept. A worker's exception is re-raised here.
     """
     if n_sites <= 0:
         raise ValueError("n_sites must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("fill probability must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    occupancy = np.empty((n_sites, 2), dtype=bool)
-    wells = occupancy.reshape(-1)
-    buffer = np.empty(min(wells.size, _FILL_CHUNK))
-    for start in range(0, wells.size, _FILL_CHUNK):
-        draws = buffer[: wells.size - start]
-        rng.random(out=draws)
-        np.less(draws, p, out=wells[start : start + draws.size])
-    return LatticeFill(n_sites=n_sites, occupancy=occupancy, fill_probability=p, seed=seed)
+    n_wells = 2 * n_sites
+    n_chunks = -(-n_wells // _FILL_CHUNK)
+    workers = min(_available_cpus(), n_chunks)
+    bounds = [min(k * n_chunks // workers * _FILL_CHUNK, n_wells) for k in range(workers + 1)]
+    results: list = [None] * workers
+
+    def work(k: int) -> None:
+        try:
+            results[k] = _count_range(seed, p, bounds[k], bounds[k + 1])
+        except BaseException as exc:  # re-raised in the calling thread below
+            results[k] = exc
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    n_paired, n_control_only, n_target_only = map(sum, zip(*results))
+    return LatticeFill(n_sites, n_paired, n_control_only, n_target_only, p, seed)
 
 
 @dataclass(frozen=True)

@@ -599,6 +599,15 @@ _MC_CHUNK = 1 << 14
 _CONTROL_ULPS = 256
 
 
+def _mean_and_std_in_place(values: np.ndarray) -> tuple[float, float]:
+    # the steps of values.mean() and values.std(ddof=1), with the deviations
+    # written over values rather than into a temporary of its size
+    mean = np.add.reduce(values) / values.size
+    np.subtract(values, mean, out=values)
+    np.multiply(values, values, out=values)
+    return float(mean), math.sqrt(np.add.reduce(values) / (values.size - 1))
+
+
 def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     """Monte Carlo estimate of <f>, <g> with honest standard errors.
 
@@ -609,11 +618,13 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     kappa_approx), added back; the residual is ~1/(kr) near the origin and
     has finite variance.
 
-    The samples are drawn and evaluated in chunks of _MC_CHUNK into
-    full-length residual and g arrays, whose means and standard deviations
-    are taken once. The generator yields the same stream whatever the
-    chunking and every step is elementwise, so the result has the bits of
-    drawing all samples at once, and it is bit-identical for a fixed seed.
+    The samples are drawn and evaluated in chunks of _MC_CHUNK, through
+    buffers reused from chunk to chunk, into full-length residual and g
+    arrays, whose means and standard deviations are taken once and in
+    place. The generator yields the same stream whatever the chunking, and
+    every step is elementwise and in the order of the one-shot expressions,
+    so the result has the bits of drawing all samples at once, and it is
+    bit-identical for a fixed seed.
 
     err_f is the standard error of the residual's mean combined in
     quadrature with the rounding of the control constant, bounded by
@@ -628,28 +639,49 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     widths = np.array([geom.sigma_perp, geom.sigma_perp, geom.sigma_par])
     residual = np.empty(samples)
     g_values = np.empty(samples)
+    chunk = min(samples, _MC_CHUNK)
+    points = np.empty((chunk, 3))
+    squares = np.empty((chunk, 3))
+    radius, p2, scratch = np.empty(chunk), np.empty(chunk), np.empty(chunk)
     # an overflow becomes a non-finite estimate, reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, samples, _MC_CHUNK):
             stop = min(start + _MC_CHUNK, samples)
-            points = rng.standard_normal((stop - start, 3)) * widths
-            squares = points * points
+            n = stop - start
+            xyz, sq, r, p, tmp = points[:n], squares[:n], radius[:n], p2[:n], scratch[:n]
+            rng.standard_normal(out=xyz)
+            np.multiply(xyz, widths, out=xyz)
+            np.multiply(xyz, xyz, out=sq)
             # (x^2 + y^2) + z^2: the order of a sum over each row of three
-            radius = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
-            radius = np.maximum(radius, 1e-300)
-            mu = points[:, 2] / radius
-            p2 = 0.5 * (3.0 * mu * mu - 1.0)
+            np.add(sq[:, 0], sq[:, 1], out=r)
+            np.add(r, sq[:, 2], out=r)
+            np.sqrt(r, out=r)
+            np.maximum(r, 1e-300, out=r)
+            # p2 = 0.5 * (3 mu^2 - 1) with mu = z / r, in that order of operations
+            np.divide(xyz[:, 2], r, out=tmp)
+            np.multiply(tmp, 3.0, out=p)
+            np.multiply(p, tmp, out=p)
+            np.subtract(p, 1.0, out=p)
+            np.multiply(p, 0.5, out=p)
 
-            f_mono, f_tensor, g_mono, g_tensor = radial_parts(radius)
-            np.subtract(f_mono + p2 * f_tensor, 3.0 * p2 / radius**3, out=residual[start:stop])
-            np.add(g_mono, p2 * g_tensor, out=g_values[start:stop])
+            f_mono, f_tensor, g_mono, g_tensor = radial_parts(r)
+            # residual = (f_mono + p2 f_tensor) - 3 p2 / r^3
+            np.multiply(p, f_tensor, out=f_tensor)
+            np.add(f_mono, f_tensor, out=f_mono)
+            np.power(r, 3, out=tmp)
+            np.multiply(p, 3.0, out=f_tensor)
+            np.divide(f_tensor, tmp, out=f_tensor)
+            np.subtract(f_mono, f_tensor, out=residual[start:stop])
+            np.multiply(p, g_tensor, out=g_tensor)
+            np.add(g_mono, g_tensor, out=g_values[start:stop])
 
         root_n = math.sqrt(samples)
         control = 2.0 * _kappa_approx_values(geom.eta_perp, geom.eta_par)
-        mean_f = float(residual.mean()) + control
-        err_f = math.hypot(float(residual.std(ddof=1)) / root_n, _CONTROL_ULPS * math.ulp(control))
-        mean_g = float(g_values.mean())
-        err_g = float(g_values.std(ddof=1)) / root_n
+        residual_mean, residual_std = _mean_and_std_in_place(residual)
+        mean_f = residual_mean + control
+        err_f = math.hypot(residual_std / root_n, _CONTROL_ULPS * math.ulp(control))
+        mean_g, g_std = _mean_and_std_in_place(g_values)
+        err_g = g_std / root_n
     if not all(map(math.isfinite, (mean_f, err_f, mean_g, err_g))):
         raise ConvergenceError(f"non-finite Monte Carlo estimate for {geom} from {samples} samples")
     return DipoleExpectation(mean_f, mean_g, err_f, err_g, samples)

@@ -12,9 +12,10 @@ quad_vec_mean_fg, whose subject is the radial integration loop only, feeds
 the production radial pieces and angular moments (overlap._angular_moments),
 one node per call, to scipy's quad_vec on the production panel cuts
 (overlap._cuts). The one-shot sampling references one_shot_fill and
-one_shot_mc_oracle, whose subject is the chunking of simulate_fill and
-mc_oracle, draw every sample in one generator call and evaluate the
-production radial pieces and closed form on the full arrays.
+one_shot_mc_oracle, whose subject is the chunking and thread split of
+simulate_fill and the chunking of mc_oracle, draw every sample in one
+generator call and evaluate the production radial pieces and closed form
+on the full arrays.
 """
 
 import math
@@ -272,7 +273,8 @@ def quad_vec_mean_fg(geom, quad_spec) -> DipoleExpectation:
 
 
 def one_shot_fill(n_sites: int, p: float, seed: int) -> np.ndarray:
-    """The occupancy of ensemble.simulate_fill, drawn as one float array."""
+    """The occupancy whose site counts ensemble.simulate_fill returns, drawn
+    as one float array on one thread."""
     rng = np.random.default_rng(seed)
     return rng.random((n_sites, 2)) < p
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -34,9 +35,19 @@ def _ideal_table() -> TruthTable:
     return TruthTable(populations=populations, leakage=np.zeros(4), env=env, pulse=pulse)
 
 
+def _site_counts(rows) -> tuple[int, int, int]:
+    """(paired, control-only, target-only) sites of (control, target) rows,
+    classified one site at a time."""
+    kinds = [(bool(control), bool(target)) for control, target in rows]
+    return kinds.count((True, True)), kinds.count((True, False)), kinds.count((False, True))
+
+
 def _fill_from_rows(rows) -> LatticeFill:
-    occ = np.array(rows, dtype=bool)
-    return LatticeFill(n_sites=len(rows), occupancy=occ, fill_probability=0.5, seed=77)
+    return LatticeFill(len(rows), *_site_counts(rows), fill_probability=0.5, seed=77)
+
+
+def _counts(fill: LatticeFill) -> tuple[int, int, int]:
+    return fill.n_paired, fill.n_control_only, fill.n_target_only
 
 
 # --- lattice filling --------------------------------------------------------------
@@ -45,43 +56,32 @@ def test_fill_is_reproducible():
     a = simulate_fill(5000, 0.6, seed=42)
     b = simulate_fill(5000, 0.6, seed=42)
     c = simulate_fill(5000, 0.6, seed=43)
-    assert np.array_equal(a.occupancy, b.occupancy)
-    assert not np.array_equal(a.occupancy, c.occupancy)
+    assert _counts(a) == _counts(b)
+    assert _counts(a) != _counts(c)
 
 
 def test_fill_statistics():
     n = 100_000
     fill = simulate_fill(n, 0.6, seed=5)
     sigma = math.sqrt(0.6 * 0.4 / (2 * n))
-    assert fill.occupancy.mean() == pytest.approx(0.6, abs=4 * sigma)
+    atoms = 2 * fill.n_paired + fill.n_control_only + fill.n_target_only
+    assert atoms / (2 * n) == pytest.approx(0.6, abs=4 * sigma)
     sigma_pair = math.sqrt(0.36 * 0.64 / n)
     assert fill.n_paired / n == pytest.approx(0.36, abs=4 * sigma_pair)
 
 
 def test_fill_degenerate_probabilities():
-    assert not simulate_fill(100, 0.0, seed=1).occupancy.any()
+    assert _counts(simulate_fill(100, 0.0, seed=1)) == (0, 0, 0)
     full = simulate_fill(100, 1.0, seed=1)
     assert full.n_paired == 100
     assert full.n_control_only == full.n_target_only == 0
 
 
 def test_fill_counters():
-    fill = _fill_from_rows([[1, 1], [1, 0], [0, 1], [0, 0], [1, 1]])
-    assert fill.n_paired == 2
-    assert fill.n_control_only == 1
-    assert fill.n_target_only == 1
-
-
-def test_fill_counts_are_direct_sums_of_a_frozen_occupancy():
+    # the counts classify each site of the one-shot occupancy, control well first
+    assert _site_counts([[1, 1], [1, 0], [0, 1], [0, 0], [1, 1]]) == (2, 1, 1)
     fill = simulate_fill(20_000, 0.6, seed=9)
-    control, target = fill.occupancy[:, 0], fill.occupancy[:, 1]
-    assert fill.n_paired == int(np.sum(control & target))
-    assert fill.n_control_only == int(np.sum(control & ~target))
-    assert fill.n_target_only == int(np.sum(~control & target))
-    # the counts are cached, so the occupancy they were taken from must not move
-    assert not fill.occupancy.flags.writeable
-    with pytest.raises(ValueError):
-        fill.occupancy[0, 0] = not fill.occupancy[0, 0]
+    assert _counts(fill) == _site_counts(oracles.one_shot_fill(20_000, 0.6, seed=9))
 
 
 # sites per generator chunk of simulate_fill
@@ -91,32 +91,88 @@ CHUNK_SITES = ensemble._FILL_CHUNK // 2
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize(
     "n_sites",
+    # 3 * CHUNK_SITES + 7 sites make four chunks, the last partial: two
+    # workers take two chunks each, three take one, one and two
     [1, CHUNK_SITES // 2 - 1, CHUNK_SITES // 2, CHUNK_SITES // 2 + 1,
      CHUNK_SITES - 1, CHUNK_SITES, CHUNK_SITES + 1, 3 * CHUNK_SITES + 7],
 )
-def test_chunked_fill_matches_the_one_shot_draw(n_sites, p):
-    # drawing in chunks consumes the generator as one rng.random((n, 2))
-    # does, so the occupancy is the same array bit for bit
-    fill = simulate_fill(n_sites, p, seed=n_sites)
+def test_chunked_fill_matches_the_one_shot_draw(n_sites, p, monkeypatch):
+    # each worker jumps to its range of the one stream that rng.random((n, 2))
+    # draws, so the counts are those of the one-shot occupancy for any
+    # number of workers
     reference = oracles.one_shot_fill(n_sites, p, seed=n_sites)
-    assert fill.occupancy.dtype == bool
-    assert np.array_equal(fill.occupancy, reference)
     control, target = reference[:, 0], reference[:, 1]
-    assert fill.n_paired == int(np.sum(control & target))
-    assert fill.n_control_only == int(np.sum(control & ~target))
-    assert fill.n_target_only == int(np.sum(~control & target))
+    want = (int(np.sum(control & target)), int(np.sum(control & ~target)),
+            int(np.sum(~control & target)))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(ensemble, "_available_cpus", lambda: cpus)
+        assert _counts(simulate_fill(n_sites, p, seed=n_sites)) == want
 
 
-def test_fill_peak_memory_is_the_occupancy_and_one_chunk():
+def _record_ranges(monkeypatch, cpus: int) -> list:
+    """Make simulate_fill see cpus CPUs, and record each (thread, start,
+    stop) range it counts."""
+    ranges = []
+    count_range = ensemble._count_range
+
+    def recording(seed, p, start, stop):
+        ranges.append((threading.current_thread(), start, stop))
+        return count_range(seed, p, start, stop)
+
+    monkeypatch.setattr(ensemble, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(ensemble, "_count_range", recording)
+    return ranges
+
+
+def test_fill_splits_its_wells_into_chunk_aligned_ranges_one_per_thread(monkeypatch):
+    chunk = ensemble._FILL_CHUNK
+    ranges = _record_ranges(monkeypatch, cpus=3)
+    simulate_fill(3 * CHUNK_SITES + 7, 0.3, seed=1)
+    assert sorted((start, stop) for _, start, stop in ranges) == [
+        (0, chunk), (chunk, 2 * chunk), (2 * chunk, 3 * chunk + 14)]
+    assert len({thread for thread, _, _ in ranges}) == 3
+    # the calling thread counts the first range
+    assert [start for thread, start, _ in ranges if thread is threading.current_thread()] == [0]
+
+    # no more threads than chunks
+    ranges.clear()
+    simulate_fill(CHUNK_SITES, 0.3, seed=1)
+    assert ranges == [(threading.current_thread(), 0, chunk)]
+
+
+class _WorkerFailure(Exception):
+    pass
+
+
+def test_a_worker_exception_propagates(monkeypatch):
+    ranges = _record_ranges(monkeypatch, cpus=2)
+    count_range = ensemble._count_range
+
+    def failing(seed, p, start, stop):
+        if start > 0:
+            raise _WorkerFailure(f"wells {start}..{stop}")
+        return count_range(seed, p, start, stop)
+
+    monkeypatch.setattr(ensemble, "_count_range", failing)
+    with pytest.raises(_WorkerFailure, match="wells"):
+        simulate_fill(CHUNK_SITES + 1, 0.3, seed=1)
+    # the calling thread counted its own range before the failure surfaced
+    assert [(start, stop) for _, start, stop in ranges] == [(0, ensemble._FILL_CHUNK)]
+
+
+def test_fill_peak_memory_is_one_chunk_buffer_per_worker(monkeypatch):
+    # no occupancy array: each worker holds its chunk of draws and of wells
+    monkeypatch.setattr(ensemble, "_available_cpus", lambda: 3)
     n_sites = 2 * 10**6
     simulate_fill(1000, 0.6, seed=1)  # first-call allocations stay out
     tracemalloc.start()
     try:
-        fill = simulate_fill(n_sites, 0.6, seed=3)
+        simulate_fill(n_sites, 0.6, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < fill.occupancy.nbytes + 2 * 2**20
+    chunk_buffer = np.empty(ensemble._FILL_CHUNK).nbytes
+    assert peak < 2**20 + 3 * chunk_buffer
 
 
 def test_fill_validation():
@@ -124,9 +180,15 @@ def test_fill_validation():
         simulate_fill(0, 0.5, seed=1)
     with pytest.raises(ValueError):
         simulate_fill(10, 1.5, seed=1)
-    with pytest.raises(ValueError, match="shape"):
-        LatticeFill(n_sites=3, occupancy=np.ones((2, 2), dtype=bool),
+    with pytest.raises(ValueError, match="add up"):
+        LatticeFill(n_sites=3, n_paired=2, n_control_only=1, n_target_only=1,
                     fill_probability=0.5, seed=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        LatticeFill(n_sites=3, n_paired=-1, n_control_only=1, n_target_only=1,
+                    fill_probability=0.5, seed=1)
+    with pytest.raises(ValueError, match="fill_probability"):
+        LatticeFill(n_sites=3, n_paired=1, n_control_only=1, n_target_only=1,
+                    fill_probability=1.5, seed=1)
 
 
 # --- single-stage semantics ---------------------------------------------------------
