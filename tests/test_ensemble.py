@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import threading
@@ -78,10 +79,25 @@ def test_fill_degenerate_probabilities():
 
 
 def test_fill_counters():
+    fill = _fill_from_rows([[1, 1], [1, 0], [0, 1], [0, 0], [1, 1]])
+    assert fill.n_paired == 2
+    assert fill.n_control_only == 1
+    assert fill.n_target_only == 1
+
+
+def test_fill_counts_are_direct_sums_of_a_frozen_occupancy():
     # the counts classify each site of the one-shot occupancy, control well first
     assert _site_counts([[1, 1], [1, 0], [0, 1], [0, 0], [1, 1]]) == (2, 1, 1)
     fill = simulate_fill(20_000, 0.6, seed=9)
-    assert _counts(fill) == _site_counts(oracles.one_shot_fill(20_000, 0.6, seed=9))
+    occupancy = oracles.one_shot_fill(20_000, 0.6, seed=9)
+    control, target = occupancy[:, 0], occupancy[:, 1]
+    assert fill.n_paired == int(np.sum(control & target))
+    assert fill.n_control_only == int(np.sum(control & ~target))
+    assert fill.n_target_only == int(np.sum(~control & target))
+    assert _counts(fill) == _site_counts(occupancy)
+    # the counts are all the fill keeps, so they must not move
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fill.n_paired = fill.n_paired + 1
 
 
 # sites per generator chunk of simulate_fill
