@@ -23,12 +23,11 @@ reproducible and safe to run in parallel.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import _available_cpus, _fan_out
 from .gate import IDEAL_CNOT_OUTPUT, STATE_LABELS, TruthTable
 
 __all__ = [
@@ -76,13 +75,6 @@ class LatticeFill:
 # wells drawn per generator call: the float buffer stays in cache. It is
 # even, so a site's two wells never straddle two workers' ranges
 _FILL_CHUNK = 1 << 16
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API off Linux
-        return os.cpu_count() or 1
 
 
 def _count_range(seed: int, p: float, start: int, stop: int) -> tuple[int, int, int]:
@@ -133,23 +125,7 @@ def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
     n_chunks = -(-n_wells // _FILL_CHUNK)
     workers = min(_available_cpus(), n_chunks)
     bounds = [min(k * n_chunks // workers * _FILL_CHUNK, n_wells) for k in range(workers + 1)]
-    results: list = [None] * workers
-
-    def work(k: int) -> None:
-        try:
-            results[k] = _count_range(seed, p, bounds[k], bounds[k + 1])
-        except BaseException as exc:  # re-raised in the calling thread below
-            results[k] = exc
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
+    results = _fan_out(workers, lambda k: _count_range(seed, p, bounds[k], bounds[k + 1]))
     n_paired, n_control_only, n_target_only = map(sum, zip(*results))
     return LatticeFill(n_sites, n_paired, n_control_only, n_target_only, p, seed)
 

@@ -24,7 +24,9 @@ but it runs all radial panels of a batch of geometries (the cells of a map)
 in lockstep and hands each round's nodes to the integrand as one array. An importance-sampled
 Monte Carlo estimator with a near-field control variate provides an
 independent cross-check, and the retardation-free closed form provides a
-second one.
+second one. The estimator draws its normals in stream order and evaluates
+its chunks on worker threads, one per CPU, with the bits of a
+single-threaded draw.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ import csv
 import heapq
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import _available_cpus, _fan_out
 from .dipole_kernel import radial_parts
 
 __all__ = [
@@ -589,8 +593,12 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = QuadratureSpec()) ->
     return result
 
 
-# samples per Monte Carlo chunk: the chunk's temporaries stay in cache
+# Monte Carlo samples in flight at once, over all workers: every worker's
+# chunk temporaries stay in cache
 _MC_CHUNK = 1 << 14
+# the smallest chunk a worker takes: on smaller chunks the per-step call
+# overhead outweighs another worker
+_MC_MIN_CHUNK = 1 << 12
 # a bound on the rounding of the control constant 2 * kappa_approx, in ulps
 # of itself. Against 50-digit mpmath the closed form is off by at most 165
 # ulps on cigars (aspects 1e3 to 1e8, where its bracket cancels) and 52 on
@@ -608,6 +616,35 @@ def _mean_and_std_in_place(values: np.ndarray) -> tuple[float, float]:
     return float(mean), math.sqrt(np.add.reduce(values) / (values.size - 1))
 
 
+def _evaluate_mc_chunk(xyz, widths, sq, r, p, tmp, residual, g_values) -> None:
+    # scales the standard normals xyz to the widths in place and writes each
+    # sample's residual and g; sq, r, p and tmp are scratch of xyz's length
+    np.multiply(xyz, widths, out=xyz)
+    np.multiply(xyz, xyz, out=sq)
+    # (x^2 + y^2) + z^2: the order of a sum over each row of three
+    np.add(sq[:, 0], sq[:, 1], out=r)
+    np.add(r, sq[:, 2], out=r)
+    np.sqrt(r, out=r)
+    np.maximum(r, 1e-300, out=r)
+    # p2 = 0.5 * (3 mu^2 - 1) with mu = z / r, in that order of operations
+    np.divide(xyz[:, 2], r, out=tmp)
+    np.multiply(tmp, 3.0, out=p)
+    np.multiply(p, tmp, out=p)
+    np.subtract(p, 1.0, out=p)
+    np.multiply(p, 0.5, out=p)
+
+    f_mono, f_tensor, g_mono, g_tensor = radial_parts(r)
+    # residual = (f_mono + p2 f_tensor) - 3 p2 / r^3
+    np.multiply(p, f_tensor, out=f_tensor)
+    np.add(f_mono, f_tensor, out=f_mono)
+    np.power(r, 3, out=tmp)
+    np.multiply(p, 3.0, out=f_tensor)
+    np.divide(f_tensor, tmp, out=f_tensor)
+    np.subtract(f_mono, f_tensor, out=residual)
+    np.multiply(p, g_tensor, out=g_tensor)
+    np.add(g_mono, g_tensor, out=g_values)
+
+
 def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     """Monte Carlo estimate of <f>, <g> with honest standard errors.
 
@@ -618,13 +655,19 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     kappa_approx), added back; the residual is ~1/(kr) near the origin and
     has finite variance.
 
-    The samples are drawn and evaluated in chunks of _MC_CHUNK, through
-    buffers reused from chunk to chunk, into full-length residual and g
-    arrays, whose means and standard deviations are taken once and in
-    place. The generator yields the same stream whatever the chunking, and
-    every step is elementwise and in the order of the one-shot expressions,
-    so the result has the bits of drawing all samples at once, and it is
-    bit-identical for a fixed seed.
+    The samples are drawn and evaluated in chunks by worker threads, the
+    calling thread among them: one per available CPU, at most _MC_CHUNK //
+    _MC_MIN_CHUNK and no more than chunks. Each worker takes chunks of
+    _MC_CHUNK // workers samples through its own reused buffers. Under one
+    lock a worker takes the next chunk and draws its normals, so the chunks
+    take the generator's stream in order; it then evaluates the chunk
+    outside the lock, into its slice of full-length residual and g arrays.
+    Once every worker is joined, the means and standard deviations are taken
+    once and in place. Every step after the draw is elementwise and in the
+    order of the one-shot expressions, so the result has the bits of drawing
+    and evaluating all samples at once, for any number of workers, and it is
+    bit-identical for a fixed seed. A worker's exception stops the others
+    from taking a further chunk and is re-raised here.
 
     err_f is the standard error of the residual's mean combined in
     quadrature with the rounding of the control constant, bounded by
@@ -639,42 +682,37 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     widths = np.array([geom.sigma_perp, geom.sigma_perp, geom.sigma_par])
     residual = np.empty(samples)
     g_values = np.empty(samples)
-    chunk = min(samples, _MC_CHUNK)
-    points = np.empty((chunk, 3))
-    squares = np.empty((chunk, 3))
-    radius, p2, scratch = np.empty(chunk), np.empty(chunk), np.empty(chunk)
-    # an overflow becomes a non-finite estimate, reported below
+    workers = min(_available_cpus(), _MC_CHUNK // _MC_MIN_CHUNK)
+    chunk = _MC_CHUNK // workers
+    pending = list(range(0, samples, chunk))[::-1]  # chunk starts, the next one last
+    workers = min(workers, len(pending))
+    lock = threading.Lock()
+
+    def work(_worker: int) -> None:
+        size = min(samples, chunk)
+        points, squares = np.empty((size, 3)), np.empty((size, 3))
+        radius, p2, scratch = np.empty(size), np.empty(size), np.empty(size)
+        try:
+            # numpy's error state is per thread. An overflow becomes a
+            # non-finite estimate, reported below
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                while True:
+                    with lock:
+                        if not pending:
+                            return
+                        start = pending.pop()
+                        stop = min(start + chunk, samples)
+                        n = stop - start
+                        rng.standard_normal(out=points[:n])
+                    _evaluate_mc_chunk(points[:n], widths, squares[:n], radius[:n], p2[:n],
+                                       scratch[:n], residual[start:stop], g_values[start:stop])
+        except BaseException:
+            with lock:  # the other workers take no further chunk
+                pending.clear()
+            raise
+
+    _fan_out(workers, work)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, samples, _MC_CHUNK):
-            stop = min(start + _MC_CHUNK, samples)
-            n = stop - start
-            xyz, sq, r, p, tmp = points[:n], squares[:n], radius[:n], p2[:n], scratch[:n]
-            rng.standard_normal(out=xyz)
-            np.multiply(xyz, widths, out=xyz)
-            np.multiply(xyz, xyz, out=sq)
-            # (x^2 + y^2) + z^2: the order of a sum over each row of three
-            np.add(sq[:, 0], sq[:, 1], out=r)
-            np.add(r, sq[:, 2], out=r)
-            np.sqrt(r, out=r)
-            np.maximum(r, 1e-300, out=r)
-            # p2 = 0.5 * (3 mu^2 - 1) with mu = z / r, in that order of operations
-            np.divide(xyz[:, 2], r, out=tmp)
-            np.multiply(tmp, 3.0, out=p)
-            np.multiply(p, tmp, out=p)
-            np.subtract(p, 1.0, out=p)
-            np.multiply(p, 0.5, out=p)
-
-            f_mono, f_tensor, g_mono, g_tensor = radial_parts(r)
-            # residual = (f_mono + p2 f_tensor) - 3 p2 / r^3
-            np.multiply(p, f_tensor, out=f_tensor)
-            np.add(f_mono, f_tensor, out=f_mono)
-            np.power(r, 3, out=tmp)
-            np.multiply(p, 3.0, out=f_tensor)
-            np.divide(f_tensor, tmp, out=f_tensor)
-            np.subtract(f_mono, f_tensor, out=residual[start:stop])
-            np.multiply(p, g_tensor, out=g_tensor)
-            np.add(g_mono, g_tensor, out=g_values[start:stop])
-
         root_n = math.sqrt(samples)
         control = 2.0 * _kappa_approx_values(geom.eta_perp, geom.eta_par)
         residual_mean, residual_std = _mean_and_std_in_place(residual)

@@ -13,7 +13,7 @@ the production radial pieces and angular moments (overlap._angular_moments),
 one node per call, to scipy's quad_vec on the production panel cuts
 (overlap._cuts). The one-shot sampling references one_shot_fill and
 one_shot_mc_oracle, whose subject is the chunking and thread split of
-simulate_fill and the chunking of mc_oracle, draw every sample in one
+simulate_fill and of mc_oracle, draw every sample in one
 generator call and evaluate the production radial pieces and closed form
 on the full arrays.
 """

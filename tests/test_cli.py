@@ -327,11 +327,13 @@ def test_cli_import_leaves_scipy_out():
 
 def test_cli_import_and_serial_map_leave_multiprocessing_out():
     # a pool starts only for jobs > 1, so nothing else pays for its import;
-    # the ensemble fill splits across threads, not processes or an executor
+    # the ensemble fill and mc_oracle split across threads, not processes or
+    # an executor
     probe = (
         "import sys, latticegate.cli; "
         "latticegate.cli.kappa_map([0.1, 0.2], [0.1, 0.2], jobs=1); "
         "latticegate.cli.main(['ensemble', '--sites', '1000000']); "
+        "latticegate.mc_oracle(latticegate.TrapGeometry(0.1, 0.2), 10**5, 1); "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))"
     )

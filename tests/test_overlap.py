@@ -2,6 +2,8 @@ import io
 import itertools
 import math
 import multiprocessing
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -299,29 +301,132 @@ def test_mc_rejects_tiny_sample_counts():
         ((0.15, 0.15), 10**4, 2),
     ],
 )
-def test_chunked_mc_oracle_matches_the_one_shot_draw(eta, samples, seed):
-    # chunks consume the generator as one draw of all samples does, and
-    # the means and deviations are taken once over full-length arrays; at
-    # these widths the control constant's rounding vanishes from err_f
+def test_chunked_mc_oracle_matches_the_one_shot_draw(eta, samples, seed, monkeypatch):
+    # chunks consume the generator in stream order as one draw of all
+    # samples does, whichever worker evaluates them, and the means and
+    # deviations are taken once over full-length arrays; at these widths the
+    # control constant's rounding vanishes from err_f
     geom = TrapGeometry(*eta)
-    got = mc_oracle(geom, samples, seed)
     want = oracles.one_shot_mc_oracle(geom, samples, seed)
     fields = ("mean_f", "mean_g", "err_f", "err_g")
-    assert [getattr(got, k).hex() for k in fields] == [getattr(want, k).hex() for k in fields]
-    assert got.evaluations == want.evaluations == samples
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(overlap, "_available_cpus", lambda: cpus)
+        got = mc_oracle(geom, samples, seed)
+        assert [getattr(got, k).hex() for k in fields] == [getattr(want, k).hex() for k in fields]
+        assert got.evaluations == want.evaluations == samples
 
 
-def test_mc_oracle_peak_memory_is_two_sample_arrays_and_a_chunk():
-    mc_oracle(REFERENCE_GEOMETRY, 10**4, 1)  # first-call allocations stay out
-    tracemalloc.start()
-    try:
+def _record_chunks(monkeypatch, cpus: int) -> list:
+    """Make mc_oracle see cpus CPUs, and record the (thread, size) of each
+    chunk it evaluates."""
+    chunks = []
+
+    def recording(r):
+        chunks.append((threading.current_thread(), r.size))
+        return radial_parts(r)
+
+    monkeypatch.setattr(overlap, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(overlap, "radial_parts", recording)
+    return chunks
+
+
+def _record_workers(monkeypatch, fan_out=overlap._fan_out) -> list:
+    """Record the number of workers of each of mc_oracle's fan-outs."""
+    fanned = []
+
+    def recording(workers, work):
+        fanned.append(workers)
+        return fan_out(workers, work)
+
+    monkeypatch.setattr(overlap, "_fan_out", recording)
+    return fanned
+
+
+def test_mc_oracle_splits_its_chunks_across_threads(monkeypatch):
+    chunks = _record_chunks(monkeypatch, cpus=3)
+    fanned = _record_workers(monkeypatch)
+    samples = 3 * overlap._MC_CHUNK + 7
+    mc_oracle(REFERENCE_GEOMETRY, samples, 1)
+    chunk = overlap._MC_CHUNK // 3
+    assert sorted(size for _, size in chunks) == [samples % chunk] + [chunk] * (samples // chunk)
+    assert fanned == [3]
+    assert len({thread for thread, _ in chunks}) <= 3
+
+    # no more threads than chunks: 10^4 samples are two chunks
+    chunks.clear()
+    fanned.clear()
+    mc_oracle(REFERENCE_GEOMETRY, 10**4, 1)
+    assert sorted(size for _, size in chunks) == [10**4 - chunk, chunk]
+    assert fanned == [2]
+
+
+def test_mc_oracle_worker_chunks_stay_above_the_minimum(monkeypatch):
+    # with more CPUs than _MC_CHUNK has room for, the workers stop at
+    # _MC_CHUNK // _MC_MIN_CHUNK. They run one after another on the calling
+    # thread here, so no thread starts
+    chunks = _record_chunks(monkeypatch, cpus=64)
+    fanned = _record_workers(monkeypatch, lambda workers, work: [work(k) for k in range(workers)])
+    mc_oracle(REFERENCE_GEOMETRY, 10**5, 1)
+    assert fanned == [overlap._MC_CHUNK // overlap._MC_MIN_CHUNK]
+    assert {size for _, size in chunks} == {overlap._MC_MIN_CHUNK, 10**5 % overlap._MC_MIN_CHUNK}
+    assert {thread for thread, _ in chunks} == {threading.current_thread()}
+
+
+class _WorkerFailure(Exception):
+    pass
+
+
+def test_mc_oracle_worker_exception_propagates(monkeypatch):
+    threads_before = threading.active_count()
+    caller = threading.current_thread()
+    chunks = []
+
+    def failing(r):
+        chunks.append(r.size)
+        if threading.current_thread() is not caller:
+            raise _WorkerFailure("worker chunk")
+        return radial_parts(r)
+
+    monkeypatch.setattr(overlap, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(overlap, "radial_parts", failing)
+    with pytest.raises(_WorkerFailure, match="worker chunk"):
         mc_oracle(REFERENCE_GEOMETRY, 10**6, 1)
-        _, peak = tracemalloc.get_traced_memory()
+    # the failure stopped the calling thread before it took all 123 chunks,
+    # and every worker thread has been joined
+    assert len(chunks) < -(-10**6 // (overlap._MC_CHUNK // 2))
+    assert threading.active_count() == threads_before
+
+
+def test_mc_oracle_bits_hold_under_frequent_thread_switches(monkeypatch):
+    # three workers on fewer cores, switching every microsecond: a chunk
+    # taken twice, skipped or drawn out of stream order moves the bits
+    monkeypatch.setattr(overlap, "_available_cpus", lambda: 3)
+    geom = TrapGeometry(0.3, 0.07)
+    want = oracles.one_shot_mc_oracle(geom, 123_457, 9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = mc_oracle(geom, 123_457, 9)
     finally:
-        tracemalloc.stop()
-    # the 8 MB residual and g arrays, with the moments taken in place, plus
-    # the chunk buffers and radial_parts' temporaries on one chunk (~3 MB)
-    assert peak < 2 * 8 * 10**6 + 4e6
+        sys.setswitchinterval(interval)
+    fields = ("mean_f", "mean_g", "err_f", "err_g")
+    assert [getattr(got, k).hex() for k in fields] == [getattr(want, k).hex() for k in fields]
+
+
+def test_mc_oracle_peak_memory_is_two_sample_arrays_and_a_chunk(monkeypatch):
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(overlap, "_available_cpus", lambda: cpus)
+        mc_oracle(REFERENCE_GEOMETRY, 10**4, 1)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            mc_oracle(REFERENCE_GEOMETRY, 10**6, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 8 MB residual and g arrays, with the moments taken in place,
+        # plus every worker's chunk buffers and radial_parts' temporaries:
+        # the workers' chunks share one _MC_CHUNK between them (~3 MB in all)
+        assert peak < 2 * 8 * 10**6 + 4e6, cpus
 
 
 def test_mc_error_covers_the_rounding_of_the_control_constant():
@@ -335,13 +440,34 @@ def test_mc_error_covers_the_rounding_of_the_control_constant():
     assert abs(mc.mean_f - mean_fg(geom).mean_f) <= 3.0 * mc.err_f
 
 
-def test_mc_non_finite_estimate_raises():
+def test_mc_non_finite_estimate_raises(monkeypatch):
     # at the floor the sample-wise residual cancels terms of ~1e294 and its
-    # deviation overflows: a loud failure, with no numpy warning
+    # deviation overflows: a loud failure, with no numpy warning, also when
+    # the samples span several chunks on several worker threads
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(overlap, "_available_cpus", lambda: cpus)
+        for samples in (10**4, 3 * overlap._MC_CHUNK + 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConvergenceError, match="non-finite Monte Carlo estimate"):
+                    mc_oracle(TrapGeometry(1e-98, 1e-98), samples, 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_mc_worker_overflow_is_a_non_finite_estimate(cpus, monkeypatch):
+    # an overflow in a worker's elementwise steps, not only in the moments
+    # the calling thread takes: each worker sets numpy's per-thread error
+    # state, so it raises ConvergenceError and no warning
+    def overflowing(r):
+        f_mono, f_tensor, g_mono, g_tensor = radial_parts(r)
+        return np.full_like(f_mono, 1.5e308), np.full_like(f_tensor, 1.5e308), g_mono, g_tensor
+
+    monkeypatch.setattr(overlap, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(overlap, "radial_parts", overflowing)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="non-finite Monte Carlo estimate"):
-            mc_oracle(TrapGeometry(1e-98, 1e-98), 10**4, 1)
+            mc_oracle(REFERENCE_GEOMETRY, 3 * overlap._MC_CHUNK + 7, 1)
 
 
 def _aspect_ladder():
