@@ -54,30 +54,45 @@ def radial_parts(kr):
     dependence is carried entirely by P2, so averaging integrators can take
     angular moments once and reuse these four numbers per radius.
 
-    Takes an ndarray of radii and returns four arrays of its shape; rejects
+    Takes an ndarray of radii of any shape, which it never writes, and
+    returns four new arrays of that shape; rejects a scalar or 0-d kr and
     kr <= 0. Uses the closed trigonometric forms with the small-argument
     series branch for j2 (the y-pieces are hierarchical at small kr and
-    never cancel).
+    never cancel), built in place over the sin, cos and 1/x^3 buffers: a
+    call holds at most seven arrays of kr's size, and the series. Every
+    step is that of the one-expression forms in tests/oracles.py.
     """
     x = np.asarray(kr, dtype=float)
+    if x.ndim == 0:
+        raise ValueError("kr must be an array of radii, not a scalar")
     if np.any(x <= 0):
         raise ValueError("kr must be positive")
+
+    small = x < _SERIES_CROSSOVER
+    # the series first, apart from the closed forms' buffers; integer
+    # indices gather and scatter several times faster than the mask
+    series = _j_series(2, x[np.nonzero(small)]) if small.any() else None
 
     s, c = np.sin(x), np.cos(x)
     inv = 1.0 / x
     inv2 = inv * inv
     inv3 = inv2 * inv
-
-    j0 = s * inv
-    y0 = -c * inv
-    y2 = (-3.0 * inv3 + inv) * c - 3.0 * inv2 * s
-    j2 = (3.0 * inv3 - inv) * s - 3.0 * inv2 * c
-    small = x < _SERIES_CROSSOVER
-    if small.any():
-        j2 = j2.copy()
-        j2[small] = _j_series(2, x[small])
-
-    f_mono, f_tensor = -y0, -y2
-    g_mono, g_tensor = j0, j2
-    return f_mono, f_tensor, g_mono, g_tensor
-
+    f_tensor = np.multiply(inv3, -3.0)
+    f_tensor += inv
+    f_tensor *= c
+    j2 = inv3
+    j2 *= 3.0
+    j2 -= inv
+    j2 *= s
+    inv2 *= 3.0
+    product = inv2 * s
+    f_tensor -= product
+    np.negative(f_tensor, out=f_tensor)  # subtract, then negate: the signs of zeros hold
+    np.multiply(inv2, c, out=product)
+    j2 -= product
+    s *= inv  # g_mono
+    c *= inv  # f_mono
+    del inv, inv2, product  # before the scatter's indices are made
+    if series is not None:
+        j2[np.nonzero(small)] = series
+    return c, f_tensor, s, j2

@@ -594,11 +594,12 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = QuadratureSpec()) ->
 
 
 # Monte Carlo samples in flight at once, over all workers: every worker's
-# chunk temporaries stay in cache
-_MC_CHUNK = 1 << 14
-# the smallest chunk a worker takes: on smaller chunks the per-step call
-# overhead outweighs another worker
-_MC_MIN_CHUNK = 1 << 12
+# chunk temporaries stay in cache (radial_parts works in place)
+_MC_CHUNK = 1 << 15
+# the smallest chunk a worker takes: each numpy call hands the interpreter
+# lock over, and two threads on 2 CPUs speed multiply up 0.88x and divide
+# 0.77x on 8192 elements, against 1.74x and 1.79x on 65536
+_MC_MIN_CHUNK = 1 << 13
 # a bound on the rounding of the control constant 2 * kappa_approx, in ulps
 # of itself. Against 50-digit mpmath the closed form is off by at most 165
 # ulps on cigars (aspects 1e3 to 1e8, where its bracket cancels) and 52 on
@@ -616,14 +617,16 @@ def _mean_and_std_in_place(values: np.ndarray) -> tuple[float, float]:
     return float(mean), math.sqrt(np.add.reduce(values) / (values.size - 1))
 
 
-def _evaluate_mc_chunk(xyz, widths, sq, r, p, tmp, residual, g_values) -> None:
+def _evaluate_mc_chunk(xyz, widths, r, p, tmp, residual, g_values) -> None:
     # scales the standard normals xyz to the widths in place and writes each
-    # sample's residual and g; sq, r, p and tmp are scratch of xyz's length
+    # sample's residual and g; r, p and tmp are scratch of xyz's length
     np.multiply(xyz, widths, out=xyz)
-    np.multiply(xyz, xyz, out=sq)
-    # (x^2 + y^2) + z^2: the order of a sum over each row of three
-    np.add(sq[:, 0], sq[:, 1], out=r)
-    np.add(r, sq[:, 2], out=r)
+    # (x^2 + y^2) + z^2 by columns: the order of a sum over each row of three
+    np.multiply(xyz[:, 0], xyz[:, 0], out=r)
+    np.multiply(xyz[:, 1], xyz[:, 1], out=tmp)
+    np.add(r, tmp, out=r)
+    np.multiply(xyz[:, 2], xyz[:, 2], out=tmp)
+    np.add(r, tmp, out=r)
     np.sqrt(r, out=r)
     np.maximum(r, 1e-300, out=r)
     # p2 = 0.5 * (3 mu^2 - 1) with mu = z / r, in that order of operations
@@ -657,17 +660,20 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
 
     The samples are drawn and evaluated in chunks by worker threads, the
     calling thread among them: one per available CPU, at most _MC_CHUNK //
-    _MC_MIN_CHUNK and no more than chunks. Each worker takes chunks of
-    _MC_CHUNK // workers samples through its own reused buffers. Under one
-    lock a worker takes the next chunk and draws its normals, so the chunks
-    take the generator's stream in order; it then evaluates the chunk
-    outside the lock, into its slice of full-length residual and g arrays.
-    Once every worker is joined, the means and standard deviations are taken
-    once and in place. Every step after the draw is elementwise and in the
-    order of the one-shot expressions, so the result has the bits of drawing
-    and evaluating all samples at once, for any number of workers, and it is
-    bit-identical for a fixed seed. A worker's exception stops the others
-    from taking a further chunk and is re-raised here.
+    _MC_MIN_CHUNK = 4 and no more than chunks. Each worker takes chunks of
+    _MC_CHUNK // workers samples (2^14 on 2 CPUs) through its own reused
+    buffers. Each of the ~85 numpy calls of a chunk hands the interpreter
+    lock over, so smaller chunks barely scale: on 2 CPUs, 2^13-sample chunks
+    ran 105 ms on one thread and 98 ms on two. Under one lock a worker takes
+    the next chunk and draws its normals, so the chunks take the generator's
+    stream in order; it then evaluates the chunk outside the lock, into its
+    slice of full-length residual and g arrays. Once every worker is joined,
+    the means and standard deviations are taken once and in place. Every
+    step after the draw is elementwise and in the order of the one-shot
+    expressions, so the result has the bits of drawing and evaluating all
+    samples at once, for any number of workers, and it is bit-identical for
+    a fixed seed. A worker's exception stops the others from taking a
+    further chunk and is re-raised here.
 
     err_f is the standard error of the residual's mean combined in
     quadrature with the rounding of the control constant, bounded by
@@ -690,7 +696,7 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
 
     def work(_worker: int) -> None:
         size = min(samples, chunk)
-        points, squares = np.empty((size, 3)), np.empty((size, 3))
+        points = np.empty((size, 3))
         radius, p2, scratch = np.empty(size), np.empty(size), np.empty(size)
         try:
             # numpy's error state is per thread. An overflow becomes a
@@ -704,8 +710,8 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
                         stop = min(start + chunk, samples)
                         n = stop - start
                         rng.standard_normal(out=points[:n])
-                    _evaluate_mc_chunk(points[:n], widths, squares[:n], radius[:n], p2[:n],
-                                       scratch[:n], residual[start:stop], g_values[start:stop])
+                    _evaluate_mc_chunk(points[:n], widths, radius[:n], p2[:n], scratch[:n],
+                                       residual[start:stop], g_values[start:stop])
         except BaseException:
             with lock:  # the other workers take no further chunk
                 pending.clear()

@@ -14,8 +14,10 @@ one node per call, to scipy's quad_vec on the production panel cuts
 (overlap._cuts). The one-shot sampling references one_shot_fill and
 one_shot_mc_oracle, whose subject is the chunking and thread split of
 simulate_fill and of mc_oracle, draw every sample in one
-generator call and evaluate the production radial pieces and closed form
-on the full arrays.
+generator call and evaluate the production closed form on the full arrays;
+one_shot_mc_oracle takes its radial pieces from frozen_radial_parts, a
+verbatim copy of the production kernel from before it worked in place, so
+a change of the kernel's bits fails its hex tests too.
 """
 
 import math
@@ -279,8 +281,58 @@ def one_shot_fill(n_sites: int, p: float, seed: int) -> np.ndarray:
     return rng.random((n_sites, 2)) < p
 
 
+# The radial pieces as dipole_kernel.radial_parts computed them when
+# mc_oracle's bits were frozen, in one expression per piece with fresh
+# temporaries. Kept verbatim, so the hex tests of the production kernel and
+# of mc_oracle catch any change of its bits.
+FROZEN_SERIES_CROSSOVER = 0.25
+FROZEN_SERIES_TERMS = 12
+
+
+def frozen_j_series(n: int, x):
+    # j_n(x) = x^n/(2n+1)!! * sum_k (-x^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1));
+    # scalar or ndarray; no in-place ops so array arguments never alias
+    double_fact = 1.0
+    for m in range(1, 2 * n + 2, 2):
+        double_fact *= m
+    term = x**n / double_fact
+    total = term
+    half_x2 = -0.5 * x * x
+    for k in range(1, FROZEN_SERIES_TERMS):
+        term = term * (half_x2 / (k * (2 * n + 2 * k + 1)))
+        total = total + term
+    return total
+
+
+def frozen_radial_parts(kr):
+    """(f_mono, f_tensor, g_mono, g_tensor) at the ndarray kr, with the
+    frozen bits of the production kernel."""
+    x = np.asarray(kr, dtype=float)
+    if np.any(x <= 0):
+        raise ValueError("kr must be positive")
+
+    s, c = np.sin(x), np.cos(x)
+    inv = 1.0 / x
+    inv2 = inv * inv
+    inv3 = inv2 * inv
+
+    j0 = s * inv
+    y0 = -c * inv
+    y2 = (-3.0 * inv3 + inv) * c - 3.0 * inv2 * s
+    j2 = (3.0 * inv3 - inv) * s - 3.0 * inv2 * c
+    small = x < FROZEN_SERIES_CROSSOVER
+    if small.any():
+        j2 = j2.copy()
+        j2[small] = frozen_j_series(2, x[small])
+
+    f_mono, f_tensor = -y0, -y2
+    g_mono, g_tensor = j0, j2
+    return f_mono, f_tensor, g_mono, g_tensor
+
+
 def one_shot_mc_oracle(geom, samples: int, seed: int) -> DipoleExpectation:
-    """overlap.mc_oracle with every sample drawn and evaluated at once."""
+    """overlap.mc_oracle with every sample drawn and evaluated at once, on
+    the frozen radial pieces."""
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((samples, 3))
     points[:, :2] *= geom.sigma_perp
@@ -290,7 +342,7 @@ def one_shot_mc_oracle(geom, samples: int, seed: int) -> DipoleExpectation:
     mu = points[:, 2] / radius
     p2 = 0.5 * (3.0 * mu * mu - 1.0)
 
-    f_mono, f_tensor, g_mono, g_tensor = radial_parts(radius)
+    f_mono, f_tensor, g_mono, g_tensor = frozen_radial_parts(radius)
     f_values = f_mono + p2 * f_tensor
     g_values = g_mono + p2 * g_tensor
 

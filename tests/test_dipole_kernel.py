@@ -80,6 +80,44 @@ def test_radial_parts_rejects_nonpositive():
         radial_parts(np.array([0.5, -1.0]))
 
 
+@pytest.mark.parametrize("kr", [0.1, np.array(0.1), 1.0, np.array(1.0)])
+def test_radial_parts_rejects_a_scalar_on_both_sides_of_the_crossover(kr):
+    with pytest.raises(ValueError, match="array of radii"):
+        radial_parts(kr)
+
+
+def _ulps_around(x: float, count: int) -> np.ndarray:
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return np.array(sorted(set(below + above)))
+
+
+KERNEL_INPUTS = {
+    "geomspace": np.geomspace(1e-100, 1e3, 20_001),
+    "crossover": _ulps_around(0.25, 4),
+    "all_small": np.linspace(1e-6, 0.2499, 1001),
+    "none_small": np.linspace(0.25, 40.0, 1001),
+    "mixed": np.random.default_rng(7).uniform(1e-3, 0.6, 1001),
+    "two_d": np.random.default_rng(8).uniform(1e-4, 3.0, (37, 29)),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_INPUTS)
+def test_radial_parts_has_the_bits_of_the_frozen_kernel(name):
+    # the in-place kernel keeps every elementwise step of the frozen one,
+    # and writes nothing into its argument
+    kr = KERNEL_INPUTS[name].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = oracles.frozen_radial_parts(kr)
+        got = radial_parts(kr)
+    assert np.array_equal(kr, KERNEL_INPUTS[name])
+    for ours, frozen in zip(got, want):
+        assert ours.shape == frozen.shape == kr.shape
+        assert ours.tobytes() == frozen.tobytes()
+
+
 def test_fg_reconstructs_from_radial_parts():
     kr, mu = 0.8, -0.6
     (f_mono,), (f_tens,), (g_mono,), (g_tens,) = radial_parts(np.array([kr]))
