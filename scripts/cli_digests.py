@@ -8,8 +8,13 @@ package under test) and prints one line per command:
     <exit code> <stdout sha256> <stderr sha256> <command>
 
 Comparing this listing between two checkouts shows whether a change moved
-any printed byte. Exits 1 if a command's exit code differs from the one
-listed for it, else 0.
+any printed byte. With --transcript it prints each command's exit code,
+stdout and stderr in full instead, one captured line per "|" line; that is
+the text tests/cli_golden.txt holds:
+
+    PYTHONPATH=src python scripts/cli_digests.py --transcript > tests/cli_golden.txt
+
+Exits 1 if a command's exit code differs from the one listed for it, else 0.
 """
 
 import hashlib
@@ -60,15 +65,37 @@ COMMANDS = (
 )
 
 
-def main() -> int:
+def run_command(argv):
+    """The completed ``python -m latticegate.cli *argv``, its output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "latticegate.cli", *argv], capture_output=True, cwd=REPO_ROOT
+    )
+
+
+def transcript(argv, result) -> str:
+    """The command line, exit code, stdout and stderr of one run as text.
+    Each captured line follows a "|"; output that ends in a newline ends in
+    a bare "|"."""
+    lines = [f"$ {' '.join(argv)}", f"exit {result.returncode}"]
+    for name, data in (("stdout", result.stdout), ("stderr", result.stderr)):
+        lines.append(name)
+        lines += [f"| {line}" if line else "|" for line in data.decode().split("\n")]
+    return "\n".join(lines) + "\n"
+
+
+def main(args: list[str]) -> int:
+    if args not in ([], ["--transcript"]):
+        print("usage: cli_digests.py [--transcript]", file=sys.stderr)
+        return 2
     status = 0
     for expected, argv in COMMANDS:
-        result = subprocess.run(
-            [sys.executable, "-m", "latticegate.cli", *argv], capture_output=True, cwd=REPO_ROOT
-        )
-        out = hashlib.sha256(result.stdout).hexdigest()
-        err = hashlib.sha256(result.stderr).hexdigest()
-        print(f"{result.returncode} {out} {err} {' '.join(argv)}", flush=True)
+        result = run_command(argv)
+        if args:
+            print(transcript(argv, result), end="", flush=True)
+        else:
+            out = hashlib.sha256(result.stdout).hexdigest()
+            err = hashlib.sha256(result.stderr).hexdigest()
+            print(f"{result.returncode} {out} {err} {' '.join(argv)}", flush=True)
         if result.returncode != expected:
             print(f"  expected exit {expected}: {result.stderr.decode().strip()}", file=sys.stderr)
             status = 1
@@ -76,4 +103,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -24,9 +24,9 @@ but it runs all radial panels of a batch of geometries (the cells of a map)
 in lockstep and hands each round's nodes to the integrand as one array. An importance-sampled
 Monte Carlo estimator with a near-field control variate provides an
 independent cross-check, and the retardation-free closed form provides a
-second one. The estimator draws its normals in stream order and evaluates
-its chunks on worker threads, one per CPU, with the bits of a
-single-threaded draw.
+second one. The estimator draws each fixed-size chunk of samples from its
+own seeded stream, so its bits do not depend on how many threads share the
+chunks.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import csv
 import heapq
 import math
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -593,13 +592,11 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = QuadratureSpec()) ->
     return result
 
 
-# Monte Carlo samples in flight at once, over all workers: every worker's
-# chunk temporaries stay in cache (radial_parts works in place)
-_MC_CHUNK = 1 << 15
-# the smallest chunk a worker takes: each numpy call hands the interpreter
-# lock over, and two threads on 2 CPUs speed multiply up 0.88x and divide
-# 0.77x on 8192 elements, against 1.74x and 1.79x on 65536
-_MC_MIN_CHUNK = 1 << 13
+# Monte Carlo samples per chunk, whatever the CPU count. 2^13 ran ~25% slower
+# on 2 CPUs, and 2^15 took 21.5e6 B at 10^6 samples, over the 20e6 bound
+_MC_CHUNK = 1 << 14
+# chunks in flight at once, whose buffers fit beside the two sample arrays
+_MC_WORKERS = 2
 # a bound on the rounding of the control constant 2 * kappa_approx, in ulps
 # of itself. Against 50-digit mpmath the closed form is off by at most 165
 # ulps on cigars (aspects 1e3 to 1e8, where its bracket cancels) and 52 on
@@ -617,22 +614,22 @@ def _mean_and_std_in_place(values: np.ndarray) -> tuple[float, float]:
     return float(mean), math.sqrt(np.add.reduce(values) / (values.size - 1))
 
 
-def _evaluate_mc_chunk(xyz, widths, r, p, tmp, residual, g_values) -> None:
-    # scales the standard normals xyz to the widths in place and writes each
-    # sample's residual and g; r, p and tmp are scratch of xyz's length
-    np.multiply(xyz, widths, out=xyz)
-    # (x^2 + y^2) + z^2 by columns: the order of a sum over each row of three
-    np.multiply(xyz[:, 0], xyz[:, 0], out=r)
-    np.multiply(xyz[:, 1], xyz[:, 1], out=tmp)
-    np.add(r, tmp, out=r)
-    np.multiply(xyz[:, 2], xyz[:, 2], out=tmp)
-    np.add(r, tmp, out=r)
+def _evaluate_mc_chunk(rng, rho_scale, sigma_par, r, z, p, residual, g_values) -> None:
+    # draws one chunk of samples from rng and writes each one's residual and
+    # g; r, z and p are scratch of residual's length
+    rng.standard_exponential(out=r)
+    rng.standard_normal(out=z)
+    # r = sqrt(rho^2 + z^2) with rho^2 = x^2 + y^2 = 2 sigma_perp^2 E
+    np.multiply(r, rho_scale, out=r)
+    np.multiply(z, sigma_par, out=z)
+    np.multiply(z, z, out=p)
+    np.add(r, p, out=r)
     np.sqrt(r, out=r)
     np.maximum(r, 1e-300, out=r)
     # p2 = 0.5 * (3 mu^2 - 1) with mu = z / r, in that order of operations
-    np.divide(xyz[:, 2], r, out=tmp)
-    np.multiply(tmp, 3.0, out=p)
-    np.multiply(p, tmp, out=p)
+    np.divide(z, r, out=z)
+    np.multiply(z, 3.0, out=p)
+    np.multiply(p, z, out=p)
     np.subtract(p, 1.0, out=p)
     np.multiply(p, 0.5, out=p)
 
@@ -640,9 +637,9 @@ def _evaluate_mc_chunk(xyz, widths, r, p, tmp, residual, g_values) -> None:
     # residual = (f_mono + p2 f_tensor) - 3 p2 / r^3
     np.multiply(p, f_tensor, out=f_tensor)
     np.add(f_mono, f_tensor, out=f_mono)
-    np.power(r, 3, out=tmp)
+    np.power(r, 3, out=z)
     np.multiply(p, 3.0, out=f_tensor)
-    np.divide(f_tensor, tmp, out=f_tensor)
+    np.divide(f_tensor, z, out=f_tensor)
     np.subtract(f_mono, f_tensor, out=residual)
     np.multiply(p, g_tensor, out=g_tensor)
     np.add(g_mono, g_tensor, out=g_values)
@@ -651,29 +648,26 @@ def _evaluate_mc_chunk(xyz, widths, r, p, tmp, residual, g_values) -> None:
 def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     """Monte Carlo estimate of <f>, <g> with honest standard errors.
 
-    Draws the relative coordinate from its Gaussian directly. The raw sample
-    mean of f has infinite variance (f ~ 3 P2/(kr)^3 near the origin against
-    a finite density), so the near-field tensor term 3 P2/(kr)^3 is
-    subtracted sample-wise and its exact average, 2 * kappa_approx (see
-    kappa_approx), added back; the residual is ~1/(kr) near the origin and
-    has finite variance.
+    Draws the relative coordinate from its Gaussian directly, with two
+    variates per sample: rho^2 = x^2 + y^2 is 2 sigma_perp^2 times a
+    standard exponential, and z is sigma_par times a standard normal. The
+    raw sample mean of f has infinite variance (f ~ 3 P2/(kr)^3 near the
+    origin against a finite density), so the near-field tensor term
+    3 P2/(kr)^3 is subtracted sample-wise and its exact average,
+    2 * kappa_approx (see kappa_approx), added back; the residual is ~1/(kr)
+    near the origin and has finite variance.
 
-    The samples are drawn and evaluated in chunks by worker threads, the
-    calling thread among them: one per available CPU, at most _MC_CHUNK //
-    _MC_MIN_CHUNK = 4 and no more than chunks. Each worker takes chunks of
-    _MC_CHUNK // workers samples (2^14 on 2 CPUs) through its own reused
-    buffers. Each of the ~85 numpy calls of a chunk hands the interpreter
-    lock over, so smaller chunks barely scale: on 2 CPUs, 2^13-sample chunks
-    ran 105 ms on one thread and 98 ms on two. Under one lock a worker takes
-    the next chunk and draws its normals, so the chunks take the generator's
-    stream in order; it then evaluates the chunk outside the lock, into its
-    slice of full-length residual and g arrays. Once every worker is joined,
-    the means and standard deviations are taken once and in place. Every
-    step after the draw is elementwise and in the order of the one-shot
-    expressions, so the result has the bits of drawing and evaluating all
-    samples at once, for any number of workers, and it is bit-identical for
-    a fixed seed. A worker's exception stops the others from taking a
-    further chunk and is re-raised here.
+    Chunk k holds the _MC_CHUNK = 2^14 samples from k * _MC_CHUNK on (the
+    last chunk the rest) and draws them from default_rng([seed, k]): all its
+    exponentials, then all its normals. Worker w, the calling thread among
+    them, takes chunks w, w + workers, ... into its slices of full-length
+    residual and g arrays through its own reused buffers. There is one
+    worker per available CPU, at most _MC_WORKERS = 2 (so the chunks in
+    flight fit the memory of those two arrays) and no more than chunks. A
+    chunk's samples depend on (seed, k) alone and every later step is
+    elementwise, so the result has the same bits for any number of workers.
+    The means and deviations are taken once and in place. A worker's
+    exception stops the others from taking a further chunk and is re-raised.
 
     err_f is the standard error of the residual's mean combined in
     quadrature with the rounding of the control constant, bounded by
@@ -684,37 +678,30 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     samples = int(samples)
     if samples < 10_000:
         raise ValueError("mc_oracle needs at least 10^4 samples")
-    rng = np.random.default_rng(seed)
-    widths = np.array([geom.sigma_perp, geom.sigma_perp, geom.sigma_par])
+    rho_scale = 2.0 * geom.sigma_perp**2
     residual = np.empty(samples)
     g_values = np.empty(samples)
-    workers = min(_available_cpus(), _MC_CHUNK // _MC_MIN_CHUNK)
-    chunk = _MC_CHUNK // workers
-    pending = list(range(0, samples, chunk))[::-1]  # chunk starts, the next one last
-    workers = min(workers, len(pending))
-    lock = threading.Lock()
+    chunks = -(-samples // _MC_CHUNK)
+    workers = min(_available_cpus(), _MC_WORKERS, chunks)
+    failed = False
 
-    def work(_worker: int) -> None:
-        size = min(samples, chunk)
-        points = np.empty((size, 3))
-        radius, p2, scratch = np.empty(size), np.empty(size), np.empty(size)
+    def work(worker: int) -> None:
+        nonlocal failed
+        size = min(samples, _MC_CHUNK)
+        r, z, p2 = np.empty(size), np.empty(size), np.empty(size)
         try:
             # numpy's error state is per thread. An overflow becomes a
             # non-finite estimate, reported below
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                while True:
-                    with lock:
-                        if not pending:
-                            return
-                        start = pending.pop()
-                        stop = min(start + chunk, samples)
-                        n = stop - start
-                        rng.standard_normal(out=points[:n])
-                    _evaluate_mc_chunk(points[:n], widths, radius[:n], p2[:n], scratch[:n],
-                                       residual[start:stop], g_values[start:stop])
+                for k in range(worker, chunks, workers):
+                    if failed:
+                        return
+                    start, stop = k * _MC_CHUNK, min((k + 1) * _MC_CHUNK, samples)
+                    n = stop - start
+                    _evaluate_mc_chunk(np.random.default_rng([seed, k]), rho_scale, geom.sigma_par,
+                                       r[:n], z[:n], p2[:n], residual[start:stop], g_values[start:stop])
         except BaseException:
-            with lock:  # the other workers take no further chunk
-                pending.clear()
+            failed = True  # the other workers take no further chunk
             raise
 
     _fan_out(workers, work)

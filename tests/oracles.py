@@ -13,11 +13,12 @@ the production radial pieces and angular moments (overlap._angular_moments),
 one node per call, to scipy's quad_vec on the production panel cuts
 (overlap._cuts). The one-shot sampling references one_shot_fill and
 one_shot_mc_oracle, whose subject is the chunking and thread split of
-simulate_fill and of mc_oracle, draw every sample in one
-generator call and evaluate the production closed form on the full arrays;
-one_shot_mc_oracle takes its radial pieces from frozen_radial_parts, a
-verbatim copy of the production kernel from before it worked in place, so
-a change of the kernel's bits fails its hex tests too.
+simulate_fill and of mc_oracle, draw their samples on one thread and
+evaluate the production closed form on the full arrays: one_shot_fill in
+one generator call, one_shot_mc_oracle from one stream per fixed-size chunk
+of samples. one_shot_mc_oracle takes its radial pieces from
+frozen_radial_parts, a verbatim copy of the production kernel from before it
+worked in place, so a change of the kernel's bits fails its hex tests too.
 """
 
 import math
@@ -330,16 +331,26 @@ def frozen_radial_parts(kr):
     return f_mono, f_tensor, g_mono, g_tensor
 
 
+# the samples per chunk of mc_oracle's draw, each chunk from its own stream,
+# when its bits were frozen
+FROZEN_MC_CHUNK = 2**14
+
+
 def one_shot_mc_oracle(geom, samples: int, seed: int) -> DipoleExpectation:
-    """overlap.mc_oracle with every sample drawn and evaluated at once, on
-    the frozen radial pieces."""
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((samples, 3))
-    points[:, :2] *= geom.sigma_perp
-    points[:, 2] *= geom.sigma_par
-    radius = np.sqrt(np.sum(points * points, axis=1))
-    radius = np.maximum(radius, 1e-300)
-    mu = points[:, 2] / radius
+    """overlap.mc_oracle with chunk k's samples drawn from
+    default_rng([seed, k]), one exponential and one normal each, and every
+    sample evaluated at once, on the frozen radial pieces."""
+    exponential, normal = [], []
+    for k, start in enumerate(range(0, samples, FROZEN_MC_CHUNK)):
+        rng = np.random.default_rng([seed, k])
+        n = min(FROZEN_MC_CHUNK, samples - start)
+        exponential.append(rng.standard_exponential(n))
+        normal.append(rng.standard_normal(n))
+    # x^2 + y^2 of two normals of width sigma_perp is 2 sigma_perp^2 Exp(1)
+    rho2 = 2.0 * geom.sigma_perp**2 * np.concatenate(exponential)
+    z = geom.sigma_par * np.concatenate(normal)
+    radius = np.maximum(np.sqrt(rho2 + z * z), 1e-300)
+    mu = z / radius
     p2 = 0.5 * (3.0 * mu * mu - 1.0)
 
     f_mono, f_tensor, g_mono, g_tensor = frozen_radial_parts(radius)

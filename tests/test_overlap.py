@@ -287,6 +287,21 @@ def test_mc_error_scales_as_root_n():
     assert large.err_g / small.err_g == pytest.approx(0.5, rel=0.15)
 
 
+def test_mc_pulls_are_standard_normal_over_seeds():
+    # (mc - mean_fg) / err over 100 seeds of six-chunk calls. Over nine sets
+    # of 120 seeds at (0.1, 0.2) and at (0.3, 0.05), the pulls' means lay in
+    # -0.26..+0.21 and their sds in 0.86..1.14. A stream shared by the six
+    # chunks would leave err as it is and make the sd ~sqrt(6)
+    geom = TrapGeometry(0.3, 0.05)
+    exact = mean_fg(geom)
+    pulls = []
+    for seed in range(100):
+        mc = mc_oracle(geom, 6 * overlap._MC_CHUNK, seed)
+        pulls.append(((mc.mean_f - exact.mean_f) / mc.err_f, (mc.mean_g - exact.mean_g) / mc.err_g))
+    means, sds = np.mean(pulls, axis=0), np.std(pulls, axis=0, ddof=1)
+    assert np.all(np.abs(means) < 0.4) and np.all((0.75 < sds) & (sds < 1.3)), (means, sds)
+
+
 def test_mc_rejects_tiny_sample_counts():
     with pytest.raises(ValueError, match="10\\^4"):
         mc_oracle(REFERENCE_GEOMETRY, samples=100, seed=1)
@@ -296,19 +311,18 @@ def test_mc_rejects_tiny_sample_counts():
     "eta, samples, seed",
     [
         ((0.1, 0.2), 10**5, 11),
-        # three 2-CPU worker chunks and a ragged tail, and exactly one
-        ((0.05, 1.0), 3 * 2**14 + 7, 5),
-        ((1.0, 0.05), 2**14, 3),
-        ((0.15, 0.15), 10**4, 2),
+        # three full chunks and a ragged tail, and exactly one
         ((0.05, 1.0), 3 * overlap._MC_CHUNK + 7, 5),
         ((1.0, 0.05), overlap._MC_CHUNK, 3),
+        ((0.15, 0.15), 10**4, 2),
+        ((0.05, 1.0), 6 * overlap._MC_CHUNK + 7, 5),
+        ((1.0, 0.05), 2 * overlap._MC_CHUNK, 3),
     ],
 )
 def test_chunked_mc_oracle_matches_the_one_shot_draw(eta, samples, seed, monkeypatch):
-    # chunks consume the generator in stream order as one draw of all
-    # samples does, whichever worker evaluates them, and the means and
-    # deviations are taken once over full-length arrays; at these widths the
-    # control constant's rounding vanishes from err_f
+    # each chunk draws from its own stream, whichever worker evaluates it,
+    # and the means and deviations are taken once over full-length arrays;
+    # at these widths the control constant's rounding vanishes from err_f
     geom = TrapGeometry(*eta)
     want = oracles.one_shot_mc_oracle(geom, samples, seed)
     fields = ("mean_f", "mean_g", "err_f", "err_g")
@@ -320,12 +334,12 @@ def test_chunked_mc_oracle_matches_the_one_shot_draw(eta, samples, seed, monkeyp
 
 
 def _record_chunks(monkeypatch, cpus: int) -> list:
-    """Make mc_oracle see cpus CPUs, and record the (thread, size) of each
+    """Make mc_oracle see cpus CPUs, and record the (thread, radii) of each
     chunk it evaluates."""
     chunks = []
 
     def recording(r):
-        chunks.append((threading.current_thread(), r.size))
+        chunks.append((threading.current_thread(), r.copy()))
         return radial_parts(r)
 
     monkeypatch.setattr(overlap, "_available_cpus", lambda: cpus)
@@ -346,32 +360,36 @@ def _record_workers(monkeypatch, fan_out=overlap._fan_out) -> list:
 
 
 def test_mc_oracle_splits_its_chunks_across_threads(monkeypatch):
-    chunks = _record_chunks(monkeypatch, cpus=3)
-    fanned = _record_workers(monkeypatch)
     samples = 3 * overlap._MC_CHUNK + 7
-    mc_oracle(REFERENCE_GEOMETRY, samples, 1)
-    chunk = overlap._MC_CHUNK // 3
-    assert sorted(size for _, size in chunks) == [samples % chunk] + [chunk] * (samples // chunk)
-    assert fanned == [3]
-    assert len({thread for thread, _ in chunks}) <= 3
+    for cpus in (1, 2, 3):
+        chunks = _record_chunks(monkeypatch, cpus)
+        fanned = _record_workers(monkeypatch)
+        mc_oracle(REFERENCE_GEOMETRY, samples, 1)
+        # the chunk size does not depend on the CPU count
+        assert sorted(r.size for _, r in chunks) == [7] + [overlap._MC_CHUNK] * 3
+        assert fanned == [min(cpus, overlap._MC_WORKERS)]
+        assert len({thread for thread, _ in chunks}) == fanned[0]
+        # every chunk draws from a stream of its own: no radius is seen twice
+        radii = np.concatenate([r for _, r in chunks])
+        assert np.unique(radii).size == samples
 
-    # no more threads than chunks: chunk + 7 samples are two chunks
+    # no more threads than chunks
     chunks.clear()
     fanned.clear()
-    mc_oracle(REFERENCE_GEOMETRY, chunk + 7, 1)
-    assert sorted(size for _, size in chunks) == [7, chunk]
-    assert fanned == [2]
+    mc_oracle(REFERENCE_GEOMETRY, overlap._MC_CHUNK, 1)
+    assert [r.size for _, r in chunks] == [overlap._MC_CHUNK]
+    assert fanned == [1]
 
 
-def test_mc_oracle_worker_chunks_stay_above_the_minimum(monkeypatch):
-    # with more CPUs than _MC_CHUNK has room for, the workers stop at
-    # _MC_CHUNK // _MC_MIN_CHUNK. They run one after another on the calling
-    # thread here, so no thread starts
+def test_mc_oracle_workers_stop_at_the_cap(monkeypatch):
+    # with 64 CPUs the workers stop at _MC_WORKERS = 2, the chunks in flight
+    # that the memory bound has room for. They run one after another on the
+    # calling thread here, so no thread starts
     chunks = _record_chunks(monkeypatch, cpus=64)
     fanned = _record_workers(monkeypatch, lambda workers, work: [work(k) for k in range(workers)])
     mc_oracle(REFERENCE_GEOMETRY, 10**5, 1)
-    assert fanned == [overlap._MC_CHUNK // overlap._MC_MIN_CHUNK]
-    assert {size for _, size in chunks} == {overlap._MC_MIN_CHUNK, 10**5 % overlap._MC_MIN_CHUNK}
+    assert fanned == [2]
+    assert sorted(r.size for _, r in chunks) == [10**5 % overlap._MC_CHUNK] + [overlap._MC_CHUNK] * 6
     assert {thread for thread, _ in chunks} == {threading.current_thread()}
 
 
@@ -385,7 +403,7 @@ def test_mc_oracle_worker_exception_propagates(monkeypatch):
     chunks = []
 
     def failing(r):
-        chunks.append(r.size)
+        chunks.append(threading.current_thread())
         if threading.current_thread() is not caller:
             raise _WorkerFailure("worker chunk")
         return radial_parts(r)
@@ -394,15 +412,18 @@ def test_mc_oracle_worker_exception_propagates(monkeypatch):
     monkeypatch.setattr(overlap, "radial_parts", failing)
     with pytest.raises(_WorkerFailure, match="worker chunk"):
         mc_oracle(REFERENCE_GEOMETRY, 10**6, 1)
-    # the failure stopped the calling thread before it took all 62 chunks,
-    # and every worker thread has been joined
-    assert len(chunks) < -(-10**6 // (overlap._MC_CHUNK // 2))
+    # of the 62 chunks, the calling thread takes every other one: the
+    # failure stopped it before it took all 31 of them, and every worker
+    # thread has been joined
+    assert -(-10**6 // overlap._MC_CHUNK) == 62
+    assert len(chunks) < 62
+    assert chunks.count(caller) < 31
     assert threading.active_count() == threads_before
 
 
 def test_mc_oracle_bits_hold_under_frequent_thread_switches(monkeypatch):
-    # three workers on fewer cores, switching every microsecond: a chunk
-    # taken twice, skipped or drawn out of stream order moves the bits
+    # two workers, switching every microsecond: a chunk taken twice,
+    # skipped or drawn from another chunk's stream moves the bits
     monkeypatch.setattr(overlap, "_available_cpus", lambda: 3)
     geom = TrapGeometry(0.3, 0.07)
     want = oracles.one_shot_mc_oracle(geom, 123_457, 9)
@@ -428,7 +449,7 @@ def test_mc_oracle_peak_memory_is_two_sample_arrays_and_a_chunk(monkeypatch):
             tracemalloc.stop()
         # the 8 MB residual and g arrays, with the moments taken in place,
         # plus every worker's chunk buffers and radial_parts' temporaries:
-        # the workers' chunks share one _MC_CHUNK between them (~3.6 MB in all)
+        # at most _MC_WORKERS chunks of _MC_CHUNK samples (~3.6 MB in all)
         assert peak < 2 * 8 * 10**6 + 4e6, f"peak {peak} B at {cpus} CPUs"
 
 
