@@ -18,7 +18,8 @@ def main() -> int:
     parser.add_argument("--min", type=float, default=0.05)
     parser.add_argument("--max", type=float, default=0.30)
     parser.add_argument("--steps", type=int, default=26)
-    parser.add_argument("--jobs", type=int, default=4)
+    parser.add_argument("--jobs", type=int, default=4,
+                        help="the most threads, capped at the CPU count")
     parser.add_argument("--out", default="kappa_map.csv")
     args = parser.parse_args()
 

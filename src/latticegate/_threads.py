@@ -1,8 +1,9 @@
-"""Fan a job out over worker threads, one per available CPU.
+"""The package's one scheduler: chunks dealt round-robin to worker threads.
 
 numpy releases the interpreter lock inside its array loops, so chunked array
 work scales across CPUs within one process, with no pool and no pickling.
-simulate_fill and mc_oracle split their chunks this way.
+simulate_fill, mc_oracle and kappa_map run their chunks this way; no other
+module starts a thread.
 """
 
 from __future__ import annotations
@@ -18,24 +19,32 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fan_out(workers: int, work) -> list:
-    """[work(0), ..., work(workers - 1)]: work(0) runs on the calling thread
-    and every other call on a thread of its own. Every thread is joined
-    before this returns or raises; the first exception in worker order is
-    then re-raised here."""
-    results: list = [None] * workers
+def _fan_out(workers: int, chunks: int, work) -> list:
+    """[work(0), ..., work(chunks - 1)]: thread w takes chunks w, w + workers,
+    ..., the calling thread being thread 0, and a thread with no chunk is
+    never started. A thread that finishes a chunk after another thread has
+    failed takes no further chunk. Every thread is joined before this
+    returns or raises; the first exception in thread order is then
+    re-raised here."""
+    results: list = [None] * chunks
     errors: list = [None] * workers
+    failed = False
 
-    def run(k: int) -> None:
+    def run(w: int) -> None:
+        nonlocal failed
         try:
-            results[k] = work(k)
+            for k in range(w, chunks, workers):
+                results[k] = work(k)
+                if failed:
+                    return
         except BaseException as exc:  # re-raised in the calling thread below
-            errors[k] = exc
+            errors[w] = exc
+            failed = True
 
     started = []
     try:
-        for k in range(1, workers):
-            thread = threading.Thread(target=run, args=(k,))
+        for w in range(1, min(workers, chunks)):
+            thread = threading.Thread(target=run, args=(w,))
             thread.start()
             started.append(thread)
         run(0)

@@ -110,12 +110,13 @@ def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
     Well 2i is site i's control well and well 2i + 1 its target well; well
     k is occupied where draw k of default_rng(seed).random is below p. The
     wells are split into contiguous ranges of whole _FILL_CHUNK chunks, one
-    per worker thread, at most one per available CPU. Each worker jumps its
-    own PCG64 to its range, draws a chunk at a time into one reused buffer
-    and counts its sites while the chunk is in cache; the calling thread
-    takes the first range and sums the exact integer counts. The counts are
-    those of rng.random((n_sites, 2)) < p, whatever the number of workers,
-    and no occupancy array is kept. A worker's exception is re-raised here.
+    per worker thread, at most one per available CPU, and _threads._fan_out
+    runs each range as one chunk. Each worker jumps its own PCG64 to its
+    range, draws a chunk at a time into one reused buffer and counts its
+    sites while the chunk is in cache; the calling thread takes the first
+    range and sums the exact integer counts. The counts are those of
+    rng.random((n_sites, 2)) < p, whatever the number of workers, and no
+    occupancy array is kept. A worker's exception is re-raised here.
     """
     if n_sites <= 0:
         raise ValueError("n_sites must be positive")
@@ -125,7 +126,7 @@ def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
     n_chunks = -(-n_wells // _FILL_CHUNK)
     workers = min(_available_cpus(), n_chunks)
     bounds = [min(k * n_chunks // workers * _FILL_CHUNK, n_wells) for k in range(workers + 1)]
-    results = _fan_out(workers, lambda k: _count_range(seed, p, bounds[k], bounds[k + 1]))
+    results = _fan_out(workers, workers, lambda k: _count_range(seed, p, bounds[k], bounds[k + 1]))
     n_paired, n_control_only, n_target_only = map(sum, zip(*results))
     return LatticeFill(n_sites, n_paired, n_control_only, n_target_only, p, seed)
 

@@ -614,9 +614,10 @@ def _mean_and_std_in_place(values: np.ndarray) -> tuple[float, float]:
     return float(mean), math.sqrt(np.add.reduce(values) / (values.size - 1))
 
 
-def _evaluate_mc_chunk(rng, rho_scale, sigma_par, r, z, p, residual, g_values) -> None:
+def _evaluate_mc_chunk(rng, rho_scale, sigma_par, residual, g_values) -> None:
     # draws one chunk of samples from rng and writes each one's residual and
-    # g; r, z and p are scratch of residual's length
+    # g, through scratch of residual's length
+    r, z, p = np.empty(residual.size), np.empty(residual.size), np.empty(residual.size)
     rng.standard_exponential(out=r)
     rng.standard_normal(out=z)
     # r = sqrt(rho^2 + z^2) with rho^2 = x^2 + y^2 = 2 sigma_perp^2 E
@@ -659,15 +660,15 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
 
     Chunk k holds the _MC_CHUNK = 2^14 samples from k * _MC_CHUNK on (the
     last chunk the rest) and draws them from default_rng([seed, k]): all its
-    exponentials, then all its normals. Worker w, the calling thread among
-    them, takes chunks w, w + workers, ... into its slices of full-length
-    residual and g arrays through its own reused buffers. There is one
-    worker per available CPU, at most _MC_WORKERS = 2 (so the chunks in
-    flight fit the memory of those two arrays) and no more than chunks. A
-    chunk's samples depend on (seed, k) alone and every later step is
-    elementwise, so the result has the same bits for any number of workers.
-    The means and deviations are taken once and in place. A worker's
-    exception stops the others from taking a further chunk and is re-raised.
+    exponentials, then all its normals, into its slices of full-length
+    residual and g arrays through scratch of its own. _threads._fan_out
+    deals the chunks to one thread per available CPU, at most _MC_WORKERS =
+    2 (so the chunks in flight fit the memory of those two arrays) and no
+    more than chunks. A chunk's samples depend on (seed, k) alone and every
+    later step is elementwise, so the result has the same bits for any
+    number of threads.
+    The means and deviations are taken once and in place. A chunk's
+    exception stops the other threads between chunks and is re-raised.
 
     err_f is the standard error of the residual's mean combined in
     quadrature with the rounding of the control constant, bounded by
@@ -682,29 +683,16 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     residual = np.empty(samples)
     g_values = np.empty(samples)
     chunks = -(-samples // _MC_CHUNK)
-    workers = min(_available_cpus(), _MC_WORKERS, chunks)
-    failed = False
 
-    def work(worker: int) -> None:
-        nonlocal failed
-        size = min(samples, _MC_CHUNK)
-        r, z, p2 = np.empty(size), np.empty(size), np.empty(size)
-        try:
-            # numpy's error state is per thread. An overflow becomes a
-            # non-finite estimate, reported below
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for k in range(worker, chunks, workers):
-                    if failed:
-                        return
-                    start, stop = k * _MC_CHUNK, min((k + 1) * _MC_CHUNK, samples)
-                    n = stop - start
-                    _evaluate_mc_chunk(np.random.default_rng([seed, k]), rho_scale, geom.sigma_par,
-                                       r[:n], z[:n], p2[:n], residual[start:stop], g_values[start:stop])
-        except BaseException:
-            failed = True  # the other workers take no further chunk
-            raise
+    def chunk(k: int) -> None:
+        start, stop = k * _MC_CHUNK, min((k + 1) * _MC_CHUNK, samples)
+        # numpy's error state is per thread. An overflow becomes a
+        # non-finite estimate, reported below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _evaluate_mc_chunk(np.random.default_rng([seed, k]), rho_scale, geom.sigma_par,
+                               residual[start:stop], g_values[start:stop])
 
-    _fan_out(workers, work)
+    _fan_out(min(_available_cpus(), _MC_WORKERS, chunks), chunks, chunk)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         root_n = math.sqrt(samples)
         control = 2.0 * _kappa_approx_values(geom.eta_perp, geom.eta_par)
@@ -807,11 +795,6 @@ def optimize_ratio(eta_perp: float) -> tuple[float, float]:
 _MAP_CHUNK = 128
 
 
-def _map_chunk(args: tuple[list[TrapGeometry], QuadratureSpec]) -> list[float]:
-    results = _mean_fg_many(*args)
-    return [math.nan if isinstance(r, ConvergenceError) else r.kappa for r in results]
-
-
 def kappa_map(
     eta_perp_grid,
     eta_par_grid,
@@ -823,12 +806,13 @@ def kappa_map(
     Returns shape (len(eta_perp_grid), len(eta_par_grid)); rows scan
     eta_perp. Cells that fail to converge are nan, not fatal. The cells run
     in contiguous chunks of at most _MAP_CHUNK, each chunk one lockstep
-    quadrature (_mean_fg_many); with jobs > 1 the chunks fan out to a
-    process pool of at most one worker per cell, cut small enough that every
-    worker gets one. Every cell's TrapGeometry is built, and so checked,
+    quadrature (_mean_fg_many), which _threads._fan_out deals to at most
+    jobs threads, no more than the available CPUs or the cells; the chunks
+    are cut small enough that every thread gets one. jobs = 1 runs them on
+    the calling thread. Every cell's TrapGeometry is built, and so checked,
     before any chunk runs. A cell's value is the bits kappa() gives it
-    alone, so the output does not depend on the chunking, the worker count
-    or the scheduling.
+    alone, so the output does not depend on the chunking, the thread count
+    or the scheduling. A chunk's exception is re-raised here.
     """
     perp = np.asarray(eta_perp_grid, dtype=float)
     par = np.asarray(eta_par_grid, dtype=float)
@@ -841,18 +825,12 @@ def kappa_map(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
 
-    workers = min(jobs, len(cells))
+    workers = min(jobs, _available_cpus(), len(cells))
     size = min(_MAP_CHUNK, math.ceil(len(cells) / workers))
-    tasks = [(cells[i : i + size], quad_spec) for i in range(0, len(cells), size)]
-    if workers == 1:
-        chunks = [_map_chunk(task) for task in tasks]
-    else:
-        # imported here so that a serial run never loads multiprocessing
-        from multiprocessing import Pool
-
-        with Pool(processes=workers) as pool:
-            chunks = pool.map(_map_chunk, tasks, chunksize=1)
-    return np.array([v for chunk in chunks for v in chunk], dtype=float).reshape(perp.size, par.size)
+    batches = [cells[i : i + size] for i in range(0, len(cells), size)]
+    chunks = _fan_out(workers, len(batches), lambda k: _mean_fg_many(batches[k], quad_spec))
+    values = [math.nan if isinstance(r, ConvergenceError) else r.kappa for chunk in chunks for r in chunk]
+    return np.array(values, dtype=float).reshape(perp.size, par.size)
 
 
 def kappa_map_csv(eta_perp_grid, eta_par_grid, values: np.ndarray, fh) -> None:

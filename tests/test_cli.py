@@ -326,12 +326,13 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_cli_import_and_serial_map_leave_multiprocessing_out():
-    # a pool starts only for jobs > 1, so nothing else pays for its import;
-    # the ensemble fill and mc_oracle split across threads, not processes or
-    # an executor
+    # the map, also with --jobs 2, the ensemble fill and mc_oracle split
+    # across threads, not processes or an executor
     probe = (
         "import sys, latticegate.cli; "
         "latticegate.cli.kappa_map([0.1, 0.2], [0.1, 0.2], jobs=1); "
+        "latticegate.cli.main(['map', '--perp-min', '0.1', '--perp-max', '0.2', '--perp-steps', '2', "
+        "'--par-min', '0.1', '--par-max', '0.2', '--par-steps', '2', '--jobs', '2']); "
         "latticegate.cli.main(['ensemble', '--sites', '1000000']); "
         "latticegate.mc_oracle(latticegate.TrapGeometry(0.1, 0.2), 10**5, 1); "
         "print(sorted(m for m in sys.modules "

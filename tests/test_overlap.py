@@ -1,7 +1,6 @@
 import io
 import itertools
 import math
-import multiprocessing
 import sys
 import threading
 import tracemalloc
@@ -347,13 +346,18 @@ def _record_chunks(monkeypatch, cpus: int) -> list:
     return chunks
 
 
+def _serial_fan_out(workers, chunks, work):
+    # every chunk in order on the calling thread: no thread starts
+    return [work(k) for k in range(chunks)]
+
+
 def _record_workers(monkeypatch, fan_out=overlap._fan_out) -> list:
-    """Record the number of workers of each of mc_oracle's fan-outs."""
+    """Record the number of workers of each of overlap's fan-outs."""
     fanned = []
 
-    def recording(workers, work):
+    def recording(workers, chunks, work):
         fanned.append(workers)
-        return fan_out(workers, work)
+        return fan_out(workers, chunks, work)
 
     monkeypatch.setattr(overlap, "_fan_out", recording)
     return fanned
@@ -386,7 +390,7 @@ def test_mc_oracle_workers_stop_at_the_cap(monkeypatch):
     # that the memory bound has room for. They run one after another on the
     # calling thread here, so no thread starts
     chunks = _record_chunks(monkeypatch, cpus=64)
-    fanned = _record_workers(monkeypatch, lambda workers, work: [work(k) for k in range(workers)])
+    fanned = _record_workers(monkeypatch, _serial_fan_out)
     mc_oracle(REFERENCE_GEOMETRY, 10**5, 1)
     assert fanned == [2]
     assert sorted(r.size for _, r in chunks) == [10**5 % overlap._MC_CHUNK] + [overlap._MC_CHUNK] * 6
@@ -615,8 +619,8 @@ def test_map_matches_pointwise_kappa():
 def test_map_worker_count_independence():
     grid = np.linspace(0.08, 0.2, 3)
     serial = kappa_map(grid, grid, jobs=1)
-    pooled = kappa_map(grid, grid, jobs=2)
-    assert np.array_equal(serial, pooled)
+    threaded = kappa_map(grid, grid, jobs=2)
+    assert np.array_equal(serial, threaded)
 
 
 def test_map_grid_validation():
@@ -636,27 +640,49 @@ def test_map_grid_validation():
         kappa_map(good, good, jobs=0)
 
 
-def test_map_pool_never_outnumbers_cells(monkeypatch):
-    started = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, tasks, chunksize):
-            return [func(task) for task in tasks]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+def test_map_workers_never_outnumber_cells_or_cpus(monkeypatch):
+    fanned = _record_workers(monkeypatch, _serial_fan_out)
     grid = np.array([0.1, 0.2])
     values = kappa_map(grid, grid, jobs=8)
-    assert started == [4]
+    assert fanned == [min(8, overlap._available_cpus(), 4)]
     assert np.array_equal(values, kappa_map(grid, grid, jobs=1))
+
+
+def test_map_workers_stop_at_the_cpu_count(monkeypatch):
+    # a huge jobs asks for no more threads than CPUs; the chunks run on the
+    # calling thread here, so no thread or process starts
+    fanned = _record_workers(monkeypatch, _serial_fan_out)
+    grid = np.array([0.1, 0.15, 0.2])
+    kappa_map(grid, grid, jobs=10**6)
+    assert fanned == [min(overlap._available_cpus(), 9)]
+    fanned.clear()
+    monkeypatch.setattr(overlap, "_available_cpus", lambda: 3)
+    values = kappa_map(grid, grid, jobs=10**6)
+    assert fanned == [3]
+    assert np.array_equal(values, kappa_map(grid, grid, jobs=1))
+
+
+@pytest.mark.parametrize("failing_row", [0.1, 0.2])
+def test_map_chunk_exception_propagates(failing_row, monkeypatch):
+    # four cells in two chunks of one row each: the calling thread takes the
+    # 0.1 row and a worker thread the 0.2 row
+    threads_before = threading.active_count()
+    threads = set()
+    mean_fg_many = overlap._mean_fg_many
+
+    def failing(cells, quad_spec):
+        threads.add(threading.current_thread())
+        if cells[0].eta_perp == failing_row:
+            raise _WorkerFailure(f"row {failing_row}")
+        return mean_fg_many(cells, quad_spec)
+
+    monkeypatch.setattr(overlap, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(overlap, "_mean_fg_many", failing)
+    grid = np.array([0.1, 0.2])
+    with pytest.raises(_WorkerFailure, match=f"row {failing_row}"):
+        kappa_map(grid, grid, jobs=2)
+    assert len(threads) == 2
+    assert threading.active_count() == threads_before
 
 
 def test_map_marks_failed_cells_as_nan():
