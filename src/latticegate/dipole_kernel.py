@@ -47,20 +47,23 @@ def _j_series(n: int, x):
     return total
 
 
-def radial_parts(kr):
+def radial_parts(kr, out=None):
     """Radial factors (f_mono, f_tensor, g_mono, g_tensor) at kr.
 
     f(kr, mu) = f_mono + P2(mu) * f_tensor and likewise for g; the angular
     dependence is carried entirely by P2, so averaging integrators can take
     angular moments once and reuse these four numbers per radius.
 
-    Takes an ndarray of radii of any shape, which it never writes, and
-    returns four new arrays of that shape; rejects a scalar or 0-d kr and
-    kr <= 0. Uses the closed trigonometric forms with the small-argument
-    series branch for j2 (the y-pieces are hierarchical at small kr and
-    never cancel), built in place over the sin, cos and 1/x^3 buffers: a
-    call holds at most seven arrays of kr's size, and the series. Every
-    step is that of the one-expression forms in tests/oracles.py.
+    Takes an ndarray of radii of any shape, which it never writes; rejects a
+    scalar or 0-d kr and kr <= 0. Uses the closed trigonometric forms with
+    the small-argument series branch for j2 (the y-pieces are hierarchical
+    at small kr and never cancel), built in place over seven arrays of kr's
+    shape, and the series. With out=None those seven are allocated and the
+    four results come back as new arrays. Otherwise out is seven arrays of
+    kr's shape, none of them kr: the results are written into out[:4] and
+    returned, out[4:] is scratch, and the call allocates only its masks and
+    the series. Either way every step is that of the one-expression forms in
+    tests/oracles.py.
     """
     x = np.asarray(kr, dtype=float)
     if x.ndim == 0:
@@ -73,19 +76,23 @@ def radial_parts(kr):
     # indices gather and scatter several times faster than the mask
     series = _j_series(2, x[np.nonzero(small)]) if small.any() else None
 
-    s, c = np.sin(x), np.cos(x)
-    inv = 1.0 / x
-    inv2 = inv * inv
-    inv3 = inv2 * inv
-    f_tensor = np.multiply(inv3, -3.0)
+    if out is None:
+        out = [np.empty(x.shape) for _ in range(7)]
+    c, f_tensor, s, j2, inv, inv2, product = out
+    del out  # an allocated scratch array is freed with its name below
+    np.sin(x, out=s)
+    np.cos(x, out=c)
+    np.divide(1.0, x, out=inv)
+    np.multiply(inv, inv, out=inv2)
+    np.multiply(inv2, inv, out=j2)  # 1/x^3
+    np.multiply(j2, -3.0, out=f_tensor)
     f_tensor += inv
     f_tensor *= c
-    j2 = inv3
     j2 *= 3.0
     j2 -= inv
     j2 *= s
     inv2 *= 3.0
-    product = inv2 * s
+    np.multiply(inv2, s, out=product)
     f_tensor -= product
     np.negative(f_tensor, out=f_tensor)  # subtract, then negate: the signs of zeros hold
     np.multiply(inv2, c, out=product)

@@ -593,9 +593,10 @@ def mean_fg(geom: TrapGeometry, quad_spec: QuadratureSpec = QuadratureSpec()) ->
 
 
 # Monte Carlo samples per chunk, whatever the CPU count. 2^13 ran ~25% slower
-# on 2 CPUs, and 2^15 took 21.5e6 B at 10^6 samples, over the 20e6 bound
+# on 2 CPUs; a worker's scratch is ten arrays of a chunk, 1.3 MB at 2^14
 _MC_CHUNK = 1 << 14
-# chunks in flight at once, whose buffers fit beside the two sample arrays
+# chunks in flight at once: their scratch, ~2.6 MB in all, stays under the
+# 4e6 B bound on a call's peak memory
 _MC_WORKERS = 2
 # a bound on the rounding of the control constant 2 * kappa_approx, in ulps
 # of itself. Against 50-digit mpmath the closed form is off by at most 165
@@ -605,19 +606,43 @@ _MC_WORKERS = 2
 _CONTROL_ULPS = 256
 
 
-def _mean_and_std_in_place(values: np.ndarray) -> tuple[float, float]:
-    # the steps of values.mean() and values.std(ddof=1), with the deviations
-    # written over values rather than into a temporary of its size
-    mean = np.add.reduce(values) / values.size
-    np.subtract(values, mean, out=values)
+def _chunk_moments(values: np.ndarray) -> tuple[int, float, float, float]:
+    # (count, sum, sum of the deviations from the chunk's mean, sum of their
+    # squares), with the deviations written over values
+    total = np.add.reduce(values)
+    np.subtract(values, total / values.size, out=values)
+    deviation = np.add.reduce(values)
     np.multiply(values, values, out=values)
-    return float(mean), math.sqrt(np.add.reduce(values) / (values.size - 1))
+    return values.size, float(total), float(deviation), float(np.add.reduce(values))
 
 
-def _evaluate_mc_chunk(rng, rho_scale, sigma_par, residual, g_values) -> None:
-    # draws one chunk of samples from rng and writes each one's residual and
-    # g, through scratch of residual's length
-    r, z, p = np.empty(residual.size), np.empty(residual.size), np.empty(residual.size)
+def _pooled_mean_and_std(moments: list) -> tuple[float, float]:
+    """The mean and std(ddof=1) of the values whose chunks have the
+    _chunk_moments given, or nan where a moment or the pooling overflows.
+
+    Corrected two-pass pooling (Chan, Golub & LeVeque, Am. Stat. 37, 242
+    (1983)): with m the mean and m_k = sum_k / n_k, the squared deviations
+    sum to the exact sum over chunks of M2_k + 2 (m_k - m) D_k + n_k (m_k -
+    m)^2. D_k, the deviations' own sum, takes out the rounding of m_k, which
+    without it costs ~1e5 ulps of the deviation at an offset of 1e8 sigma.
+    Each sum is taken by math.fsum in chunk order.
+    """
+    count = sum(n for n, _, _, _ in moments)
+    terms = []
+    try:
+        mean = math.fsum(total for _, total, _, _ in moments) / count
+        for n, total, deviation, squares in moments:
+            shift = total / n - mean
+            terms += (squares, 2.0 * shift * deviation, n * shift * shift)
+        return mean, math.sqrt(math.fsum(terms) / (count - 1))
+    except (OverflowError, ValueError):  # fsum's overflow or inf - inf
+        return math.nan, math.nan
+
+
+def _evaluate_mc_chunk(rng, rho_scale, sigma_par, scratch) -> tuple[tuple, tuple]:
+    # draws one chunk of samples from rng into the ten rows of scratch and
+    # returns the _chunk_moments of their residuals and of their g values
+    r, z, p = scratch[:3]
     rng.standard_exponential(out=r)
     rng.standard_normal(out=z)
     # r = sqrt(rho^2 + z^2) with rho^2 = x^2 + y^2 = 2 sigma_perp^2 E
@@ -634,16 +659,17 @@ def _evaluate_mc_chunk(rng, rho_scale, sigma_par, residual, g_values) -> None:
     np.subtract(p, 1.0, out=p)
     np.multiply(p, 0.5, out=p)
 
-    f_mono, f_tensor, g_mono, g_tensor = radial_parts(r)
+    f_mono, f_tensor, g_mono, g_tensor = radial_parts(r, out=scratch[3:])
     # residual = (f_mono + p2 f_tensor) - 3 p2 / r^3
     np.multiply(p, f_tensor, out=f_tensor)
     np.add(f_mono, f_tensor, out=f_mono)
     np.power(r, 3, out=z)
     np.multiply(p, 3.0, out=f_tensor)
     np.divide(f_tensor, z, out=f_tensor)
-    np.subtract(f_mono, f_tensor, out=residual)
+    np.subtract(f_mono, f_tensor, out=f_mono)
     np.multiply(p, g_tensor, out=g_tensor)
-    np.add(g_mono, g_tensor, out=g_values)
+    np.add(g_mono, g_tensor, out=g_mono)
+    return _chunk_moments(f_mono), _chunk_moments(g_mono)
 
 
 def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
@@ -660,14 +686,17 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
 
     Chunk k holds the _MC_CHUNK = 2^14 samples from k * _MC_CHUNK on (the
     last chunk the rest) and draws them from default_rng([seed, k]): all its
-    exponentials, then all its normals, into its slices of full-length
-    residual and g arrays through scratch of its own. _threads._fan_out
-    deals the chunks to one thread per available CPU, at most _MC_WORKERS =
-    2 (so the chunks in flight fit the memory of those two arrays) and no
-    more than chunks. A chunk's samples depend on (seed, k) alone and every
-    later step is elementwise, so the result has the same bits for any
-    number of threads.
-    The means and deviations are taken once and in place. A chunk's
+    exponentials, then all its normals. _threads._fan_out deals the chunks
+    to one thread per available CPU, at most _MC_WORKERS = 2 and no more
+    than chunks. Each thread has one set of ten chunk-sized scratch arrays
+    for the call (chunk k takes set k % workers, which the round-robin gives
+    to one thread alone), and radial_parts works in seven of them, so a call
+    holds O(workers x chunk) memory and no chunk allocates its arrays. A
+    chunk reduces its residuals and its g values to _chunk_moments, and the
+    calling thread pools them in chunk order (_pooled_mean_and_std). A
+    chunk's samples depend on (seed, k) alone, every later step is
+    elementwise or within the chunk, and the pooling runs in chunk order, so
+    the result has the same bits for any number of threads. A chunk's
     exception stops the other threads between chunks and is re-raised.
 
     err_f is the standard error of the residual's mean combined in
@@ -680,27 +709,26 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     if samples < 10_000:
         raise ValueError("mc_oracle needs at least 10^4 samples")
     rho_scale = 2.0 * geom.sigma_perp**2
-    residual = np.empty(samples)
-    g_values = np.empty(samples)
     chunks = -(-samples // _MC_CHUNK)
+    workers = min(_available_cpus(), _MC_WORKERS, chunks)
+    scratch = [np.empty((10, min(_MC_CHUNK, samples))) for _ in range(workers)]
 
-    def chunk(k: int) -> None:
-        start, stop = k * _MC_CHUNK, min((k + 1) * _MC_CHUNK, samples)
+    def chunk(k: int) -> tuple[tuple, tuple]:
+        size = min(_MC_CHUNK, samples - k * _MC_CHUNK)
         # numpy's error state is per thread. An overflow becomes a
         # non-finite estimate, reported below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            _evaluate_mc_chunk(np.random.default_rng([seed, k]), rho_scale, geom.sigma_par,
-                               residual[start:stop], g_values[start:stop])
+            return _evaluate_mc_chunk(np.random.default_rng([seed, k]), rho_scale, geom.sigma_par,
+                                      scratch[k % workers][:, :size])
 
-    _fan_out(min(_available_cpus(), _MC_WORKERS, chunks), chunks, chunk)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        root_n = math.sqrt(samples)
-        control = 2.0 * _kappa_approx_values(geom.eta_perp, geom.eta_par)
-        residual_mean, residual_std = _mean_and_std_in_place(residual)
-        mean_f = residual_mean + control
-        err_f = math.hypot(residual_std / root_n, _CONTROL_ULPS * math.ulp(control))
-        mean_g, g_std = _mean_and_std_in_place(g_values)
-        err_g = g_std / root_n
+    moments = _fan_out(workers, chunks, chunk)
+    root_n = math.sqrt(samples)
+    control = 2.0 * _kappa_approx_values(geom.eta_perp, geom.eta_par)
+    residual_mean, residual_std = _pooled_mean_and_std([f for f, _ in moments])
+    mean_f = residual_mean + control
+    err_f = math.hypot(residual_std / root_n, _CONTROL_ULPS * math.ulp(control))
+    mean_g, g_std = _pooled_mean_and_std([g for _, g in moments])
+    err_g = g_std / root_n
     if not all(map(math.isfinite, (mean_f, err_f, mean_g, err_g))):
         raise ConvergenceError(f"non-finite Monte Carlo estimate for {geom} from {samples} samples")
     return DipoleExpectation(mean_f, mean_g, err_f, err_g, samples)

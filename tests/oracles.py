@@ -19,6 +19,10 @@ one generator call, one_shot_mc_oracle from one stream per fixed-size chunk
 of samples. one_shot_mc_oracle takes its radial pieces from
 frozen_radial_parts, a verbatim copy of the production kernel from before it
 worked in place, so a change of the kernel's bits fails its hex tests too.
+Its means and deviations are pooled from each chunk's moments in chunk
+order (pooled_mean_and_std), the arithmetic mc_oracle uses, so they are not
+an independent reference; the tests hold that pooling, here and in
+overlap, to numpy's full-array mean and std.
 """
 
 import math
@@ -336,10 +340,30 @@ def frozen_radial_parts(kr):
 FROZEN_MC_CHUNK = 2**14
 
 
+def pooled_mean_and_std(values: np.ndarray, chunk: int) -> tuple[float, float]:
+    """The mean and std(ddof=1) of values from the moments of each run of
+    chunk values: its sum, and the sum of its deviations from its own mean
+    and of their squares, pooled with math.fsum in chunk order by the
+    corrected two-pass formula of Chan, Golub & LeVeque (1983)."""
+    moments = []
+    for start in range(0, values.size, chunk):
+        part = values[start:start + chunk]
+        total = part.sum()
+        deviations = part - total / part.size
+        moments.append((part.size, float(total), float(deviations.sum()), float((deviations * deviations).sum())))
+    mean = math.fsum(total for _, total, _, _ in moments) / values.size
+    terms = []
+    for n, total, deviation, squares in moments:
+        shift = total / n - mean
+        terms += (squares, 2.0 * shift * deviation, n * shift * shift)
+    return mean, math.sqrt(math.fsum(terms) / (values.size - 1))
+
+
 def one_shot_mc_oracle(geom, samples: int, seed: int) -> DipoleExpectation:
     """overlap.mc_oracle with chunk k's samples drawn from
-    default_rng([seed, k]), one exponential and one normal each, and every
-    sample evaluated at once, on the frozen radial pieces."""
+    default_rng([seed, k]), one exponential and one normal each, every
+    sample evaluated at once on the frozen radial pieces, and the means and
+    deviations pooled from each chunk's moments."""
     exponential, normal = [], []
     for k, start in enumerate(range(0, samples, FROZEN_MC_CHUNK)):
         rng = np.random.default_rng([seed, k])
@@ -360,11 +384,10 @@ def one_shot_mc_oracle(geom, samples: int, seed: int) -> DipoleExpectation:
     control = 3.0 * p2 / radius**3
     residual = f_values - control
     root_n = math.sqrt(samples)
-    mean_f = float(residual.mean()) + 2.0 * kappa_approx(geom)
-    err_f = float(residual.std(ddof=1)) / root_n
-    mean_g = float(g_values.mean())
-    err_g = float(g_values.std(ddof=1)) / root_n
-    return DipoleExpectation(mean_f, mean_g, err_f, err_g, samples)
+    residual_mean, residual_std = pooled_mean_and_std(residual, FROZEN_MC_CHUNK)
+    mean_g, g_std = pooled_mean_and_std(g_values, FROZEN_MC_CHUNK)
+    mean_f = residual_mean + 2.0 * kappa_approx(geom)
+    return DipoleExpectation(mean_f, mean_g, residual_std / root_n, g_std / root_n, samples)
 
 
 def rabi_flip_probability(rabi: float, detuning: float, duration: float) -> float:

@@ -118,6 +118,23 @@ def test_radial_parts_has_the_bits_of_the_frozen_kernel(name):
         assert ours.tobytes() == frozen.tobytes()
 
 
+@pytest.mark.parametrize("name", KERNEL_INPUTS)
+def test_radial_parts_into_out_has_the_bits_of_the_allocating_call(name):
+    # out holds stale values; the results land in out[:4] and are returned,
+    # with the bits of the allocating call and of the frozen kernel
+    kr = KERNEL_INPUTS[name].copy()
+    out = [np.full(kr.shape, np.nan) for _ in range(7)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = oracles.frozen_radial_parts(kr)
+        allocated = radial_parts(kr)
+        got = radial_parts(kr, out=out)
+    assert np.array_equal(kr, KERNEL_INPUTS[name])
+    assert all(ours is given for ours, given in zip(got, out[:4]))
+    for ours, fresh, frozen in zip(got, allocated, want):
+        assert ours.shape == kr.shape
+        assert ours.tobytes() == fresh.tobytes() == frozen.tobytes()
+
+
 def test_fg_reconstructs_from_radial_parts():
     kr, mu = 0.8, -0.6
     (f_mono,), (f_tens,), (g_mono,), (g_tens,) = radial_parts(np.array([kr]))

@@ -320,8 +320,8 @@ def test_mc_rejects_tiny_sample_counts():
 )
 def test_chunked_mc_oracle_matches_the_one_shot_draw(eta, samples, seed, monkeypatch):
     # each chunk draws from its own stream, whichever worker evaluates it,
-    # and the means and deviations are taken once over full-length arrays;
-    # at these widths the control constant's rounding vanishes from err_f
+    # and the chunks' moments are pooled in chunk order; at these widths
+    # the control constant's rounding vanishes from err_f
     geom = TrapGeometry(*eta)
     want = oracles.one_shot_mc_oracle(geom, samples, seed)
     fields = ("mean_f", "mean_g", "err_f", "err_g")
@@ -337,9 +337,9 @@ def _record_chunks(monkeypatch, cpus: int) -> list:
     chunk it evaluates."""
     chunks = []
 
-    def recording(r):
+    def recording(r, out=None):
         chunks.append((threading.current_thread(), r.copy()))
-        return radial_parts(r)
+        return radial_parts(r, out=out)
 
     monkeypatch.setattr(overlap, "_available_cpus", lambda: cpus)
     monkeypatch.setattr(overlap, "radial_parts", recording)
@@ -406,11 +406,11 @@ def test_mc_oracle_worker_exception_propagates(monkeypatch):
     caller = threading.current_thread()
     chunks = []
 
-    def failing(r):
+    def failing(r, out=None):
         chunks.append(threading.current_thread())
         if threading.current_thread() is not caller:
             raise _WorkerFailure("worker chunk")
-        return radial_parts(r)
+        return radial_parts(r, out=out)
 
     monkeypatch.setattr(overlap, "_available_cpus", lambda: 2)
     monkeypatch.setattr(overlap, "radial_parts", failing)
@@ -457,6 +457,41 @@ def test_mc_oracle_peak_memory_is_two_sample_arrays_and_a_chunk(monkeypatch):
         assert peak < 2 * 8 * 10**6 + 4e6, f"peak {peak} B at {cpus} CPUs"
 
 
+def test_mc_oracle_peak_memory_is_per_worker_scratch(monkeypatch):
+    # each of the at most _MC_WORKERS threads has ten arrays of _MC_CHUNK
+    # samples (1.3 MB), and radial_parts works in seven of them: no array
+    # of the sample count's length is made
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(overlap, "_available_cpus", lambda: cpus)
+        mc_oracle(REFERENCE_GEOMETRY, 10**4, 1)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            mc_oracle(REFERENCE_GEOMETRY, 10**6, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak} B at {cpus} CPUs"
+
+
+def _ulps_apart(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(b)
+
+
+@pytest.mark.parametrize("size", [10**4, 3 * overlap._MC_CHUNK + 7, 10**6])
+@pytest.mark.parametrize("loc, scale", [(1.0, 1.0), (0.9, 0.1), (1e8, 1.0)])
+def test_pooled_moments_agree_with_numpy(size, loc, scale):
+    # mc_oracle's chunk moments, pooled, and the reference's pooling, held
+    # against numpy's full-array mean and std(ddof=1). At an offset of 1e8
+    # sigma, pooling without each chunk's sum of deviations is ~1e5 ulps off
+    values = np.random.default_rng(size).normal(loc, scale, size)
+    chunks = range(0, size, overlap._MC_CHUNK)
+    pooled = overlap._pooled_mean_and_std(
+        [overlap._chunk_moments(values[start:start + overlap._MC_CHUNK].copy()) for start in chunks])
+    for mean, std in (pooled, oracles.pooled_mean_and_std(values, overlap._MC_CHUNK)):
+        assert _ulps_apart(mean, float(values.mean())) <= 4
+        assert _ulps_apart(std, float(values.std(ddof=1))) <= 4
+
+
 def test_mc_error_covers_the_rounding_of_the_control_constant():
     # at aspect 1e8 the control constant is 1.4e15, whose last bits are
     # comparable with the sampling error of 10^6 samples: without them in
@@ -486,8 +521,8 @@ def test_mc_worker_overflow_is_a_non_finite_estimate(cpus, monkeypatch):
     # an overflow in a worker's elementwise steps, not only in the moments
     # the calling thread takes: each worker sets numpy's per-thread error
     # state, so it raises ConvergenceError and no warning
-    def overflowing(r):
-        f_mono, f_tensor, g_mono, g_tensor = radial_parts(r)
+    def overflowing(r, out=None):
+        f_mono, f_tensor, g_mono, g_tensor = radial_parts(r, out=out)
         return np.full_like(f_mono, 1.5e308), np.full_like(f_tensor, 1.5e308), g_mono, g_tensor
 
     monkeypatch.setattr(overlap, "_available_cpus", lambda: cpus)
