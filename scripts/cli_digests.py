@@ -55,12 +55,11 @@ COMMANDS = (
     # 1e-98 floor
     (0, ("kappa", "--eta-perp", "1e-8", "--eta-par", "1.0")),
     (2, ("kappa", "--eta-perp", "1e-99", "--eta-par", "0.1")),
-    # a fill drawn in many generator chunks (20,000 sites fit in one)
+    # a nearly full lattice of a million sites: few single atoms to subtract
     (0, ("ensemble", "--sites", "1000000", "--fill-prob", "0.9", "--input", "11", "--seed", "7")),
     # an aspect ratio of 5e11, where the radial panels need the decade cuts
     (0, ("kappa", "--eta-perp", "1e-12", "--eta-par", "0.5")),
-    # 6,000,002 wells: 92 chunks with a partial last one, split across the
-    # fill's worker threads
+    # a sparse fill of an odd site count, where most atoms ride alone
     (0, ("ensemble", "--sites", "3000001", "--fill-prob", "0.3", "--input", "01", "--seed", "11")),
 )
 

@@ -2,8 +2,8 @@
 
 numpy releases the interpreter lock inside its array loops, so chunked array
 work scales across CPUs within one process, with no pool and no pickling.
-simulate_fill, mc_oracle and kappa_map run their chunks this way; no other
-module starts a thread.
+mc_oracle and kappa_map run their chunks this way; no other module starts a
+thread.
 """
 
 from __future__ import annotations

@@ -68,11 +68,6 @@ class AtomSpecies:
             raise ValueError("f_up must equal nuclear_spin + 1/2")
 
     @property
-    def wave_number(self) -> float:
-        """Resonant wave number k = 2 pi / lambda_res, rad/m."""
-        return 2.0 * math.pi / self.lambda_res
-
-    @property
     def pi_coupling(self) -> float:
         """Clebsch-Gordan amplitude of the pi transition from the upper
         hyperfine level at |M| = 1 to the strongest excited manifold,

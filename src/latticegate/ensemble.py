@@ -11,10 +11,9 @@ estimator recovers the gate-only row. The double-gate stage (gate, flush of
 logical-0 targets, gate again) is kept as a diagnostic of pair survival.
 
 Every stage reads only three counts of the fill: paired sites and sites with
-only a control or only a target atom. The fill therefore keeps no occupancy
-array. Its wells come from one seeded PCG64 stream, split into chunk-aligned
-ranges across worker threads and counted a chunk at a time, with the same
-counts for any number of workers.
+only a control or only a target atom. With independent wells these counts
+are one multinomial draw over the four kinds of site, so the fill is drawn
+as that, with no occupancy array and no per-well stream.
 
 All sampling is multinomial counting noise; generators are seeded from
 (fill seed, stage index, input index) so stages are independently
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import _available_cpus, _fan_out
 from .gate import IDEAL_CNOT_OUTPUT, STATE_LABELS, TruthTable
 
 __all__ = [
@@ -72,63 +70,25 @@ class LatticeFill:
             raise ValueError("fill_probability must lie in [0, 1]")
 
 
-# wells drawn per generator call: the float buffer stays in cache. It is
-# even, so a site's two wells never straddle two workers' ranges
-_FILL_CHUNK = 1 << 16
-
-
-def _count_range(seed: int, p: float, start: int, stop: int) -> tuple[int, int, int]:
-    """(paired, control-only, target-only) sites among wells start..stop of
-    the fill's stream; start and stop are even.
-
-    Generator.random takes one 64-bit draw per double, so advancing a fresh
-    PCG64 by start draws reproduces the stream of default_rng(seed) from
-    well start on.
-    """
-    bit_generator = np.random.PCG64(seed)
-    bit_generator.advance(start)
-    rng = np.random.Generator(bit_generator)
-    draws = np.empty(min(stop - start, _FILL_CHUNK))
-    wells = np.empty(draws.size, dtype=bool)
-    matches = np.empty(draws.size // 2, dtype=bool)
-    atoms = paired = control_only = 0
-    for chunk in range(start, stop, _FILL_CHUNK):
-        size = min(stop - chunk, _FILL_CHUNK)
-        rng.random(out=draws[:size])
-        np.less(draws[:size], p, out=wells[:size])
-        # a site's two wells read as one code: control + 256 * target
-        codes = wells[:size].view("<u2")
-        atoms += np.count_nonzero(wells[:size])
-        paired += np.count_nonzero(np.equal(codes, 0x0101, out=matches[: size // 2]))
-        control_only += np.count_nonzero(np.equal(codes, 0x0001, out=matches[: size // 2]))
-    return int(paired), int(control_only), int(atoms - 2 * paired - control_only)
-
-
 def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
     """Independent Bernoulli occupancy per well, reproducible from seed.
 
-    Well 2i is site i's control well and well 2i + 1 its target well; well
-    k is occupied where draw k of default_rng(seed).random is below p. The
-    wells are split into contiguous ranges of whole _FILL_CHUNK chunks, one
-    per worker thread, at most one per available CPU, and _threads._fan_out
-    runs each range as one chunk. Each worker jumps its own PCG64 to its
-    range, draws a chunk at a time into one reused buffer and counts its
-    sites while the chunk is in cache; the calling thread takes the first
-    range and sums the exact integer counts. The counts are those of
-    rng.random((n_sites, 2)) < p, whatever the number of workers, and no
-    occupancy array is kept. A worker's exception is re-raised here.
+    Each site's control and target well are occupied independently with
+    probability p, so the site is paired, control-only, target-only or empty
+    with probabilities p^2, p(1 - p), (1 - p)p and (1 - p)^2, and the three
+    counts the stages read are exactly a multinomial draw over those four.
+    One default_rng(seed).multinomial call draws them, in time and memory
+    independent of n_sites.
     """
-    if n_sites <= 0:
-        raise ValueError("n_sites must be positive")
+    # the unpaired-only stage bins up to 2 * n_sites atoms in int64 counts
+    if not 0 < n_sites < 2**62:
+        raise ValueError(f"n_sites must lie in [1, 2**62), got {n_sites}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("fill probability must lie in [0, 1]")
-    n_wells = 2 * n_sites
-    n_chunks = -(-n_wells // _FILL_CHUNK)
-    workers = min(_available_cpus(), n_chunks)
-    bounds = [min(k * n_chunks // workers * _FILL_CHUNK, n_wells) for k in range(workers + 1)]
-    results = _fan_out(workers, workers, lambda k: _count_range(seed, p, bounds[k], bounds[k + 1]))
-    n_paired, n_control_only, n_target_only = map(sum, zip(*results))
-    return LatticeFill(n_sites, n_paired, n_control_only, n_target_only, p, seed)
+    q = 1.0 - p
+    n_paired, n_control_only, n_target_only, _ = np.random.default_rng(seed).multinomial(
+        n_sites, [p * p, p * q, q * p, q * q])
+    return LatticeFill(n_sites, int(n_paired), int(n_control_only), int(n_target_only), p, seed)
 
 
 @dataclass(frozen=True)

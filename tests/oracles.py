@@ -11,14 +11,15 @@ mp_spherical_pair; fg assembles the production pieces into the pointwise
 quad_vec_mean_fg, whose subject is the radial integration loop only, feeds
 the production radial pieces and angular moments (overlap._angular_moments),
 one node per call, to scipy's quad_vec on the production panel cuts
-(overlap._cuts). The one-shot sampling references one_shot_fill and
+(overlap._cuts). one_shot_fill draws every well of a lattice fill on its own,
+the per-well law whose site counts ensemble.simulate_fill draws as one
+multinomial, so the tests can hold the two against the same distribution.
 one_shot_mc_oracle, whose subject is the chunking and thread split of
-simulate_fill and of mc_oracle, draw their samples on one thread and
-evaluate the production closed form on the full arrays: one_shot_fill in
-one generator call, one_shot_mc_oracle from one stream per fixed-size chunk
-of samples. one_shot_mc_oracle takes its radial pieces from
-frozen_radial_parts, a verbatim copy of the production kernel from before it
-worked in place, so a change of the kernel's bits fails its hex tests too.
+mc_oracle, draws its samples on one thread, one stream per fixed-size chunk
+of samples, and evaluates the production closed form on the full arrays. It
+takes its radial pieces from frozen_radial_parts, a verbatim copy of the
+production kernel from before it worked in place, so a change of the
+kernel's bits fails its hex tests too.
 Its means and deviations are pooled from each chunk's moments in chunk
 order (pooled_mean_and_std), the arithmetic mc_oracle uses, so they are not
 an independent reference; the tests hold that pooling, here and in
@@ -280,8 +281,8 @@ def quad_vec_mean_fg(geom, quad_spec) -> DipoleExpectation:
 
 
 def one_shot_fill(n_sites: int, p: float, seed: int) -> np.ndarray:
-    """The occupancy whose site counts ensemble.simulate_fill returns, drawn
-    as one float array on one thread."""
+    """An (n_sites, 2) occupancy of control and target wells, each well
+    occupied where its own uniform draw is below p."""
     rng = np.random.default_rng(seed)
     return rng.random((n_sites, 2)) < p
 

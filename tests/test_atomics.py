@@ -90,7 +90,6 @@ def test_cesium_record(cesium):
     assert cesium.i_sat == pytest.approx(11.0, rel=0.05)
     assert (cesium.nuclear_spin, cesium.f_down, cesium.f_up) == (3.5, 3.0, 4.0)
     assert cesium.f_max_excited == 5.0
-    assert cesium.wave_number == pytest.approx(2 * math.pi / cesium.lambda_res, rel=1e-15)
 
 
 def test_pi_coupling_is_root_24_45(cesium):

@@ -303,6 +303,15 @@ def test_ensemble_empty_lattice_is_non_identifiable():
     assert "identifiable" in result.stderr
 
 
+def test_ensemble_site_count_beyond_int64_is_usage_error():
+    result = run_cli("ensemble", "--sites", str(2**63), "--fill-prob", "1.0", check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "n_sites" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+
+
 # --- entry points -----------------------------------------------------------
 
 def test_console_script_is_installed():

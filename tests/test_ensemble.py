@@ -2,14 +2,12 @@ import csv
 import dataclasses
 import io
 import math
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from latticegate import ensemble
 from latticegate.ensemble import (
     STAGES,
     LatticeFill,
@@ -83,112 +81,60 @@ def test_fill_counters():
     assert fill.n_paired == 2
     assert fill.n_control_only == 1
     assert fill.n_target_only == 1
-
-
-def test_fill_counts_are_direct_sums_of_a_frozen_occupancy():
-    # the counts classify each site of the one-shot occupancy, control well first
-    assert _site_counts([[1, 1], [1, 0], [0, 1], [0, 0], [1, 1]]) == (2, 1, 1)
-    fill = simulate_fill(20_000, 0.6, seed=9)
-    occupancy = oracles.one_shot_fill(20_000, 0.6, seed=9)
-    control, target = occupancy[:, 0], occupancy[:, 1]
-    assert fill.n_paired == int(np.sum(control & target))
-    assert fill.n_control_only == int(np.sum(control & ~target))
-    assert fill.n_target_only == int(np.sum(~control & target))
-    assert _counts(fill) == _site_counts(occupancy)
     # the counts are all the fill keeps, so they must not move
     with pytest.raises(dataclasses.FrozenInstanceError):
         fill.n_paired = fill.n_paired + 1
 
 
-# sites per generator chunk of simulate_fill
-CHUNK_SITES = ensemble._FILL_CHUNK // 2
-
-
-@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize(
-    "n_sites",
-    # 3 * CHUNK_SITES + 7 sites make four chunks, the last partial: two
-    # workers take two chunks each, three take one, one and two
-    [1, CHUNK_SITES // 2 - 1, CHUNK_SITES // 2, CHUNK_SITES // 2 + 1,
-     CHUNK_SITES - 1, CHUNK_SITES, CHUNK_SITES + 1, 3 * CHUNK_SITES + 7],
-)
-def test_chunked_fill_matches_the_one_shot_draw(n_sites, p, monkeypatch):
-    # each worker jumps to its range of the one stream that rng.random((n, 2))
-    # draws, so the counts are those of the one-shot occupancy for any
-    # number of workers
-    reference = oracles.one_shot_fill(n_sites, p, seed=n_sites)
-    control, target = reference[:, 0], reference[:, 1]
-    want = (int(np.sum(control & target)), int(np.sum(control & ~target)),
+def _one_shot_counts(n_sites: int, p: float, seed: int) -> tuple[int, int, int]:
+    occupancy = oracles.one_shot_fill(n_sites, p, seed)
+    control, target = occupancy[:, 0], occupancy[:, 1]
+    return (int(np.sum(control & target)), int(np.sum(control & ~target)),
             int(np.sum(~control & target)))
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(ensemble, "_available_cpus", lambda: cpus)
-        assert _counts(simulate_fill(n_sites, p, seed=n_sites)) == want
 
 
-def _record_ranges(monkeypatch, cpus: int) -> list:
-    """Make simulate_fill see cpus CPUs, and record each (thread, start,
-    stop) range it counts."""
-    ranges = []
-    count_range = ensemble._count_range
-
-    def recording(seed, p, start, stop):
-        ranges.append((threading.current_thread(), start, stop))
-        return count_range(seed, p, start, stop)
-
-    monkeypatch.setattr(ensemble, "_available_cpus", lambda: cpus)
-    monkeypatch.setattr(ensemble, "_count_range", recording)
-    return ranges
-
-
-def test_fill_splits_its_wells_into_chunk_aligned_ranges_one_per_thread(monkeypatch):
-    chunk = ensemble._FILL_CHUNK
-    ranges = _record_ranges(monkeypatch, cpus=3)
-    simulate_fill(3 * CHUNK_SITES + 7, 0.3, seed=1)
-    assert sorted((start, stop) for _, start, stop in ranges) == [
-        (0, chunk), (chunk, 2 * chunk), (2 * chunk, 3 * chunk + 14)]
-    assert len({thread for thread, _, _ in ranges}) == 3
-    # the calling thread counts the first range
-    assert [start for thread, start, _ in ranges if thread is threading.current_thread()] == [0]
-
-    # no more threads than chunks
-    ranges.clear()
-    simulate_fill(CHUNK_SITES, 0.3, seed=1)
-    assert ranges == [(threading.current_thread(), 0, chunk)]
+@pytest.mark.parametrize("p", [0.3, 0.9])
+def test_fill_counts_follow_the_per_well_law_over_seeds(p):
+    # the multinomial fill and the independent per-well draw agree in the
+    # mean and the spread of every count over 400 seeds
+    n, seeds = 20_000, range(400)
+    draws = {
+        "simulate_fill": np.array([_counts(simulate_fill(n, p, seed)) for seed in seeds]),
+        "one_shot_fill": np.array([_one_shot_counts(n, p, seed) for seed in seeds]),
+    }
+    for name, counts in draws.items():
+        # paired, control-only and target-only sites
+        for i, pi in enumerate([p * p, p * (1 - p), (1 - p) * p]):
+            sd = math.sqrt(n * pi * (1 - pi))
+            z = (counts[:, i].mean() - n * pi) / (sd / math.sqrt(len(seeds)))
+            assert abs(z) < 4, f"{name} count {i}: z = {z:.2f}"
+            ratio = counts[:, i].std(ddof=1) / sd
+            assert 0.85 < ratio < 1.15, f"{name} count {i}: sd ratio {ratio:.3f}"
 
 
-class _WorkerFailure(Exception):
-    pass
-
-
-def test_a_worker_exception_propagates(monkeypatch):
-    ranges = _record_ranges(monkeypatch, cpus=2)
-    count_range = ensemble._count_range
-
-    def failing(seed, p, start, stop):
-        if start > 0:
-            raise _WorkerFailure(f"wells {start}..{stop}")
-        return count_range(seed, p, start, stop)
-
-    monkeypatch.setattr(ensemble, "_count_range", failing)
-    with pytest.raises(_WorkerFailure, match="wells"):
-        simulate_fill(CHUNK_SITES + 1, 0.3, seed=1)
-    # the calling thread counted its own range before the failure surfaced
-    assert [(start, stop) for _, start, stop in ranges] == [(0, ensemble._FILL_CHUNK)]
-
-
-def test_fill_peak_memory_is_one_chunk_buffer_per_worker(monkeypatch):
-    # no occupancy array: each worker holds its chunk of draws and of wells
-    monkeypatch.setattr(ensemble, "_available_cpus", lambda: 3)
-    n_sites = 2 * 10**6
+def test_fill_peak_memory_does_not_grow_with_the_site_count():
+    # one multinomial draw: no array of the site or well count is made
     simulate_fill(1000, 0.6, seed=1)  # first-call allocations stay out
     tracemalloc.start()
     try:
-        simulate_fill(n_sites, 0.6, seed=3)
+        simulate_fill(10**7, 0.6, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    chunk_buffer = np.empty(ensemble._FILL_CHUNK).nbytes
-    assert peak < 2**20 + 3 * chunk_buffer
+    assert peak < 64 * 1024
+
+
+def test_fill_site_count_stops_below_int64_overflow(reference_table):
+    # the unpaired-only stage bins 2 * n_sites atoms in int64 counts
+    fill = simulate_fill(2**62 - 1, 1.0, seed=1)
+    assert _counts(fill) == (2**62 - 1, 0, 0)
+    mixed = run_stage(fill, reference_table, "10", "paired_and_unpaired")
+    background = run_stage(fill, None, "10", "unpaired_only")
+    double = run_stage(fill, reference_table, "10", "double_gate_with_flush")
+    assert mixed.n_measured == double.n_measured == 2**62 - 1
+    assert background.n_measured == 2 * (2**62 - 1)
+    with pytest.raises(ValueError, match="n_sites"):
+        simulate_fill(2**62, 1.0, seed=1)
 
 
 def test_fill_validation():

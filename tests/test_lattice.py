@@ -28,14 +28,19 @@ PAR_INTENSITY = 52.0e4
 PAR_DETUNING = 2.0 * math.pi * 2e12
 
 
+def _wave_number(species) -> float:
+    """Resonant wave number k = 2 pi / lambda_res, rad/m."""
+    return 2.0 * math.pi / species.lambda_res
+
+
 # --- well separation -----------------------------------------------------------
 
 def test_separation_zero_angle_is_exactly_zero(cesium):
-    assert well_separation(0.0, cesium.wave_number) == 0.0
+    assert well_separation(0.0, _wave_number(cesium)) == 0.0
 
 
 def test_separation_quarter_wave_at_perpendicular(cesium):
-    k = cesium.wave_number
+    k = _wave_number(cesium)
     quarter = cesium.lambda_res / 4.0
     sep = well_separation(math.pi / 2.0, k)
     assert abs(sep - quarter) <= 2.0 * math.ulp(quarter)
@@ -44,12 +49,12 @@ def test_separation_quarter_wave_at_perpendicular(cesium):
 
 
 def test_separation_half_wave_at_pi(cesium):
-    sep = well_separation(math.pi, cesium.wave_number)
+    sep = well_separation(math.pi, _wave_number(cesium))
     assert sep == pytest.approx(cesium.lambda_res / 2.0, rel=1e-12)
 
 
 def test_separation_strictly_increasing_and_continuous(cesium):
-    k = cesium.wave_number
+    k = _wave_number(cesium)
     theta = np.linspace(0.0, math.pi - 1e-9, 10_001)
     sep = well_separation(theta, k)
     steps = np.diff(sep)
@@ -60,7 +65,7 @@ def test_separation_strictly_increasing_and_continuous(cesium):
 
 
 def test_separation_scalar_array_parity(cesium):
-    k = cesium.wave_number
+    k = _wave_number(cesium)
     angles = np.array([0.3, 1.1, 2.0])
     vector = well_separation(angles, k)
     assert isinstance(vector, np.ndarray)
@@ -69,7 +74,7 @@ def test_separation_scalar_array_parity(cesium):
 
 
 def test_separation_domain(cesium):
-    k = cesium.wave_number
+    k = _wave_number(cesium)
     with pytest.raises(ValueError):
         well_separation(-0.1, k)
     with pytest.raises(ValueError):
@@ -81,7 +86,7 @@ def test_separation_domain(cesium):
 # --- trap parameters ------------------------------------------------------------
 
 def test_transverse_trap_frozen_chain(cesium):
-    trap = trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, cesium.wave_number)
+    trap = trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, _wave_number(cesium))
     assert trap.well_depth == pytest.approx(3.419504e-27, rel=1e-6)
     assert trap.osc_freq == pytest.approx(206614.6027, rel=1e-8)
     assert trap.ground_rms == pytest.approx(13.5662e-9, rel=1e-5)
@@ -90,7 +95,7 @@ def test_transverse_trap_frozen_chain(cesium):
 
 
 def test_longitudinal_trap_frozen_chain(cesium):
-    trap = trap_params(cesium, PAR_INTENSITY, PAR_DETUNING, cesium.wave_number)
+    trap = trap_params(cesium, PAR_INTENSITY, PAR_DETUNING, _wave_number(cesium))
     assert trap.well_depth == pytest.approx(2.133770e-28, rel=1e-6)
     assert trap.osc_freq == pytest.approx(51612.3112, rel=1e-8)
     assert trap.ground_rms == pytest.approx(27.1432e-9, rel=1e-5)
@@ -99,8 +104,8 @@ def test_longitudinal_trap_frozen_chain(cesium):
 
 
 def test_total_scatter_sums_three_axes(cesium):
-    perp = trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, cesium.wave_number)
-    par = trap_params(cesium, PAR_INTENSITY, PAR_DETUNING, cesium.wave_number)
+    perp = trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, _wave_number(cesium))
+    par = trap_params(cesium, PAR_INTENSITY, PAR_DETUNING, _wave_number(cesium))
     total = total_lattice_scatter(perp, par)
     assert total == pytest.approx(2.0 * perp.scatter_rate + par.scatter_rate, rel=1e-15)
     assert total == pytest.approx(28.447402, rel=1e-7)
@@ -108,7 +113,7 @@ def test_total_scatter_sums_three_axes(cesium):
 
 
 def test_trap_scaling_laws(cesium):
-    k = cesium.wave_number
+    k = _wave_number(cesium)
     base = trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k)
     quad = trap_params(cesium, 4.0 * PERP_INTENSITY, PERP_DETUNING, k)
     assert quad.well_depth / base.well_depth == pytest.approx(4.0, rel=1e-12)
@@ -124,14 +129,14 @@ def test_trap_scaling_laws(cesium):
 
 
 def test_trap_geometry_factor_scales_depth(cesium):
-    k = cesium.wave_number
+    k = _wave_number(cesium)
     base = trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k)
     doubled = trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k, geometry_factor=2.0)
     assert doubled.well_depth / base.well_depth == pytest.approx(2.0, rel=1e-12)
 
 
 def test_trap_rejects_red_detuning_and_saturation(cesium):
-    k = cesium.wave_number
+    k = _wave_number(cesium)
     with pytest.raises(ValueError, match="red or zero"):
         trap_params(cesium, PERP_INTENSITY, -PERP_DETUNING, k)
     with pytest.raises(ValueError, match="saturation"):
@@ -140,7 +145,7 @@ def test_trap_rejects_red_detuning_and_saturation(cesium):
 
 
 def test_zero_intensity_gives_degenerate_record(cesium):
-    trap = trap_params(cesium, 0.0, PERP_DETUNING, cesium.wave_number)
+    trap = trap_params(cesium, 0.0, PERP_DETUNING, _wave_number(cesium))
     assert trap.well_depth == 0.0
     assert trap.osc_freq == 0.0
     assert trap.scatter_rate == 0.0
@@ -316,7 +321,7 @@ def test_config_rejects_duplicates(tmp_path):
 
 
 def test_beam_config_validation(cesium):
-    k = cesium.wave_number
+    k = _wave_number(cesium)
     LatticeBeamConfig(0.0, 0.0, 1.0, 1.0, k, 0.0)  # explicit no-trap case
     with pytest.raises(ValueError, match="nonnegative"):
         LatticeBeamConfig(-1.0, 1.0, 1.0, 1.0, k, 0.0)

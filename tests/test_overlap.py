@@ -441,22 +441,6 @@ def test_mc_oracle_bits_hold_under_frequent_thread_switches(monkeypatch):
     assert [getattr(got, k).hex() for k in fields] == [getattr(want, k).hex() for k in fields]
 
 
-def test_mc_oracle_peak_memory_is_two_sample_arrays_and_a_chunk(monkeypatch):
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(overlap, "_available_cpus", lambda: cpus)
-        mc_oracle(REFERENCE_GEOMETRY, 10**4, 1)  # first-call allocations stay out
-        tracemalloc.start()
-        try:
-            mc_oracle(REFERENCE_GEOMETRY, 10**6, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the 8 MB residual and g arrays, with the moments taken in place,
-        # plus every worker's chunk buffers and radial_parts' temporaries:
-        # at most _MC_WORKERS chunks of _MC_CHUNK samples (~3.6 MB in all)
-        assert peak < 2 * 8 * 10**6 + 4e6, f"peak {peak} B at {cpus} CPUs"
-
-
 def test_mc_oracle_peak_memory_is_per_worker_scratch(monkeypatch):
     # each of the at most _MC_WORKERS threads has ten arrays of _MC_CHUNK
     # samples (1.3 MB), and radial_parts works in seven of them: no array
