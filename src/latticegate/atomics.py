@@ -40,8 +40,8 @@ def _check_half_integer(value: float, name: str) -> int:
 class AtomSpecies:
     """Constants of one alkali D2 transition.
 
-    mass kg, lambda_res m, gamma_natural rad/s, i_sat W/m^2; hyperfine labels
-    f_down/f_up = nuclear_spin -/+ 1/2 and f_max_excited = nuclear_spin + 3/2.
+    mass kg, lambda_res m, gamma_natural rad/s, i_sat W/m^2, and the
+    nuclear spin, which fixes the hyperfine labels.
     """
 
     mass: float
@@ -49,9 +49,6 @@ class AtomSpecies:
     gamma_natural: float
     i_sat: float
     nuclear_spin: float
-    f_up: float
-    f_down: float
-    f_max_excited: float
 
     def __post_init__(self) -> None:
         for name in ("mass", "lambda_res", "gamma_natural", "i_sat"):
@@ -60,12 +57,11 @@ class AtomSpecies:
         ti = _check_half_integer(self.nuclear_spin, "nuclear_spin")
         if ti <= 0:
             raise ValueError("nuclear_spin must be positive")
-        if self.f_up - self.f_down != 1:
-            raise ValueError("f_up - f_down must equal 1")
-        if self.f_max_excited != self.f_up + 1:
-            raise ValueError("f_max_excited must equal f_up + 1")
-        if self.f_up != self.nuclear_spin + 0.5:
-            raise ValueError("f_up must equal nuclear_spin + 1/2")
+
+    @property
+    def f_up(self) -> float:
+        """The upper ground hyperfine level, F = nuclear_spin + 1/2."""
+        return self.nuclear_spin + 0.5
 
     @property
     def pi_coupling(self) -> float:
@@ -134,7 +130,7 @@ def _read_key_values(path: str | Path, keys, noun: str, optional=(), convert=str
 def load_species(path: str | Path) -> AtomSpecies:
     """Parse a one-constant-per-line key-value species file (SI units).
 
-    Lines look like ``mass = 2.2069e-25``; ``#`` starts a comment. All eight
+    Lines look like ``mass = 2.2069e-25``; ``#`` starts a comment. All five
     fields of AtomSpecies are required; unknown keys are rejected so typos
     fail loudly.
     """

@@ -11,6 +11,9 @@ and the seed. Numbers are printed with 9 significant digits and repeated
 runs with identical inputs are byte-identical. Exit codes: 0 success,
 2 usage or bad input, 3 quadrature non-convergence, 4 non-identifiable
 ensemble estimator.
+
+This is the one module that renders output: the physics modules return
+numbers and records, and every JSON document and CSV file is formatted here.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import sys
@@ -27,14 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomics import PLANCK, cesium_d2
+from .atomics import HBAR, PLANCK, cesium_d2
 from .ensemble import (
     NonIdentifiableError,
     apparent_fidelity,
     background_subtract,
     run_stage,
     simulate_fill,
-    stages_to_csv,
 )
 from .gate import (
     IDEAL_CNOT_OUTPUT,
@@ -51,7 +52,6 @@ from .overlap import (
     TrapGeometry,
     kappa_approx,
     kappa_map,
-    kappa_map_csv,
     mean_fg,
 )
 
@@ -135,6 +135,12 @@ def _csv_header(args: argparse.Namespace) -> str:
     )
 
 
+def _csv_cells(values) -> str:
+    """Numbers as comma-separated CSV cells with 9 significant digits; a
+    non-finite value spells nan."""
+    return ",".join(f"{v:.9g}" for v in values)
+
+
 def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
     overrides = {}
     for field in ("rel_tol", "eval_budget"):
@@ -184,19 +190,17 @@ def _cmd_map(args: argparse.Namespace) -> int:
     perp = _grid(args.perp_min, args.perp_max, args.perp_steps, "perp")
     par = _grid(args.par_min, args.par_max, args.par_steps, "par")
     values = kappa_map(perp, par, _quad_spec(args), jobs=args.jobs)
-    buffer = io.StringIO()
-    kappa_map_csv(perp, par, values, buffer)
     failed = int(np.sum(~np.isfinite(values)))
-    header = _csv_header(args) + f"# failed_cells {failed}\n"
-    _emit(header + buffer.getvalue(), args.out)
+    # header row of eta_par, first column eta_perp
+    lines = [f"# failed_cells {failed}", "eta_perp/eta_par," + _csv_cells(par)]
+    lines += [_csv_cells([eta, *row]) for eta, row in zip(perp, values)]
+    _emit(_csv_header(args) + "\n".join(lines) + "\n", args.out)
     return EXIT_NO_CONVERGENCE if failed else EXIT_OK
 
 
 def _cmd_budget(args: argparse.Namespace) -> int:
     config = load_lattice_config(args.config)
-    report = budget_report(config, _quad_spec(args))
-    report.pop("schema_version", None)
-    _emit_json(report, args)
+    _emit_json(budget_report(config, _quad_spec(args)), args)
     return EXIT_OK
 
 
@@ -229,15 +233,33 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     expectation, solution, env, pulse = _gate_chain(args)
     table = truth_table(env, pulse)
     fid = truth_table_fidelity(table)
-    payload = table.to_json_dict()
-    payload["figure_of_merit"] = expectation.kappa
-    payload["fidelity"] = {
-        "row": dict(zip(STATE_LABELS, fid.row_fidelity)),
-        "conditioned_row": dict(zip(STATE_LABELS, fid.conditioned_row_fidelity)),
-        "mean": fid.mean,
-        "conditioned_mean": fid.conditioned_mean,
-    }
-    _emit_json(payload, args)
+    rows = zip(STATE_LABELS, table.populations.tolist(), table.leakage.tolist())
+    _emit_json(
+        {
+            "rows": [
+                {"input": label, "populations": dict(zip(STATE_LABELS, populations)), "leaked": leaked}
+                for label, populations, leaked in rows
+            ],
+            "operating_point": {
+                "rabi_rad_s": pulse.rabi,
+                "detuning_from_shifted_rad_s": pulse.detuning_from_shifted,
+                "duration_s": pulse.duration,
+                "pulse_area": pulse.rabi * pulse.duration,
+                "v_dd_joule": env.v_dd,
+                "v_dd_over_hbar_rad_s": env.v_dd / HBAR,
+                "gamma_dd_per_s": env.gamma_dd,
+                "gamma_single_per_s": env.gamma_single,
+            },
+            "figure_of_merit": expectation.kappa,
+            "fidelity": {
+                "row": dict(zip(STATE_LABELS, fid.row_fidelity)),
+                "conditioned_row": dict(zip(STATE_LABELS, fid.conditioned_row_fidelity)),
+                "mean": fid.mean,
+                "conditioned_mean": fid.conditioned_mean,
+            },
+        },
+        args,
+    )
     return EXIT_OK
 
 
@@ -251,7 +273,9 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         run_stage(fill, table, args.input, "double_gate_with_flush"),
     ]
     if args.stages_csv:
-        Path(args.stages_csv).write_text(_csv_header(args) + stages_to_csv(stages))
+        lines = ["stage,input,p00,p01,p10,p11,leaked,n"]
+        lines += [f"{s.stage},{s.input_label},{_csv_cells(s.fractions)},{s.n_measured}" for s in stages]
+        Path(args.stages_csv).write_text(_csv_header(args) + "\n".join(lines) + "\n")
     row = background_subtract(stages)
     ideal = IDEAL_CNOT_OUTPUT[args.input]
     _emit_json(

@@ -38,7 +38,6 @@ __all__ = [
     "run_stage",
     "background_subtract",
     "apparent_fidelity",
-    "stages_to_csv",
 ]
 
 STAGES = ("paired_and_unpaired", "unpaired_only", "double_gate_with_flush")
@@ -58,7 +57,6 @@ class LatticeFill:
     n_paired: int
     n_control_only: int
     n_target_only: int
-    fill_probability: float
     seed: int
 
     def __post_init__(self) -> None:
@@ -66,8 +64,6 @@ class LatticeFill:
             raise ValueError("site counts must be nonnegative")
         if self.n_paired + self.n_control_only + self.n_target_only > self.n_sites:
             raise ValueError("site counts must add up to at most n_sites")
-        if not 0.0 <= self.fill_probability <= 1.0:
-            raise ValueError("fill_probability must lie in [0, 1]")
 
 
 def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
@@ -88,7 +84,7 @@ def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
     q = 1.0 - p
     n_paired, n_control_only, n_target_only, _ = np.random.default_rng(seed).multinomial(
         n_sites, [p * p, p * q, q * p, q * q])
-    return LatticeFill(n_sites, int(n_paired), int(n_control_only), int(n_target_only), p, seed)
+    return LatticeFill(n_sites, int(n_paired), int(n_control_only), int(n_target_only), seed)
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,6 @@ class CorrectedRow:
     the stage composition.
     """
 
-    input_label: str
     probabilities: np.ndarray
     leaked: float
     errors: np.ndarray
@@ -265,7 +260,6 @@ def background_subtract(stages: list[MeasurementStage]) -> CorrectedRow:
         err = np.sqrt(m_err**2 + ((1.0 - alpha) * u_err) ** 2) / alpha
 
     return CorrectedRow(
-        input_label=m_stage.input_label,
         probabilities=corrected[:4],
         leaked=float(corrected[4]),
         errors=err[:4],
@@ -278,12 +272,3 @@ def apparent_fidelity(stage: MeasurementStage) -> float:
     """Fraction of measured sites on the ideal output bin, background included."""
     ideal = IDEAL_CNOT_OUTPUT[stage.input_label]
     return float(stage.fractions[STATE_LABELS.index(ideal)])
-
-
-def stages_to_csv(stages: list[MeasurementStage]) -> str:
-    """Serialize stages as CSV: stage,input,p00,p01,p10,p11,leaked,n."""
-    lines = ["stage,input,p00,p01,p10,p11,leaked,n"]
-    for s in stages:
-        fracs = ",".join("%.9g" % x for x in s.fractions)
-        lines.append(f"{s.stage},{s.input_label},{fracs},{s.n_measured}")
-    return "\n".join(lines) + "\n"

@@ -175,41 +175,13 @@ def _sector_propagator(pulse: PulseSpec, env: GateEnvironment, control: int) -> 
 @dataclass(frozen=True)
 class TruthTable:
     """Output populations (rows = inputs in STATE_LABELS order) and the
-    per-row leaked population, with the operating point that produced them."""
+    per-row leaked population."""
 
     populations: np.ndarray
     leakage: np.ndarray
-    env: GateEnvironment
-    pulse: PulseSpec
 
     def row(self, label: str) -> np.ndarray:
         return self.populations[STATE_LABELS.index(label)]
-
-    def to_json_dict(self) -> dict:
-        rows = []
-        for i, label in enumerate(STATE_LABELS):
-            rows.append(
-                {
-                    "input": label,
-                    "populations": {
-                        out: float(self.populations[i, j]) for j, out in enumerate(STATE_LABELS)
-                    },
-                    "leaked": float(self.leakage[i]),
-                }
-            )
-        return {
-            "rows": rows,
-            "operating_point": {
-                "rabi_rad_s": self.pulse.rabi,
-                "detuning_from_shifted_rad_s": self.pulse.detuning_from_shifted,
-                "duration_s": self.pulse.duration,
-                "pulse_area": self.pulse.rabi * self.pulse.duration,
-                "v_dd_joule": self.env.v_dd,
-                "v_dd_over_hbar_rad_s": self.env.v_dd / HBAR,
-                "gamma_dd_per_s": self.env.gamma_dd,
-                "gamma_single_per_s": self.env.gamma_single,
-            },
-        }
 
 
 def truth_table(env: GateEnvironment, pulse: PulseSpec) -> TruthTable:
@@ -229,7 +201,7 @@ def truth_table(env: GateEnvironment, pulse: PulseSpec) -> TruthTable:
     if np.any(leakage < -1e-12):
         raise ValueError("leaked population must be nonnegative")
     leakage[leakage < 0.0] = 0.0  # rounding residue, not a gain
-    return TruthTable(populations=populations, leakage=leakage, env=env, pulse=pulse)
+    return TruthTable(populations=populations, leakage=leakage)
 
 
 @dataclass(frozen=True)

@@ -406,7 +406,6 @@ def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = QuadratureS
 
     theta = beams.polarization_angle
     return {
-        "schema_version": 1,
         "species": {
             "name": config.species_name,
             "mass_kg": species.mass,

@@ -31,7 +31,6 @@ chunks.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 import sys
@@ -53,7 +52,6 @@ __all__ = [
     "kappa_approx",
     "optimize_ratio",
     "kappa_map",
-    "kappa_map_csv",
 ]
 
 
@@ -859,18 +857,3 @@ def kappa_map(
     chunks = _fan_out(workers, len(batches), lambda k: _mean_fg_many(batches[k], quad_spec))
     values = [math.nan if isinstance(r, ConvergenceError) else r.kappa for chunk in chunks for r in chunk]
     return np.array(values, dtype=float).reshape(perp.size, par.size)
-
-
-def kappa_map_csv(eta_perp_grid, eta_par_grid, values: np.ndarray, fh) -> None:
-    """Write a kappa map as CSV: header row of eta_par, first column eta_perp.
-
-    Numbers carry 9 significant digits; non-converged cells spell "nan".
-    """
-    perp = np.asarray(eta_perp_grid, dtype=float)
-    par = np.asarray(eta_par_grid, dtype=float)
-    if values.shape != (perp.size, par.size):
-        raise ValueError("values shape does not match the grids")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["eta_perp/eta_par"] + [f"{v:.9g}" for v in par])
-    for eta_p, row in zip(perp, values):
-        writer.writerow([f"{eta_p:.9g}"] + [f"{v:.9g}" for v in row])

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 from pathlib import Path
@@ -37,6 +38,30 @@ REF_KAPPA_STATIC = 16.901286568
 # level to the strongest excited manifold, squared twice.
 CG_PI = math.sqrt(24.0 / 45.0)
 CG_PI_4 = (24.0 / 45.0) ** 2
+
+
+def imported_roots(tree: ast.AST) -> set[str]:
+    """Root of every absolute import in a parsed module, at module level or
+    inside a function."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def package_imports(apis: set[str]) -> dict[str, list[str]]:
+    """The modules under src/latticegate that import any of apis, each with
+    the ones it imports."""
+    package = REPO_ROOT / "src" / "latticegate"
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        roots = imported_roots(ast.parse(path.read_text(), filename=str(path))) & apis
+        if roots:
+            found[path.relative_to(package).as_posix()] = sorted(roots)
+    return found
 
 
 def default_jobs() -> int:

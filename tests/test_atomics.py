@@ -88,8 +88,7 @@ def test_cesium_record(cesium):
     assert cesium.lambda_res == pytest.approx(852.34727582e-9, rel=1e-3)
     assert cesium.gamma_natural / (2 * math.pi) == pytest.approx(5.22e6, rel=2e-3)
     assert cesium.i_sat == pytest.approx(11.0, rel=0.05)
-    assert (cesium.nuclear_spin, cesium.f_down, cesium.f_up) == (3.5, 3.0, 4.0)
-    assert cesium.f_max_excited == 5.0
+    assert (cesium.nuclear_spin, cesium.f_up) == (3.5, 4.0)
 
 
 def test_pi_coupling_is_root_24_45(cesium):
@@ -101,14 +100,13 @@ def test_pi_coupling_is_root_24_45(cesium):
 @pytest.mark.parametrize("nuclear_spin", [0.5, 1.5, 2.5, 3.5, 4.5, 5.5])
 def test_pi_coupling_matches_symbolic(cesium, nuclear_spin):
     f_up = nuclear_spin + 0.5
-    species = dataclasses.replace(
-        cesium, nuclear_spin=nuclear_spin, f_up=f_up, f_down=f_up - 1, f_max_excited=f_up + 1
-    )
+    species = dataclasses.replace(cesium, nuclear_spin=nuclear_spin)
+    assert species.f_up == f_up
     assert species.pi_coupling == pytest.approx(oracles.sympy_cg(f_up, 1, 0, f_up + 1), rel=1e-15)
 
 
 def test_pi_coupling_needs_an_integer_f_up(cesium):
-    species = dataclasses.replace(cesium, nuclear_spin=1.0, f_up=1.5, f_down=0.5, f_max_excited=2.5)
+    species = dataclasses.replace(cesium, nuclear_spin=1.0)
     with pytest.raises(ValueError, match="integer f_up"):
         species.pi_coupling
 
@@ -121,7 +119,7 @@ def test_load_species_roundtrip(tmp_path, cesium):
         f"lambda_res = {cesium.lambda_res!r}\n"
         f"gamma_natural = {cesium.gamma_natural!r}  # rad/s\n"
         f"i_sat = {cesium.i_sat!r}\n"
-        "nuclear_spin = 3.5\nf_up = 4\nf_down = 3\nf_max_excited = 5\n"
+        "nuclear_spin = 3.5\n"
     )
     loaded = load_species(path)
     assert loaded == cesium
@@ -138,6 +136,8 @@ def test_load_species_roundtrip(tmp_path, cesium):
         ("mass =\n", "empty value"),
         ("mass = nan\n", "bad value for 'mass'"),
         ("mass = inf\n", "bad value for 'mass'"),
+        # the hyperfine labels follow from nuclear_spin and are no fields
+        ("f_up = 4\n", "unknown species field 'f_up'"),
     ],
 )
 def test_load_species_errors(tmp_path, body, fragment):
@@ -148,15 +148,8 @@ def test_load_species_errors(tmp_path, body, fragment):
 
 
 def test_species_invariants_enforced(cesium):
-    with pytest.raises(ValueError, match="f_up - f_down"):
-        AtomSpecies(cesium.mass, cesium.lambda_res, cesium.gamma_natural,
-                    cesium.i_sat, 3.5, 4.0, 2.0, 5.0)
-    with pytest.raises(ValueError, match="f_max_excited"):
-        AtomSpecies(cesium.mass, cesium.lambda_res, cesium.gamma_natural,
-                    cesium.i_sat, 3.5, 4.0, 3.0, 6.0)
     with pytest.raises(ValueError, match="positive"):
-        AtomSpecies(-1.0, cesium.lambda_res, cesium.gamma_natural,
-                    cesium.i_sat, 3.5, 4.0, 3.0, 5.0)
+        AtomSpecies(-1.0, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, 3.5)
 
 
 def test_cesium_d2_loader_is_cached_consistent():

@@ -5,6 +5,7 @@ exercise argument parsing, exit codes, and byte-level output stability
 exactly as a shell user would see them.
 """
 
+import csv
 import json
 import math
 import shutil
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import package_imports
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG = str(REPO_ROOT / "configs" / "cesium_reference.cfg")
@@ -178,7 +181,8 @@ def test_map_starved_budget_marks_failed_cells():
     )
     assert result.returncode == 3
     assert "# failed_cells 2" in result.stdout
-    assert "nan" in result.stdout
+    rows = [line for line in result.stdout.splitlines() if not line.startswith("#")]
+    assert rows == ["eta_perp/eta_par,0.2", "0.1,nan", "0.15,nan"]
 
 
 # --- budget -----------------------------------------------------------------
@@ -227,7 +231,11 @@ def test_gate_reference_operating_point():
     doc = json.loads(run_cli("gate").stdout)
     assert doc["fidelity"]["conditioned_mean"] == pytest.approx(0.967501928, abs=1e-6)
     assert doc["fidelity"]["conditioned_row"]["00"] > 0.999
+    assert [row["input"] for row in doc["rows"]] == ["00", "01", "10", "11"]
     assert doc["operating_point"]["pulse_area"] == pytest.approx(math.pi, rel=1e-8)
+    assert doc["operating_point"]["v_dd_over_hbar_rad_s"] == pytest.approx(-31415.9265, rel=1e-6)
+    for row in doc["rows"]:
+        assert sum(row["populations"].values()) + row["leaked"] == pytest.approx(1.0, abs=1e-9)
     assert doc["figure_of_merit"] == pytest.approx(-19.3282636, rel=1e-7)
     assert_nine_digit_floats(doc)
     # kappa, gate and budget quote the same reference point: same bits
@@ -284,6 +292,13 @@ def test_ensemble_subtraction_recovers_gate_row(tmp_path):
     assert lines[3] == "# seed 1729"
     assert lines[4] == "stage,input,p00,p01,p10,p11,leaked,n"
     assert len(lines) == 8
+    records = list(csv.DictReader(lines[4:]))
+    assert [r["stage"] for r in records] == [s["stage"] for s in doc["stages"]]
+    for record, stage in zip(records, doc["stages"]):
+        assert record["input"] == "10"
+        assert int(record["n"]) == stage["n_measured"]
+        fracs = [float(record[k]) for k in ("p00", "p01", "p10", "p11", "leaked")]
+        assert fracs == pytest.approx(list(stage["fractions"].values()), rel=1e-8, abs=1e-9)
 
 
 def test_ensemble_is_seed_deterministic():
@@ -351,6 +366,12 @@ def test_cli_import_and_serial_map_leave_multiprocessing_out():
         [sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO_ROOT, check=True
     )
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_only_the_cli_renders_output():
+    # the physics modules return numbers and records; every byte a command
+    # prints or writes is formatted in cli.py
+    assert package_imports({"csv", "io", "json"}) == {"cli.py": ["json"]}
 
 
 def test_version_flag():

@@ -1,6 +1,4 @@
-import csv
 import dataclasses
-import io
 import math
 import tracemalloc
 
@@ -17,9 +15,8 @@ from latticegate.ensemble import (
     background_subtract,
     run_stage,
     simulate_fill,
-    stages_to_csv,
 )
-from latticegate.gate import STATE_LABELS, GateEnvironment, PulseSpec, TruthTable
+from latticegate.gate import STATE_LABELS, TruthTable
 
 
 def _ideal_table() -> TruthTable:
@@ -29,9 +26,7 @@ def _ideal_table() -> TruthTable:
     for i, label in enumerate(STATE_LABELS):
         flipped = {"00": "00", "01": "01", "10": "11", "11": "10"}[label]
         populations[i, STATE_LABELS.index(flipped)] = 1.0
-    env = GateEnvironment(v_dd=-1e-30, gamma_dd=0.0, gamma_single=0.0)
-    pulse = PulseSpec(rabi=1.0, detuning_from_shifted=0.0, duration=1.0)
-    return TruthTable(populations=populations, leakage=np.zeros(4), env=env, pulse=pulse)
+    return TruthTable(populations, np.zeros(4))
 
 
 def _site_counts(rows) -> tuple[int, int, int]:
@@ -42,7 +37,7 @@ def _site_counts(rows) -> tuple[int, int, int]:
 
 
 def _fill_from_rows(rows) -> LatticeFill:
-    return LatticeFill(len(rows), *_site_counts(rows), fill_probability=0.5, seed=77)
+    return LatticeFill(len(rows), *_site_counts(rows), seed=77)
 
 
 def _counts(fill: LatticeFill) -> tuple[int, int, int]:
@@ -143,14 +138,9 @@ def test_fill_validation():
     with pytest.raises(ValueError):
         simulate_fill(10, 1.5, seed=1)
     with pytest.raises(ValueError, match="add up"):
-        LatticeFill(n_sites=3, n_paired=2, n_control_only=1, n_target_only=1,
-                    fill_probability=0.5, seed=1)
+        LatticeFill(n_sites=3, n_paired=2, n_control_only=1, n_target_only=1, seed=1)
     with pytest.raises(ValueError, match="nonnegative"):
-        LatticeFill(n_sites=3, n_paired=-1, n_control_only=1, n_target_only=1,
-                    fill_probability=0.5, seed=1)
-    with pytest.raises(ValueError, match="fill_probability"):
-        LatticeFill(n_sites=3, n_paired=1, n_control_only=1, n_target_only=1,
-                    fill_probability=1.5, seed=1)
+        LatticeFill(n_sites=3, n_paired=-1, n_control_only=1, n_target_only=1, seed=1)
 
 
 # --- single-stage semantics ---------------------------------------------------------
@@ -326,28 +316,6 @@ def test_error_bars_shrink_with_site_count(reference_table):
     assert both.any()
     ratio = np.median(large.errors[both] / small.errors[both])
     assert ratio == pytest.approx(0.1, rel=0.3)
-
-
-# --- serialization ---------------------------------------------------------------------
-
-def test_stages_to_csv_schema(reference_table):
-    fill = simulate_fill(5000, 0.6, seed=13)
-    stages = [
-        run_stage(fill, reference_table, "10", "paired_and_unpaired"),
-        run_stage(fill, None, "10", "unpaired_only"),
-        run_stage(fill, reference_table, "10", "double_gate_with_flush"),
-    ]
-    text = stages_to_csv(stages)
-    lines = text.splitlines()
-    assert lines[0] == "stage,input,p00,p01,p10,p11,leaked,n"
-    assert len(lines) == 4
-    reader = csv.DictReader(io.StringIO(text))
-    for record, stage in zip(reader, stages):
-        assert record["stage"] == stage.stage
-        assert record["input"] == "10"
-        assert int(record["n"]) == stage.n_measured
-        fracs = [float(record[k]) for k in ("p00", "p01", "p10", "p11", "leaked")]
-        assert fracs == pytest.approx(stage.fractions.tolist(), rel=1e-8, abs=1e-9)
 
 
 def test_stage_names_are_stable():

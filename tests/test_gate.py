@@ -312,13 +312,3 @@ def test_gate_flip_reflects_in_readout():
     # logical-1 population per atom, the upper-level fluorescence proxy
     assert p[2] + p[3] == pytest.approx(1.0, abs=1e-9)  # control
     assert p[1] + p[3] == pytest.approx(1.0, abs=1e-9)  # target
-
-
-def test_truth_table_json_payload(reference_table):
-    payload = reference_table.to_json_dict()
-    assert [row["input"] for row in payload["rows"]] == list(STATE_LABELS)
-    op = payload["operating_point"]
-    assert op["pulse_area"] == pytest.approx(math.pi, rel=1e-12)
-    assert op["v_dd_over_hbar_rad_s"] == pytest.approx(-31415.9265, rel=1e-6)
-    row0 = payload["rows"][0]
-    assert sum(row0["populations"].values()) + row0["leaked"] == pytest.approx(1.0, abs=1e-9)

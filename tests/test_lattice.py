@@ -6,6 +6,7 @@ import pytest
 from scipy.constants import h, hbar
 
 from conftest import CG_PI_4, REF_MEAN_F, REF_MEAN_G, REPO_ROOT
+from latticegate import lattice
 from latticegate.lattice import (
     CatalysisField,
     LatticeBeamConfig,
@@ -274,11 +275,23 @@ def test_config_unit_conversions(tmp_path):
     assert cfg.target_shift == pytest.approx(h * 5000.0, rel=1e-12)
 
 
+def test_readme_config_example_is_the_reference_config(tmp_path, reference_config):
+    readme = (REPO_ROOT / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    # its comments list exactly the units the loader accepts
+    comments = [line.partition("#")[2].strip() for line in block.splitlines()]
+    for table in (lattice._INTENSITY_UNITS, lattice._FREQUENCY_UNITS, lattice._LENGTH_UNITS, lattice._ANGLE_UNITS):
+        assert any(c.endswith(", ".join(table)) for c in comments), list(table)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    assert load_lattice_config(path) == reference_config
+
+
 def test_config_species_path_resolved_relative(tmp_path, cesium):
     (tmp_path / "species.txt").write_text(
         f"mass = {cesium.mass!r}\nlambda_res = {cesium.lambda_res!r}\n"
         f"gamma_natural = {cesium.gamma_natural!r}\ni_sat = {cesium.i_sat!r}\n"
-        "nuclear_spin = 3.5\nf_up = 4\nf_down = 3\nf_max_excited = 5\n"
+        "nuclear_spin = 3.5\n"
     )
     cfg = load_lattice_config(_write_config(tmp_path, species="species.txt"))
     assert cfg.species == cesium
@@ -335,7 +348,6 @@ def test_beam_config_validation(cesium):
 
 def test_budget_report_reference_numbers(reference_config):
     report = budget_report(reference_config)
-    assert report["schema_version"] == 1
     assert report["transverse_trap"]["osc_freq_hz"] == pytest.approx(206614.6027, rel=1e-8)
     assert report["longitudinal_trap"]["osc_freq_hz"] == pytest.approx(51612.3112, rel=1e-8)
     assert report["dipole_average"]["derived_eta_perp"] == pytest.approx(0.100045364, rel=1e-8)

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import sys
@@ -23,7 +22,6 @@ from latticegate.overlap import (
     kappa,
     kappa_approx,
     kappa_map,
-    kappa_map_csv,
     mc_oracle,
     mean_fg,
     optimize_ratio,
@@ -757,19 +755,6 @@ def test_batched_failures_match_single_cell_failures():
             with pytest.raises(ConvergenceError) as alone:
                 mean_fg(geom, spec)
             assert _outcome(result) == _outcome(alone.value)
-
-
-def test_map_csv_format():
-    grid_perp = np.array([0.1])
-    grid_par = np.array([0.15, 0.2])
-    values = np.array([[1.23456789012, math.nan]])
-    buffer = io.StringIO()
-    kappa_map_csv(grid_perp, grid_par, values, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "eta_perp/eta_par,0.15,0.2"
-    assert lines[1] == "0.1,1.23456789,nan"
-    with pytest.raises(ValueError, match="shape"):
-        kappa_map_csv(grid_perp, grid_par, np.zeros((2, 2)), buffer)
 
 
 def test_map_surface_is_smooth_at_fig_grid_resolution():

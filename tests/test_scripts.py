@@ -29,16 +29,6 @@ def test_reference_run_prints_reference_kappa():
     assert "  kappa = -19.3282636   (" in result.stdout
 
 
-def test_make_kappa_map_writes_small_grid(tmp_path):
-    out = tmp_path / "map.csv"
-    result = run_script("make_kappa_map.py", "--steps", "2", "--jobs", "1", "--out", str(out))
-    assert result.returncode == 0, result.stderr
-    rows = out.read_text().splitlines()
-    assert len(rows) == 3
-    assert all(len(row.split(",")) == 3 for row in rows)
-    assert "nan" not in out.read_text()
-
-
 @pytest.fixture(scope="module")
 def cli_digests():
     spec = importlib.util.spec_from_file_location("cli_digests", SCRIPTS / "cli_digests.py")

@@ -11,10 +11,9 @@ import time
 
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import imported_roots, package_imports
 from latticegate._threads import _fan_out
 
-PACKAGE_DIR = REPO_ROOT / "src/latticegate"
 THREAD_APIS = {"threading", "_thread", "multiprocessing", "concurrent"}
 
 
@@ -109,25 +108,10 @@ def test_the_first_exception_in_thread_order_is_re_raised(calling_thread_fails):
         _fan_out(3, 3, work)
 
 
-def _imported_roots(tree: ast.AST) -> set[str]:
-    roots = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            roots.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            roots.add(node.module.split(".")[0])
-    return roots
-
-
 def test_the_scan_sees_imports_inside_functions():
     source = "def f():\n    from multiprocessing import Pool\n    import concurrent.futures\n"
-    assert _imported_roots(ast.parse(source)) == {"multiprocessing", "concurrent"}
+    assert imported_roots(ast.parse(source)) == {"multiprocessing", "concurrent"}
 
 
 def test_only_the_scheduler_imports_a_thread_or_process_api():
-    offenders = {}
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        roots = _imported_roots(ast.parse(path.read_text(), filename=str(path))) & THREAD_APIS
-        if roots:
-            offenders[path.relative_to(PACKAGE_DIR).as_posix()] = sorted(roots)
-    assert offenders == {"_threads.py": ["threading"]}
+    assert package_imports(THREAD_APIS) == {"_threads.py": ["threading"]}
