@@ -25,26 +25,15 @@ import numpy as np
 
 __all__ = ["radial_parts"]
 
-# Below this the trigonometric closed forms for j1, j2 lose digits to
-# cancellation (the j2 form is ~x^2/15 built from O(1/x^3) pieces); the
-# alternating series is exact to well under 1e-15 relative here.
+# Below this the trigonometric closed form for j2 loses digits to
+# cancellation (~x^2/15 built from O(1/x^3) pieces), and radial_parts sums
+# j2 = x^2/15 * sum_k (-x^2/2)^k / (k! 7*9*...*(2k+5)) (DLMF 10.53.1) instead.
+# Six terms give every bit of the full series: with x^2/2 < 1/32, term k >= 6
+# is below prod_{i<=6} (1/32)/(i(2i+5)) = 5.6e-19 of term 0, and the
+# alternating sum stays above (1 - 1/224) of term 0, so half an ulp of it,
+# at least 2^-54 of it, is above 5.5e-17 of term 0; a sum plus a term under
+# half its ulp rounds back to the sum.
 _SERIES_CROSSOVER = 0.25
-_SERIES_TERMS = 12
-
-
-def _j_series(n: int, x):
-    # j_n(x) = x^n/(2n+1)!! * sum_k (-x^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1));
-    # scalar or ndarray; no in-place ops so array arguments never alias
-    double_fact = 1.0
-    for m in range(1, 2 * n + 2, 2):
-        double_fact *= m
-    term = x**n / double_fact
-    total = term
-    half_x2 = -0.5 * x * x
-    for k in range(1, _SERIES_TERMS):
-        term = term * (half_x2 / (k * (2 * n + 2 * k + 1)))
-        total = total + term
-    return total
 
 
 def radial_parts(kr, out=None):
@@ -55,15 +44,16 @@ def radial_parts(kr, out=None):
     angular moments once and reuse these four numbers per radius.
 
     Takes an ndarray of radii of any shape, which it never writes; rejects a
-    scalar or 0-d kr and kr <= 0. Uses the closed trigonometric forms with
-    the small-argument series branch for j2 (the y-pieces are hierarchical
-    at small kr and never cancel), built in place over seven arrays of kr's
-    shape, and the series. With out=None those seven are allocated and the
-    four results come back as new arrays. Otherwise out is seven arrays of
-    kr's shape, none of them kr: the results are written into out[:4] and
-    returned, out[4:] is scratch, and the call allocates only its masks and
-    the series. Either way every step is that of the one-expression forms in
-    tests/oracles.py.
+    scalar or 0-d kr and kr <= 0. Uses the closed trigonometric forms, built
+    in place over seven arrays of kr's shape, with a six-term small-argument
+    series for j2 below kr = 0.25 (the y-pieces are hierarchical at small kr
+    and never cancel), built in place over four arrays of the small radii
+    and scattered through indices taken once. With out=None those seven are
+    allocated and the four results come back as new arrays. Otherwise out is
+    seven arrays of kr's shape, none of them kr: the results are written into
+    out[:4] and returned, out[4:] is scratch, and the call allocates only its
+    mask, the indices and the series. Either way every bit is that of the
+    one-expression forms in tests/oracles.py, whose series keeps 12 terms.
     """
     x = np.asarray(kr, dtype=float)
     if x.ndim == 0:
@@ -71,15 +61,25 @@ def radial_parts(kr, out=None):
     if np.any(x <= 0):
         raise ValueError("kr must be positive")
 
-    small = x < _SERIES_CROSSOVER
     # the series first, apart from the closed forms' buffers; integer
     # indices gather and scatter several times faster than the mask
-    series = _j_series(2, x[np.nonzero(small)]) if small.any() else None
+    small = np.nonzero(x < _SERIES_CROSSOVER)
+    series = None
+    if small[0].size:
+        xs = x[small]  # a gathered copy; it holds each term's ratio once half_x2 is made
+        series = xs**2
+        series /= 15.0
+        term = series.copy()
+        half_x2 = -0.5 * xs
+        half_x2 *= xs
+        for k in range(1, 6):
+            term *= np.divide(half_x2, k * (2 * k + 5), out=xs)
+            series += term
+        del xs, term, half_x2
 
     if out is None:
         out = [np.empty(x.shape) for _ in range(7)]
     c, f_tensor, s, j2, inv, inv2, product = out
-    del out  # an allocated scratch array is freed with its name below
     np.sin(x, out=s)
     np.cos(x, out=c)
     np.divide(1.0, x, out=inv)
@@ -99,7 +99,6 @@ def radial_parts(kr, out=None):
     j2 -= product
     s *= inv  # g_mono
     c *= inv  # f_mono
-    del inv, inv2, product  # before the scatter's indices are made
     if series is not None:
-        j2[np.nonzero(small)] = series
+        j2[small] = series
     return c, f_tensor, s, j2

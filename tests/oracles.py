@@ -38,7 +38,7 @@ from scipy.special import spherical_jn, spherical_yn
 from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
 
-from latticegate.dipole_kernel import _SERIES_CROSSOVER, _j_series, radial_parts
+from latticegate.dipole_kernel import _SERIES_CROSSOVER, radial_parts
 from latticegate.overlap import ConvergenceError, DipoleExpectation, _angular_moments, _cuts, kappa_approx
 
 mpmath.mp.dps = 40
@@ -62,9 +62,9 @@ def spherical_bessel_pair(n: int, x: float) -> tuple[float, float]:
     """(j_n(x), y_n(x)) for n in {0, 1, 2}, x > 0, from the production kernel.
 
     n = 0 and n = 2 are the pieces of radial_parts; n = 1 has its own closed
-    form, with the same series branch below x = 0.25 for j1 (y1, like every
-    y_n form, has no small-x cancellation). Relative accuracy better than
-    1e-10 over x in [1e-6, 1e3].
+    form, with frozen_j_series(1, x), the 12-term series, for j1 below the
+    kernel's crossover x = 0.25 (y1, like every y_n form, has no small-x
+    cancellation). Relative accuracy better than 1e-10 over x in [1e-6, 1e3].
     """
     if x <= 0:
         raise ValueError(f"x must be positive, got {x!r}")
@@ -75,7 +75,7 @@ def spherical_bessel_pair(n: int, x: float) -> tuple[float, float]:
         inv = 1.0 / x
         inv2 = inv * inv
         y1 = -c * inv2 - s * inv
-        j1 = _j_series(1, x) if x < _SERIES_CROSSOVER else s * inv2 - c * inv
+        j1 = frozen_j_series(1, x) if x < _SERIES_CROSSOVER else s * inv2 - c * inv
         return j1, y1
     f_mono, f_tensor, g_mono, g_tensor = radial_parts_at(x)
     return (g_mono, -f_mono) if n == 0 else (g_tensor, -f_tensor)

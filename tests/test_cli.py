@@ -350,8 +350,9 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_cli_import_and_serial_map_leave_multiprocessing_out():
-    # the map, also with --jobs 2, the ensemble fill and mc_oracle split
-    # across threads, not processes or an executor
+    # the map, also with --jobs 2, and mc_oracle split across threads, not
+    # processes or an executor; the ensemble fill is one multinomial draw
+    # and starts no worker at all
     probe = (
         "import sys, latticegate.cli; "
         "latticegate.cli.kappa_map([0.1, 0.2], [0.1, 0.2], jobs=1); "

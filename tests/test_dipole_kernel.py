@@ -98,6 +98,9 @@ KERNEL_INPUTS = {
     "geomspace": np.geomspace(1e-100, 1e3, 20_001),
     "crossover": _ulps_around(0.25, 4),
     "all_small": np.linspace(1e-6, 0.2499, 1001),
+    # the whole series band, where its terms underflow at the bottom and the
+    # six-term cut's bound is tightest at the top, against the frozen twelve
+    "series_band": np.append(np.geomspace(1e-300, np.nextafter(0.25, 0.0), 200_001), 0.25),
     "none_small": np.linspace(0.25, 40.0, 1001),
     "mixed": np.random.default_rng(7).uniform(1e-3, 0.6, 1001),
     "two_d": np.random.default_rng(8).uniform(1e-4, 3.0, (37, 29)),

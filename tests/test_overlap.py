@@ -314,6 +314,8 @@ def test_mc_rejects_tiny_sample_counts():
         ((0.15, 0.15), 10**4, 2),
         ((0.05, 1.0), 6 * overlap._MC_CHUNK + 7, 5),
         ((1.0, 0.05), 2 * overlap._MC_CHUNK, 3),
+        # nearly every radius in the j2 series band
+        ((0.02, 0.02), 10**5, 13),
     ],
 )
 def test_chunked_mc_oracle_matches_the_one_shot_draw(eta, samples, seed, monkeypatch):
