@@ -27,15 +27,6 @@ PLANCK = 6.62607015e-34
 HBAR = PLANCK / (2 * math.pi)
 
 
-def _check_half_integer(value: float, name: str) -> int:
-    """Return 2*value as an int, rejecting anything off the half-integer grid."""
-    twice = 2.0 * value
-    rounded = round(twice)
-    if abs(twice - rounded) > 1e-9:
-        raise ValueError(f"{name} must be an integer or half-integer, got {value!r}")
-    return int(rounded)
-
-
 @dataclass(frozen=True)
 class AtomSpecies:
     """Constants of one alkali D2 transition.
@@ -54,8 +45,11 @@ class AtomSpecies:
         for name in ("mass", "lambda_res", "gamma_natural", "i_sat"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        ti = _check_half_integer(self.nuclear_spin, "nuclear_spin")
-        if ti <= 0:
+        # the sign is tested on the rounded 2I, so a spin within 1e-9 of zero fails
+        twice = round(2.0 * self.nuclear_spin)
+        if abs(2.0 * self.nuclear_spin - twice) > 1e-9:
+            raise ValueError(f"nuclear_spin must be an integer or half-integer, got {self.nuclear_spin!r}")
+        if twice <= 0:
             raise ValueError("nuclear_spin must be positive")
 
     @property

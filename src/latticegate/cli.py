@@ -66,18 +66,11 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_NON_IDENTIFIABLE = 4
 
 
-def _sig9(value: float) -> float:
-    """Round to 9 significant digits through the decimal representation."""
-    if not math.isfinite(value):
-        return value
-    return float(f"{value:.9g}")
-
-
 def _round_floats(obj):
-    if isinstance(obj, bool):
-        return obj
+    """obj with every float rounded to 9 significant digits through its
+    decimal representation; inf and nan pass through unchanged."""
     if isinstance(obj, float):
-        return _sig9(obj)
+        return float(f"{obj:.9g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -108,7 +101,7 @@ def _provenance(args: argparse.Namespace) -> dict:
     return {
         "version": __version__,
         "config_hash": _config_hash(args),
-        "seed": getattr(args, "seed", DEFAULT_SEED),
+        "seed": args.seed,
     }
 
 
@@ -142,12 +135,8 @@ def _csv_cells(values) -> str:
 
 
 def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
-    overrides = {}
-    for field in ("rel_tol", "eval_budget"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    return QuadratureSpec(**overrides)
+    overrides = {"rel_tol": args.rel_tol, "eval_budget": args.eval_budget}
+    return QuadratureSpec(**{k: v for k, v in overrides.items() if v is not None})
 
 
 # --- subcommands ------------------------------------------------------------
@@ -355,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--par-min", type=float, required=True)
     p_map.add_argument("--par-max", type=float, required=True)
     p_map.add_argument("--par-steps", type=int, required=True)
-    p_map.add_argument("--jobs", type=int, default=1)
+    p_map.add_argument("--jobs", type=int, default=1,
+                       help="most worker threads, capped at the CPU count and the cell "
+                       "count; the output does not depend on it")
     _add_common(p_map)
     p_map.set_defaults(func=_cmd_map)
 

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .atomics import HBAR, PLANCK, AtomSpecies, _finite_float, _read_key_values, cesium_d2, load_species
 from .overlap import QuadratureSpec, TrapGeometry, mean_fg
 
@@ -29,7 +27,6 @@ __all__ = [
     "LatticeConfig",
     "well_separation",
     "trap_params",
-    "total_lattice_scatter",
     "catalysis_intensity",
     "load_lattice_config",
     "budget_report",
@@ -123,26 +120,25 @@ class CatalysisSolution:
     gamma_sup: float
 
 
-def well_separation(theta, wave_number: float):
-    """Distance between the two standing waves' well minima vs angle.
+def well_separation(theta: float, wave_number: float) -> float:
+    """Distance between the two standing waves' well minima at one angle.
 
     The sigma+ and sigma- components of the angled-polarization pair form
     standing waves whose minima slide apart as the angle opens; on the
     branch continuous in theta the separation is atan2(sin, 2 cos)/k,
     growing monotonically from 0 through a quarter wavelength at 90 deg.
-    Accepts a scalar or an array of angles.
+    theta must lie in [0, pi]; a NaN angle is rejected with the rest.
     """
     if wave_number <= 0:
         raise ValueError("wave_number must be positive")
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < 0) or np.any(th > math.pi):
+    if not 0.0 <= theta <= math.pi:
         raise ValueError("polarization angle must lie in [0, pi]")
     # cos(pi/2) is only zero to rounding; snap it so the quarter-wave
     # separation at 90 degrees comes out exact rather than one ulp short
-    two_cos = 2.0 * np.cos(th)
-    two_cos = np.where(np.abs(two_cos) < 1e-12, 0.0, two_cos)
-    sep = np.arctan2(np.sin(th), two_cos) / wave_number
-    return float(sep) if np.isscalar(theta) or th.ndim == 0 else sep
+    two_cos = 2.0 * math.cos(theta)
+    if abs(two_cos) < 1e-12:
+        two_cos = 0.0
+    return math.atan2(math.sin(theta), two_cos) / wave_number
 
 
 def trap_params(
@@ -189,12 +185,6 @@ def trap_params(
         lamb_dicke=wave_number * rms,
         scatter_rate=gamma * omega / (4.0 * detuning),
     )
-
-
-def total_lattice_scatter(transverse: TrapParams, longitudinal: TrapParams) -> float:
-    """Total lattice photon-scattering rate: two transverse axes sharing
-    one parameter set plus the longitudinal axis."""
-    return 2.0 * transverse.scatter_rate + longitudinal.scatter_rate
 
 
 def catalysis_intensity(
@@ -392,7 +382,7 @@ def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = QuadratureS
     par = trap_params(
         species, beams.intensity_par, beams.detuning_par, beams.wave_number, config.geometry_factor
     )
-    lattice_rate = total_lattice_scatter(perp, par)
+    lattice_rate = 2.0 * perp.scatter_rate + par.scatter_rate
 
     design = config.design_geometry
     expectation = mean_fg(design, quad_spec)

@@ -260,16 +260,15 @@ def _gk21(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, integrand) -> tuple[
 
 class _Panel:
     """The state of one quad_vec call: the index of the cell it belongs to,
-    running integral, error and rounding error, the heap of intervals keyed
-    on (-err, a, b), and each interval's integral by (a, b)."""
+    running integral, error and rounding error, and the heap of intervals
+    (-err, a, b, integral), whose distinct a keep the integrals uncompared."""
 
     def __init__(self, cell: int, a: float, b: float, integral: np.ndarray, err: float, rnd: float):
         self.cell = cell
         self.integral = integral.copy()
         self.error = err
         self.rounding = rnd
-        self.heap = [(-err, a, b)]
-        self.cache = {(a, b): integral}
+        self.heap = [(-err, a, b, integral)]
 
     def tol(self, epsrel: float) -> float:
         return max(_EPSABS, epsrel * float(np.abs(self.integral).max()))
@@ -286,8 +285,8 @@ class _Panel:
                 break
             if j > 0 and err_sum > self.error - tol / 8:
                 break
-            neg_err, a, b = heapq.heappop(self.heap)
-            popped.append((-neg_err, a, b, self.cache.pop((a, b))))
+            neg_err, a, b, integral = heapq.heappop(self.heap)
+            popped.append((-neg_err, a, b, integral))
             err_sum += -neg_err
         return popped
 
@@ -351,8 +350,7 @@ def _adaptive_gk21(integrand, cuts: list[list[float]], epsrel: float, budget: fl
                 panel.rounding += rnd[k] + rnd[k + 1]
                 for j in (k, k + 1):
                     x1, x2 = halves[j]
-                    panel.cache[(x1, x2)] = s[j]
-                    heapq.heappush(panel.heap, (-err[j], x1, x2))
+                    heapq.heappush(panel.heap, (-err[j], x1, x2, s[j]))
                 k += 2
         active = [panel for panel, _ in rounds if panel.running(epsrel)]
     results = [[] if n <= budget else None for n in count]

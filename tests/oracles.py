@@ -192,15 +192,28 @@ def static_tensor_mean_2d(eta_perp: float, eta_par: float) -> float:
     return value
 
 
-def mp_kappa_approx_cigar(eta_perp: float, eta_par: float) -> float:
-    """kappa_approx's artanh (cigar) branch at 40 digits, eta_par > eta_perp:
+def mp_kappa_approx(eta_perp: float, eta_par: float) -> mpmath.mpf:
+    """kappa_approx on the branches of overlap._kappa_approx_values, in
+    mpmath at twice the working precision, which absorbs the closed forms'
+    cancellation near the isotropic point and at large aspect (no expansion
+    past aspect 6.7e7): the series in w = 1 - 1/ratio^2 for |w| < 0.02, else
+    (-2 - 3 u^2 + 3 (u^3 + u) arctan(1/u)) / (8 sqrt(pi) eta_perp^2 eta_par)
+    with u = ratio / sqrt(1 - ratio^2) for a pancake and
     (-2 + 3 v^2 - 3 (v^3 - v) artanh(1/v)) / (8 sqrt(pi) eta_perp^2 eta_par)
-    with v = r / sqrt(r^2 - 1) at the aspect ratio r = eta_par / eta_perp."""
-    a, c = mpmath.mpf(eta_perp), mpmath.mpf(eta_par)
-    r = c / a
-    v = r / mpmath.sqrt(r * r - 1)
-    bracket = -2 + 3 * v * v - 3 * (v**3 - v) * mpmath.atanh(1 / v)
-    return float(bracket / (8 * mpmath.sqrt(mpmath.pi) * a * a * c))
+    with v = ratio / sqrt(ratio^2 - 1) for a cigar, ratio = eta_par / eta_perp."""
+    with mpmath.workdps(2 * mpmath.mp.dps):
+        a, c = mpmath.mpf(eta_perp), mpmath.mpf(eta_par)
+        ratio = c / a
+        w = 1 - 1 / (ratio * ratio)
+        if abs(w) < mpmath.mpf("0.02"):
+            bracket = mpmath.nsum(lambda m: 6 * w**m / ((2 * m + 1) * (2 * m + 3)), [1, mpmath.inf])
+        elif ratio < 1:
+            u = ratio / mpmath.sqrt(1 - ratio * ratio)
+            bracket = -2 - 3 * u * u + 3 * (u**3 + u) * mpmath.atan(1 / u)
+        else:
+            v = ratio / mpmath.sqrt(ratio * ratio - 1)
+            bracket = -2 + 3 * v * v - 3 * (v**3 - v) * mpmath.atanh(1 / v)
+        return bracket / (8 * mpmath.sqrt(mpmath.pi) * a * a * c)
 
 
 def mp_angular_moments(x: float, a: float, c: float) -> tuple[float, float]:
@@ -437,6 +450,34 @@ def mp_four_level_leakage(env, pulse, dps: int = 50) -> list[float]:
         return [float(1 - sum(abs(propagator[j, i]) ** 2 for j in range(4))) for i in range(4)]
 
 
-def mixture_row(gate_row5: np.ndarray, unpaired_row5: np.ndarray, alpha: float) -> np.ndarray:
-    """Expected measured fractions of the mixed stage."""
-    return alpha * np.asarray(gate_row5) + (1.0 - alpha) * np.asarray(unpaired_row5)
+def mp_mean_fg(eta_perp: float, eta_par: float, dps: int = 30) -> tuple[float, float]:
+    """(<f>, <g>) from the one-dimensional momentum-space form, at dps digits.
+
+    With a = sqrt(2) eta_perp, c = sqrt(2) eta_par and s(mu) = (a^2 (1 - mu^2)
+    + c^2 mu^2) / 2:
+
+        <g> = (3/2) int_0^1 (1 - mu^2) e^{-s} dmu,
+        <f> = 2 kappa_approx + (3/sqrt(pi)) int_0^1 (1 - mu^2) [1/(2 sqrt(s)) - F(sqrt(s))] dmu,
+
+    with Dawson's integral F(y) = (sqrt(pi)/2) e^{-y^2} erfi(y) (DLMF 7.5.1).
+    The integrals are mpmath's tanh-sinh quadrature, split at
+    mu0 = a / sqrt(a^2 + c^2), where the two terms of s are equal, so that a
+    needle-thin cigar's peak of width ~mu0 at mu = 0 gets an interval of its
+    own. Shares no code with the production integrator: no radial pieces,
+    angular moments or panel cuts.
+    """
+    with mpmath.workdps(dps):
+        a2, c2 = 2 * mpmath.mpf(eta_perp) ** 2, 2 * mpmath.mpf(eta_par) ** 2
+        mus = [0, mpmath.sqrt(a2 / (a2 + c2)), 1]
+
+        def s_of(mu):
+            return (a2 * (1 - mu * mu) + c2 * mu * mu) / 2
+
+        def f_part(mu):
+            y = mpmath.sqrt(s_of(mu))
+            dawson = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-y * y) * mpmath.erfi(y)
+            return (1 - mu * mu) * (1 / (2 * y) - dawson)
+
+        mean_g = mpmath.mpf(3) / 2 * mpmath.quad(lambda mu: (1 - mu * mu) * mpmath.exp(-s_of(mu)), mus)
+        mean_f = 2 * mp_kappa_approx(eta_perp, eta_par) + 3 / mpmath.sqrt(mpmath.pi) * mpmath.quad(f_part, mus)
+        return float(mean_f), float(mean_g)

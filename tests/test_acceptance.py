@@ -121,7 +121,7 @@ def test_criterion_5_well_separation_geometry():
     target = math.pi / (2.0 * k)  # one quarter wavelength
     quarter_err = abs(quarter - target)
     theta = np.linspace(0.0, math.pi, 10_001, endpoint=False)
-    increasing = bool(np.all(np.diff(well_separation(theta, k)) > 0))
+    increasing = bool(np.all(np.diff([well_separation(angle, k) for angle in theta.tolist()]) > 0))
     ok = at_zero == 0.0 and quarter_err <= 2.0 * math.ulp(target) and increasing
     report(
         5,

@@ -150,6 +150,12 @@ def test_load_species_errors(tmp_path, body, fragment):
 def test_species_invariants_enforced(cesium):
     with pytest.raises(ValueError, match="positive"):
         AtomSpecies(-1.0, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, 3.5)
+    with pytest.raises(ValueError, match="integer or half-integer"):
+        AtomSpecies(cesium.mass, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, 2.25)
+    # 1e-10 is within rounding of the half-integer grid, at zero
+    for spin in (0.0, -0.5, 1e-10):
+        with pytest.raises(ValueError, match="nuclear_spin must be positive"):
+            AtomSpecies(cesium.mass, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, spin)
 
 
 def test_cesium_d2_loader_is_cached_consistent():

@@ -185,6 +185,21 @@ def test_map_starved_budget_marks_failed_cells():
     assert rows == ["eta_perp/eta_par,0.2", "0.1,nan", "0.15,nan"]
 
 
+@pytest.mark.parametrize(
+    "perp, message",
+    [
+        (("0.1", "0.2", "0"), "perp-steps must be >= 1"),
+        (("0.1", "0.2", "1"), "single-step perp grid needs min == max"),
+    ],
+)
+def test_map_rejects_a_malformed_grid(perp, message):
+    lo, hi, steps = perp
+    result = run_cli("map", "--perp-min", lo, "--perp-max", hi, "--perp-steps", steps,
+                     "--par-min", "0.2", "--par-max", "0.2", "--par-steps", "1", check=False)
+    assert result.returncode == 2
+    assert message in result.stderr
+
+
 # --- budget -----------------------------------------------------------------
 
 def test_budget_reference_numbers():
@@ -373,6 +388,13 @@ def test_only_the_cli_renders_output():
     # the physics modules return numbers and records; every byte a command
     # prints or writes is formatted in cli.py
     assert package_imports({"csv", "io", "json"}) == {"cli.py": ["json"]}
+
+
+def test_atomics_and_lattice_stay_plain_python():
+    # the species, trap budget and catalysis solver need only math; numpy
+    # stays in the array layers
+    numpy_users = ["cli.py", "dipole_kernel.py", "ensemble.py", "gate.py", "overlap.py"]
+    assert sorted(package_imports({"numpy"})) == numpy_users
 
 
 def test_version_flag():

@@ -211,6 +211,10 @@ def test_measurement_stage_record_invariants():
         MeasurementStage("unpaired_only", "10", np.array([-1, 0, 3, 0]), 0, 0, 2)
     with pytest.raises(ValueError, match="stage"):
         MeasurementStage("warmup", "10", np.array([2, 0, 3, 0]), 0, 0, 5)
+    with pytest.raises(ValueError, match="input_label"):
+        MeasurementStage("unpaired_only", "12", np.array([2, 0, 3, 0]), 0, 0, 5)
+    with pytest.raises(ValueError, match="length-4"):
+        MeasurementStage("unpaired_only", "10", np.array([2, 0, 3]), 0, 0, 5)
     empty = MeasurementStage("unpaired_only", "10", np.zeros(4, dtype=int), 0, 0, 0)
     assert empty.fractions.tolist() == [0.0] * 5
 
@@ -276,11 +280,13 @@ def test_apparent_fidelity_is_diluted_by_background(reference_table):
 
 
 def test_no_unpaired_atoms_returns_raw_fractions(reference_table):
-    # all-paired fill: the unpaired-only stage is empty, nothing to subtract
+    # all-paired fill: the mixed stage holds no single atoms, so without a
+    # background stage the raw fractions are the row. An unpaired-only stage
+    # would break every pair and count all 20,000 atoms.
     fill = simulate_fill(10_000, 1.0, seed=3)
     mixed = run_stage(fill, reference_table, "10", "paired_and_unpaired")
-    empty_u = run_stage(fill, None, "10", "unpaired_only")
-    assert empty_u.n_measured == 20_000  # pairs broken: every atom counts
+    broken = run_stage(fill, None, "10", "unpaired_only")
+    assert broken.n_measured == 20_000  # pairs broken: every atom counts
     only_mixed = background_subtract([mixed])
     assert np.array_equal(only_mixed.probabilities, mixed.fractions[:4])
 

@@ -14,7 +14,6 @@ from latticegate.lattice import (
     budget_report,
     catalysis_intensity,
     load_lattice_config,
-    total_lattice_scatter,
     trap_params,
     well_separation,
 )
@@ -57,21 +56,12 @@ def test_separation_half_wave_at_pi(cesium):
 def test_separation_strictly_increasing_and_continuous(cesium):
     k = _wave_number(cesium)
     theta = np.linspace(0.0, math.pi - 1e-9, 10_001)
-    sep = well_separation(theta, k)
+    sep = [well_separation(angle, k) for angle in theta.tolist()]
     steps = np.diff(sep)
     assert np.all(steps > 0.0)
     # the slope d(sep)/d(theta) = (2/k) / (4 cos^2 + sin^2) peaks at 2/k
     dtheta = theta[1] - theta[0]
     assert np.max(steps) <= 2.05 * dtheta / k
-
-
-def test_separation_scalar_array_parity(cesium):
-    k = _wave_number(cesium)
-    angles = np.array([0.3, 1.1, 2.0])
-    vector = well_separation(angles, k)
-    assert isinstance(vector, np.ndarray)
-    for angle, expected in zip(angles, vector):
-        assert well_separation(float(angle), k) == expected
 
 
 def test_separation_domain(cesium):
@@ -80,6 +70,8 @@ def test_separation_domain(cesium):
         well_separation(-0.1, k)
     with pytest.raises(ValueError):
         well_separation(math.pi + 0.1, k)
+    with pytest.raises(ValueError, match="polarization angle"):
+        well_separation(math.nan, k)
     with pytest.raises(ValueError):
         well_separation(1.0, 0.0)
 
@@ -104,10 +96,11 @@ def test_longitudinal_trap_frozen_chain(cesium):
     assert trap.scatter_rate == pytest.approx(0.211599, rel=1e-6)
 
 
-def test_total_scatter_sums_three_axes(cesium):
-    perp = trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, _wave_number(cesium))
-    par = trap_params(cesium, PAR_INTENSITY, PAR_DETUNING, _wave_number(cesium))
-    total = total_lattice_scatter(perp, par)
+def test_total_scatter_sums_three_axes(reference_config):
+    beams = reference_config.beams
+    perp = trap_params(reference_config.species, beams.intensity_perp, beams.detuning_perp, beams.wave_number)
+    par = trap_params(reference_config.species, beams.intensity_par, beams.detuning_par, beams.wave_number)
+    total = budget_report(reference_config)["lattice_scatter"]["rate_per_s"]
     assert total == pytest.approx(2.0 * perp.scatter_rate + par.scatter_rate, rel=1e-15)
     assert total == pytest.approx(28.447402, rel=1e-7)
     assert total / (2.0 * math.pi) == pytest.approx(4.527545, rel=1e-7)
@@ -143,6 +136,12 @@ def test_trap_rejects_red_detuning_and_saturation(cesium):
     with pytest.raises(ValueError, match="saturation"):
         # 50 W/cm^2 at only 2 pi * 50 MHz: far outside the dispersive regime
         trap_params(cesium, PERP_INTENSITY, 2.0 * math.pi * 50e6, k)
+    with pytest.raises(ValueError, match="intensity must be nonnegative"):
+        trap_params(cesium, -1.0, PERP_DETUNING, k)
+    with pytest.raises(ValueError, match="geometry_factor"):
+        trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k, geometry_factor=0.0)
+    with pytest.raises(ValueError, match="wave_number"):
+        trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, 0.0)
 
 
 def test_zero_intensity_gives_degenerate_record(cesium):
@@ -340,6 +339,8 @@ def test_beam_config_validation(cesium):
         LatticeBeamConfig(-1.0, 1.0, 1.0, 1.0, k, 0.0)
     with pytest.raises(ValueError, match="blue"):
         LatticeBeamConfig(1.0, 1.0, -1.0, 1.0, k, 0.0)
+    with pytest.raises(ValueError, match="wave_number"):
+        LatticeBeamConfig(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="polarization_angle"):
         LatticeBeamConfig(1.0, 1.0, 1.0, 1.0, k, 4.0)
 

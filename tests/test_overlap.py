@@ -94,6 +94,41 @@ def test_unconverged_partial_matches_scipy_quad_vec_bit_for_bit():
     assert _bits(ours.value.partial) == _bits(reference.value.partial)
 
 
+# Geometries held to the 30-digit momentum-space reference (oracles.mp_mean_fg):
+# the frozen corners, the aspect-20 bands, a near-isotropic pair, the digest
+# geometries at aspect 1e8 and 5e11, and aspect 100 both ways.
+REFERENCE_GEOMETRIES = [
+    (0.1, 0.2), (0.05, 0.3), (0.3, 0.05), (0.25, 0.25), (0.05, 0.05), (0.1, 0.1),
+    (0.15, 0.15), (0.231, 0.0974), (1.0, 0.05), (0.05, 1.0), (0.15, 0.151),
+    (1e-8, 1.0), (1e-12, 0.5), (0.01, 1.0), (1.0, 0.01),
+]
+
+
+@pytest.mark.parametrize("eta", [(0.1, 0.2), (0.3, 0.05), (0.05, 1.0)])
+def test_mp_reference_agrees_with_the_real_space_route(eta):
+    # the reference's formula is held to scipy's quad_vec on the real-space
+    # radial integral, so that neither stands on its own derivation
+    ref = oracles.mp_mean_fg(*eta)
+    tight = oracles.quad_vec_mean_fg(TrapGeometry(*eta), QuadratureSpec(rel_tol=1e-12))
+    assert tight.mean_f == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+    assert tight.mean_g == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+
+
+def test_error_bars_cover_the_mp_reference():
+    # |mean_fg - reference| <= err per component; how far below err the true
+    # error sits is reported, not bounded
+    ratios = {}
+    for eta in REFERENCE_GEOMETRIES:
+        result = mean_fg(TrapGeometry(*eta))
+        ref_f, ref_g = oracles.mp_mean_fg(*eta)
+        ratios[eta, "f"] = abs(result.mean_f - ref_f) / result.err_f
+        ratios[eta, "g"] = abs(result.mean_g - ref_g) / result.err_g
+    worst = max(ratios, key=ratios.get)
+    line = f"largest |mean_fg - reference| / err: {ratios[worst]:.3g}, <{worst[1]}> at {worst[0]}"
+    print(line)
+    assert ratios[worst] <= 1.0, line
+
+
 def _chirp_and_peak(x: np.ndarray, peak=0.7123) -> np.ndarray:
     return np.stack((np.sin(1.0 / (x + 1e-4)), 1.0 / ((x - peak) ** 2 + 1e-8)), axis=1)
 
@@ -571,7 +606,7 @@ def test_kappa_approx_at_extreme_cigar_aspects(ratio):
     # rounds to 1, where artanh(1/v) overflows; the closed form must stay
     # finite and on the mpmath value of the same formula on both sides
     geom = TrapGeometry(1.0 / ratio, 1.0)
-    expected = oracles.mp_kappa_approx_cigar(geom.eta_perp, geom.eta_par)
+    expected = float(oracles.mp_kappa_approx(geom.eta_perp, geom.eta_par))
     assert kappa_approx(geom) == pytest.approx(expected, rel=1e-12)
     # mc_oracle adds twice the closed form back as its control constant
     assert math.isfinite(mc_oracle(geom, samples=10**4, seed=1).mean_f)
