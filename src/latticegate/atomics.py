@@ -1,6 +1,8 @@
-"""Atomic species data, the SI constants the package uses, and the
+"""Atomic species data, the SI constants the package uses, the
 ``key = value`` file reader shared by the species and lattice configuration
-loaders.
+loaders, and ``_require``, the one input rule of every public record and
+function: each float is positive, nonnegative or merely finite, and NaN and
++-inf fail every rule with a ValueError that names the input.
 
 Everything here is a pure function; the species record is a frozen dataclass
 loaded from a key-value text file so other alkalis can be added without code
@@ -42,14 +44,13 @@ class AtomSpecies:
     nuclear_spin: float
 
     def __post_init__(self) -> None:
-        for name in ("mass", "lambda_res", "gamma_natural", "i_sat"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        # the sign is tested on the rounded 2I, so a spin within 1e-9 of zero fails
-        twice = round(2.0 * self.nuclear_spin)
-        if abs(2.0 * self.nuclear_spin - twice) > 1e-9:
+        _require("positive", **vars(self))
+        # a spin within 5e-10 of a multiple of 1/2 counts as that multiple,
+        # so one that close to zero fails; fmod is exact and cannot overflow
+        offset = math.fmod(self.nuclear_spin, 0.5)
+        if min(offset, 0.5 - offset) > 5e-10:
             raise ValueError(f"nuclear_spin must be an integer or half-integer, got {self.nuclear_spin!r}")
-        if twice <= 0:
+        if self.nuclear_spin < 0.25:
             raise ValueError("nuclear_spin must be positive")
 
     @property
@@ -73,7 +74,24 @@ class AtomSpecies:
 
 
 # ---------------------------------------------------------------------------
-# key = value files
+# input domains and key = value files
+
+# the domains _require names; each is finite, and every comparison with NaN
+# is false, so NaN and +-inf fail them all
+_DOMAINS = {
+    "positive": lambda x: 0.0 < x < math.inf,
+    "nonnegative": lambda x: 0.0 <= x < math.inf,
+    "finite": lambda x: -math.inf < x < math.inf,
+}
+
+
+def _require(domain: str, why: str = "", /, **values: float) -> None:
+    """Raise ValueError at the first value outside domain, a key of _DOMAINS;
+    the message names the value and adds why, if given, in parentheses."""
+    for name, value in values.items():
+        if not _DOMAINS[domain](value):
+            rule = domain if domain == "finite" else f"{domain} and finite"
+            raise ValueError(f"{name} must be {rule}{f' ({why})' if why else ''}, got {value!r}")
 
 
 def _finite_float(text: str) -> float:

@@ -151,11 +151,7 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
         {
             "eta_perp": geom.eta_perp,
             "eta_par": geom.eta_par,
-            "mean_f": expectation.mean_f,
-            "mean_g": expectation.mean_g,
-            "err_f": expectation.err_f,
-            "err_g": expectation.err_g,
-            "evaluations": expectation.evaluations,
+            **dataclasses.asdict(expectation),
             "kappa": value,
             "kappa_approx": approx,
             "kappa_approx_sign_aligned": math.copysign(abs(approx), value) if approx else 0.0,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomics import _require
 from .gate import IDEAL_CNOT_OUTPUT, STATE_LABELS, TruthTable
 
 __all__ = [
@@ -80,7 +81,7 @@ def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
     if not 0 < n_sites < 2**62:
         raise ValueError(f"n_sites must lie in [1, 2**62), got {n_sites}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError("fill probability must lie in [0, 1]")
+        raise ValueError(f"fill probability p must lie in [0, 1], got {p!r}")
     q = 1.0 - p
     n_paired, n_control_only, n_target_only, _ = np.random.default_rng(seed).multinomial(
         n_sites, [p * p, p * q, q * p, q * q])
@@ -213,6 +214,10 @@ class CorrectedRow:
     errors: np.ndarray
     leaked_error: float
     paired_fraction: float
+
+    def __post_init__(self) -> None:
+        _require("finite", leaked=self.leaked)
+        _require("nonnegative", leaked_error=self.leaked_error, paired_fraction=self.paired_fraction)
 
 
 def _multinomial_se(fractions: np.ndarray, n: int) -> np.ndarray:

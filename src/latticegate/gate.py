@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomics import HBAR
+from .atomics import HBAR, _require
 
 __all__ = [
     "STATE_LABELS",
@@ -70,8 +70,8 @@ class GateEnvironment:
     gamma_single: float
 
     def __post_init__(self) -> None:
-        if self.gamma_single < 0 or self.gamma_dd < 0:
-            raise ValueError("decay rates must be nonnegative")
+        _require("finite", v_dd=self.v_dd)
+        _require("nonnegative", gamma_dd=self.gamma_dd, gamma_single=self.gamma_single)
         if self.gamma_dd > self.gamma_single * (1.0 + 1e-12):
             raise ValueError(
                 "gamma_dd exceeds gamma_single: cooperativity cannot more than "
@@ -89,12 +89,8 @@ class PulseSpec:
     duration: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.rabi < math.inf:
-            raise ValueError("rabi must be finite and positive")
-        if not 0 < self.duration < math.inf:
-            raise ValueError("duration must be finite and positive")
-        if not math.isfinite(self.detuning_from_shifted):
-            raise ValueError("detuning_from_shifted must be finite")
+        _require("positive", rabi=self.rabi, duration=self.duration)
+        _require("finite", detuning_from_shifted=self.detuning_from_shifted)
 
 
 def dd_matrix_element(gamma_prime: float, c_g: float, mean_f: float, mean_g: float) -> GateEnvironment:
@@ -108,10 +104,8 @@ def dd_matrix_element(gamma_prime: float, c_g: float, mean_f: float, mean_g: flo
     at most one laser-coupled atom and acquire neither shift nor
     cooperative decay.
     """
-    if gamma_prime < 0:
-        raise ValueError("gamma_prime must be nonnegative")
-    if not np.isfinite([gamma_prime, c_g, mean_f, mean_g]).all():
-        raise ValueError("inputs must be finite")
+    _require("nonnegative", gamma_prime=gamma_prime)
+    _require("finite", c_g=c_g, mean_f=mean_f, mean_g=mean_g)
     c4 = c_g**4
     return GateEnvironment(
         v_dd=-HBAR * gamma_prime * c4 * mean_f,
@@ -220,6 +214,9 @@ class FidelityReport:
     mean: float
     conditioned_mean: float
 
+    def __post_init__(self) -> None:
+        _require("nonnegative", mean=self.mean, conditioned_mean=self.conditioned_mean)
+
 
 def truth_table_fidelity(table: TruthTable) -> FidelityReport:
     raw = np.empty(4)
@@ -244,8 +241,7 @@ def default_pulse(env: GateEnvironment, rabi_divisor: float = 10.0) -> PulseSpec
     enough that the control-0 sector flips with probability about
     1/(divisor^2 + 1); duration is the pi time.
     """
-    if not 0 < rabi_divisor < math.inf:
-        raise ValueError("rabi_divisor must be finite and positive")
+    _require("positive", rabi_divisor=rabi_divisor)
     if env.v_dd == 0:
         raise ValueError("v_dd = 0 gives no conditional splitting to tune against")
     rabi = abs(env.v_dd) / (HBAR * rabi_divisor)

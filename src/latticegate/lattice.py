@@ -12,10 +12,10 @@ JSON-ready dictionary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .atomics import HBAR, PLANCK, AtomSpecies, _finite_float, _read_key_values, cesium_d2, load_species
+from .atomics import HBAR, PLANCK, AtomSpecies, _finite_float, _read_key_values, _require, cesium_d2, load_species
 from .overlap import QuadratureSpec, TrapGeometry, mean_fg
 
 __all__ = [
@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 SATURATION_LIMIT = 0.1
+
+# why a detuning must be positive
+_BLUE = "blue of resonance; red or zero detuning is not supported"
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,9 @@ class LatticeBeamConfig:
     polarization_angle: float
 
     def __post_init__(self) -> None:
-        if self.intensity_perp < 0 or self.intensity_par < 0:
-            raise ValueError("beam intensities must be nonnegative")
-        if self.detuning_perp <= 0 or self.detuning_par <= 0:
-            raise ValueError("detunings must be positive (blue of resonance)")
-        if self.wave_number <= 0:
-            raise ValueError("wave_number must be positive")
+        _require("nonnegative", intensity_perp=self.intensity_perp, intensity_par=self.intensity_par)
+        _require("positive", _BLUE, detuning_perp=self.detuning_perp, detuning_par=self.detuning_par)
+        _require("positive", wave_number=self.wave_number)
         if not 0.0 <= self.polarization_angle <= math.pi:
             raise ValueError("polarization_angle must lie in [0, pi]")
 
@@ -86,10 +86,9 @@ class TrapParams:
             if not (math.isinf(self.ground_rms) and math.isinf(self.lamb_dicke)):
                 raise ValueError("zero-depth trap leaves the atom unconfined")
             return
-        if min(self.well_depth, self.osc_freq, self.ground_rms, self.lamb_dicke) <= 0:
-            raise ValueError("trap parameters must be positive")
-        if self.scatter_rate < 0:
-            raise ValueError("scatter_rate must be nonnegative")
+        _require("positive", well_depth=self.well_depth, osc_freq=self.osc_freq, ground_rms=self.ground_rms,
+                 lamb_dicke=self.lamb_dicke)
+        _require("nonnegative", scatter_rate=self.scatter_rate)
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,7 @@ class CatalysisField:
     scatter_rate: float
 
     def __post_init__(self) -> None:
-        if self.intensity < 0 or self.saturation < 0 or self.scatter_rate < 0:
-            raise ValueError("catalysis field quantities must be nonnegative")
+        _require("nonnegative", **vars(self))
 
 
 @dataclass(frozen=True)
@@ -119,6 +117,9 @@ class CatalysisSolution:
     field: CatalysisField
     gamma_sup: float
 
+    def __post_init__(self) -> None:
+        _require("nonnegative", gamma_sup=self.gamma_sup)
+
 
 def well_separation(theta: float, wave_number: float) -> float:
     """Distance between the two standing waves' well minima at one angle.
@@ -129,10 +130,9 @@ def well_separation(theta: float, wave_number: float) -> float:
     growing monotonically from 0 through a quarter wavelength at 90 deg.
     theta must lie in [0, pi]; a NaN angle is rejected with the rest.
     """
-    if wave_number <= 0:
-        raise ValueError("wave_number must be positive")
+    _require("positive", wave_number=wave_number)
     if not 0.0 <= theta <= math.pi:
-        raise ValueError("polarization angle must lie in [0, pi]")
+        raise ValueError(f"polarization angle theta must lie in [0, pi], got {theta!r}")
     # cos(pi/2) is only zero to rounding; snap it so the quarter-wave
     # separation at 90 degrees comes out exact rather than one ulp short
     two_cos = 2.0 * math.cos(theta)
@@ -157,14 +157,9 @@ def trap_params(
     node-sited atom samples the field over its ground-state width, which
     in the harmonic approximation scatters at Gamma * omega / (4 Delta).
     """
-    if detuning <= 0:
-        raise ValueError("red or zero detuning not supported; detuning must be > 0")
-    if intensity < 0:
-        raise ValueError("intensity must be nonnegative")
-    if geometry_factor <= 0:
-        raise ValueError("geometry_factor must be positive")
-    if wave_number <= 0:
-        raise ValueError("wave_number must be positive")
+    _require("positive", _BLUE, detuning=detuning)
+    _require("nonnegative", intensity=intensity)
+    _require("positive", geometry_factor=geometry_factor, wave_number=wave_number)
     if intensity == 0.0:
         return TrapParams(0.0, 0.0, math.inf, math.inf, 0.0)
     gamma = species.gamma_natural
@@ -204,6 +199,7 @@ def catalysis_intensity(
     """
     if not 0.0 < c_g4 <= 1.0:
         raise ValueError("c_g4 must lie in (0, 1]")
+    _require("finite", mean_f=mean_f, mean_g=mean_g, target_shift=target_shift)
     if mean_g <= -1.0:
         raise ValueError("mean_g <= -1 would put the pair linewidth at or below zero")
     if mean_f == 0.0:
@@ -250,6 +246,10 @@ class LatticeConfig:
     design_geometry: TrapGeometry
     target_shift: float
     geometry_factor: float
+
+    def __post_init__(self) -> None:
+        _require("finite", target_shift=self.target_shift)
+        _require("positive", geometry_factor=self.geometry_factor)
 
 
 def _split_quantity(key: str, raw: str) -> tuple[float, str | None]:
@@ -428,11 +428,7 @@ def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = QuadratureS
             "design_eta_par": design.eta_par,
             "derived_eta_perp": _finite_or_none(perp.lamb_dicke),
             "derived_eta_par": _finite_or_none(par.lamb_dicke),
-            "mean_f": expectation.mean_f,
-            "mean_g": expectation.mean_g,
-            "err_f": expectation.err_f,
-            "err_g": expectation.err_g,
-            "evaluations": expectation.evaluations,
+            **asdict(expectation),
         },
         "figure_of_merit": {
             "kappa": expectation.kappa,

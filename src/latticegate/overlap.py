@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import _available_cpus, _fan_out
+from .atomics import _require
 from .dipole_kernel import radial_parts
 
 __all__ = [
@@ -126,8 +127,8 @@ class DipoleExpectation:
     evaluations: int
 
     def __post_init__(self) -> None:
-        if self.err_f < 0 or self.err_g < 0:
-            raise ValueError("error estimates must be nonnegative")
+        _require("finite", mean_f=self.mean_f, mean_g=self.mean_g)
+        _require("nonnegative", err_f=self.err_f, err_g=self.err_g)
         if abs(self.mean_g) > 1.0 + self.err_g + 1e-9:
             raise ValueError(
                 f"|mean_g| = {abs(self.mean_g)!r} exceeds 1 beyond its error estimate"
@@ -147,10 +148,11 @@ class ConvergenceError(RuntimeError):
         self.partial = partial
 
 
-# Gauss-Kronrod 21-point rule on [-1, 1]: nodes, the 10-point Gauss weights
-# (on the odd-indexed nodes) and the 21-point Kronrod weights, copied from
-# scipy/integrate/_quad_vec.py so that they parse to the same doubles.
-_GK21_NODES = np.array((
+# Gauss-Kronrod 21-point rule on [-1, 1], symmetric about 0: the positive
+# nodes from the outside in, their 10-point Gauss weights (on the odd-indexed
+# nodes) and 21-point Kronrod weights, and the centre's Kronrod weight, copied
+# from scipy/integrate/_quad_vec.py so that they parse to the same doubles.
+_GK21_HALF_NODES = (
     0.995657163025808080735527280689003,
     0.973906528517171720077964012084452,
     0.930157491355708226001207180059508,
@@ -161,31 +163,15 @@ _GK21_NODES = np.array((
     0.433395394129247190799265943165784,
     0.294392862701460198131126603103866,
     0.148874338981631210884826001129720,
-    0.0,
-    -0.148874338981631210884826001129720,
-    -0.294392862701460198131126603103866,
-    -0.433395394129247190799265943165784,
-    -0.562757134668604683339000099272694,
-    -0.679409568299024406234327365114874,
-    -0.780817726586416897063717578345042,
-    -0.865063366688984510732096688423493,
-    -0.930157491355708226001207180059508,
-    -0.973906528517171720077964012084452,
-    -0.995657163025808080735527280689003,
-))
-_GK21_GAUSS = np.array((
+)
+_GK21_HALF_GAUSS = (
     0.066671344308688137593568809893332,
     0.149451349150580593145776339657697,
     0.219086362515982043995534934228163,
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
-    0.295524224714752870173892994651338,
-    0.269266719309996355091226921569469,
-    0.219086362515982043995534934228163,
-    0.149451349150580593145776339657697,
-    0.066671344308688137593568809893332,
-))
-_GK21_KRONROD = np.array((
+)
+_GK21_HALF_KRONROD = (
     0.011694638867371874278064396062192,
     0.032558162307964727478818972459390,
     0.054755896574351996031381300244580,
@@ -196,18 +182,10 @@ _GK21_KRONROD = np.array((
     0.134709217311473325928054001771707,
     0.142775938577060080797094273138717,
     0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-    0.147739104901338491374841515972068,
-    0.142775938577060080797094273138717,
-    0.134709217311473325928054001771707,
-    0.123491976262065851077958109831074,
-    0.109387158802297641899210590325805,
-    0.093125454583697605535065465083366,
-    0.075039674810919952767043140916190,
-    0.054755896574351996031381300244580,
-    0.032558162307964727478818972459390,
-    0.011694638867371874278064396062192,
-))
+)
+_GK21_NODES = np.array((*_GK21_HALF_NODES, 0.0, *(-x for x in reversed(_GK21_HALF_NODES))))
+_GK21_GAUSS = np.array((*_GK21_HALF_GAUSS, *reversed(_GK21_HALF_GAUSS)))
+_GK21_KRONROD = np.array((*_GK21_HALF_KRONROD, 0.149445554002916905664936468389821, *reversed(_GK21_HALF_KRONROD)))
 # quad_vec's fixed settings as mean_fg called it: absolute tolerance per
 # panel, intervals split per round, and the cap on intervals per panel
 _EPSABS = 1e-12

@@ -216,6 +216,28 @@ def mp_kappa_approx(eta_perp: float, eta_par: float) -> mpmath.mpf:
         return bracket / (8 * mpmath.sqrt(mpmath.pi) * a * a * c)
 
 
+def retardation_coefficient(aspect: float) -> float:
+    """C(aspect) = lim dev / eta_perp^2 as eta_perp -> 0 at fixed aspect =
+    eta_par / eta_perp, where dev = |kappa| / |kappa_approx| - 1.
+
+    The small-s expansion of mp_mean_fg's form: 1/(2 sqrt(s)) - F(sqrt(s))
+    tends to 1/(2 sqrt(s)) and e^{-s} to 1 - s, so <f> = 2 kappa_a + P and
+    1 + <g> = 2 - Q to the first order, with
+    P = (3/sqrt(pi)) int_0^1 (1 - mu^2) / (2 sqrt(s)) dmu and
+    Q = (3/2) int_0^1 (1 - mu^2) s dmu = (4 eta_perp^2 + eta_par^2) / 5, so
+    C = [P / (2 kappa_a) + Q / 2] / eta_perp^2. Each term is eta_perp^2
+    times a function of the aspect alone, so it is evaluated at eta_perp = 1.
+    Not defined at the isotropic point, where kappa_a = 0.
+    """
+    a2, c2 = mpmath.mpf(2), 2 * mpmath.mpf(aspect) ** 2
+    p = 3 / mpmath.sqrt(mpmath.pi) * mpmath.quad(
+        lambda mu: (1 - mu * mu) / (2 * mpmath.sqrt((a2 * (1 - mu * mu) + c2 * mu * mu) / 2)),
+        [0, mpmath.sqrt(a2 / (a2 + c2)), 1],
+    )
+    q = (4 + mpmath.mpf(aspect) ** 2) / 5
+    return float(p / (2 * mp_kappa_approx(1.0, aspect)) + q / 2)
+
+
 def mp_angular_moments(x: float, a: float, c: float) -> tuple[float, float]:
     """The two angular moments of overlap._angular_moments at 40 digits:
     2 e^{-x^2/(2a^2)} times int_0^1 e^{-q mu^2} dmu and int_0^1 P2(mu)

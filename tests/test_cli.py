@@ -267,6 +267,18 @@ def test_gate_nan_duration_is_usage_error():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("shift", ["nan", "inf"])
+def test_gate_non_finite_shift_is_usage_error_naming_it(shift):
+    # the library's input rule reaches the CLI: catalysis_intensity rejects
+    # the shift before any record is built from it
+    result = run_cli("gate", "--shift-over-h-hz", shift, check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error:") and "target_shift" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_gate_far_detuned_pulse_exits_cleanly():
     # the true "00" leakage here is 3.4e-14; an expm-based propagator came
     # out norm-gaining and the command exited 2

@@ -279,9 +279,9 @@ def test_default_pulse_contract(reference_env):
     assert pulse.rabi == pytest.approx(abs(reference_env.v_dd) / (hbar * 10.0), rel=1e-15)
     assert pulse.detuning_from_shifted == 0.0
     assert pulse.rabi * pulse.duration == pytest.approx(math.pi, rel=1e-15)
-    for divisor in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="rabi_divisor"):
-            default_pulse(reference_env, rabi_divisor=divisor)
+    # NaN and +-inf: test_input_domains.py covers every public float
+    with pytest.raises(ValueError, match="rabi_divisor"):
+        default_pulse(reference_env, rabi_divisor=0.0)
     with pytest.raises(ValueError, match="v_dd"):
         default_pulse(GateEnvironment(v_dd=0.0, gamma_dd=0.0, gamma_single=0.0))
 
@@ -291,16 +291,8 @@ def test_pulse_spec_validation():
         PulseSpec(rabi=0.0, detuning_from_shifted=0.0, duration=1e-3)
     with pytest.raises(ValueError):
         PulseSpec(rabi=1.0, detuning_from_shifted=0.0, duration=0.0)
-    # non-finite inputs would otherwise run through the propagator into NaN populations
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="rabi"):
-            PulseSpec(rabi=bad, detuning_from_shifted=0.0, duration=1e-3)
-        with pytest.raises(ValueError, match="duration"):
-            PulseSpec(rabi=1.0, detuning_from_shifted=0.0, duration=bad)
-        with pytest.raises(ValueError, match="detuning_from_shifted"):
-            PulseSpec(rabi=1.0, detuning_from_shifted=bad, duration=1e-3)
-        with pytest.raises(ValueError, match="detuning_from_shifted"):
-            PulseSpec(rabi=1.0, detuning_from_shifted=-bad, duration=1e-3)
+    # NaN and +-inf, which would run through the propagator into NaN
+    # populations: test_input_domains.py covers every public float
 
 
 # --- readout ---------------------------------------------------------------

@@ -629,6 +629,25 @@ def test_full_kappa_reaches_static_limit_for_tight_traps():
     assert abs(full) == pytest.approx(abs(static), rel=2e-2)
 
 
+@pytest.mark.parametrize(
+    "eta_perp,aspect",
+    [(1e-4, aspect) for aspect in (0.02, 0.05, 0.1, 0.2, 0.5, 0.8, 1.25, 2.0, 5.0, 10.0, 20.0, 50.0)]
+    + [(1e-3, aspect) for aspect in (0.02, 0.1, 0.5, 2.0, 10.0, 50.0)],
+)
+def test_retardation_correction_matches_its_second_order_coefficient(eta_perp, aspect):
+    # dev = |kappa| / |kappa_approx| - 1 = C(aspect) eta_perp^2 to the first
+    # order. The next order measures ~3 eta_perp^2 + 0.11 eta_par^2 of C (at
+    # (1e-3, 50): 2.6e-4). dev's own error is kappa's relative error, of
+    # order 1e-14 (against mp_mean_fg, <f> is within 3.4e-15 and <g> within
+    # 4.7e-14 on [0.01, 1]^2), which dominates at 1e-4 near isotropy
+    eta_par = aspect * eta_perp
+    geom = TrapGeometry(eta_perp, eta_par)
+    dev = abs(kappa(geom)) / abs(kappa_approx(geom)) - 1.0
+    coefficient = oracles.retardation_coefficient(aspect)
+    tolerance = abs(coefficient) * (10.0 * eta_perp**2 + eta_par**2) + 5e-14 / eta_perp**2
+    assert abs(dev / eta_perp**2 - coefficient) <= tolerance
+
+
 def test_retardation_matters_at_reference_geometry():
     # at eta = (0.1, 0.2) the finite-kr terms shift the magnitude by ~14
     # percent; the closed form is a cross-check there, not a substitute
