@@ -34,7 +34,10 @@ class AtomSpecies:
     """Constants of one alkali D2 transition.
 
     mass kg, lambda_res m, gamma_natural rad/s, i_sat W/m^2, and the
-    nuclear spin, which fixes the hyperfine labels.
+    nuclear spin, which fixes the hyperfine labels. The spin must lie below
+    2**52: from there on every double is a multiple of 1/2, so the
+    half-integer test would pass on any value, and well below it
+    pi_coupling's products stay finite.
     """
 
     mass: float
@@ -52,6 +55,8 @@ class AtomSpecies:
             raise ValueError(f"nuclear_spin must be an integer or half-integer, got {self.nuclear_spin!r}")
         if self.nuclear_spin < 0.25:
             raise ValueError("nuclear_spin must be positive")
+        if self.nuclear_spin >= 2**52:
+            raise ValueError(f"nuclear_spin must lie below 2**52, got {self.nuclear_spin!r}")
 
     @property
     def f_up(self) -> float:

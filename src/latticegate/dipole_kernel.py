@@ -44,22 +44,24 @@ def radial_parts(kr, out=None):
     angular moments once and reuse these four numbers per radius.
 
     Takes an ndarray of radii of any shape, which it never writes; rejects a
-    scalar or 0-d kr and kr <= 0. Uses the closed trigonometric forms, built
-    in place over seven arrays of kr's shape, with a six-term small-argument
-    series for j2 below kr = 0.25 (the y-pieces are hierarchical at small kr
-    and never cancel), built in place over four arrays of the small radii
-    and scattered through indices taken once. With out=None those seven are
-    allocated and the four results come back as new arrays. Otherwise out is
-    seven arrays of kr's shape, none of them kr: the results are written into
-    out[:4] and returned, out[4:] is scratch, and the call allocates only its
-    mask, the indices and the series. Either way every bit is that of the
-    one-expression forms in tests/oracles.py, whose series keeps 12 terms.
+    scalar or 0-d kr and any radius that is not positive and finite. Uses
+    the closed trigonometric forms, built in place over seven arrays of kr's
+    shape, with a six-term small-argument series for j2 below kr = 0.25 (the
+    y-pieces are hierarchical at small kr and never cancel), built in place
+    over four arrays of the small radii and scattered through indices taken
+    once. With out=None those seven are allocated and the four results come
+    back as new arrays. Otherwise out is seven arrays of kr's shape, none of
+    them kr: the results are written into out[:4] and returned, out[4:] is
+    scratch, and the call allocates only its mask, the indices and the
+    series. Either way every bit is that of the one-expression forms in
+    tests/oracles.py, whose series keeps 12 terms.
     """
     x = np.asarray(kr, dtype=float)
     if x.ndim == 0:
         raise ValueError("kr must be an array of radii, not a scalar")
-    if np.any(x <= 0):
-        raise ValueError("kr must be positive")
+    # two reductions and no temporary; NaN fails both comparisons
+    if x.size and not (x.min() > 0.0 and x.max() < np.inf):
+        raise ValueError("kr must be positive and finite")
 
     # the series first, apart from the closed forms' buffers; integer
     # indices gather and scatter several times faster than the mask

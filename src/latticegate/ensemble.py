@@ -15,13 +15,17 @@ only a control or only a target atom. With independent wells these counts
 are one multinomial draw over the four kinds of site, so the fill is drawn
 as that, with no occupancy array and no per-well stream.
 
-All sampling is multinomial counting noise; generators are seeded from
-(fill seed, stage index, input index) so stages are independently
-reproducible and safe to run in parallel.
+All sampling is multinomial counting noise. Only the fill and the two gate
+stages draw, each from a generator seeded from (fill seed, stage index,
+input index), so stages are independently reproducible and safe to run in
+parallel; unpaired_only draws nothing. A readout's cost is fixed per call:
+three seedings and at most five multinomial calls, with the counts kept as
+Python ints and the subtraction done in Python floats until a record is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +88,8 @@ def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
         raise ValueError(f"fill probability p must lie in [0, 1], got {p!r}")
     q = 1.0 - p
     n_paired, n_control_only, n_target_only, _ = np.random.default_rng(seed).multinomial(
-        n_sites, [p * p, p * q, q * p, q * q])
-    return LatticeFill(n_sites, int(n_paired), int(n_control_only), int(n_target_only), seed)
+        n_sites, [p * p, p * q, q * p, q * q]).tolist()
+    return LatticeFill(n_sites, n_paired, n_control_only, n_target_only, seed)
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,10 @@ class MeasurementStage:
         if counts.shape != (4,):
             raise ValueError("counts must be a length-4 vector")
         object.__setattr__(self, "counts", counts)
-        if np.any(counts < 0) or self.leaked < 0 or self.n_paired < 0 or self.n_single < 0:
+        listed = counts.tolist()
+        if min(listed) < 0 or self.leaked < 0 or self.n_paired < 0 or self.n_single < 0:
             raise ValueError("counts must be nonnegative")
-        if int(counts.sum()) + self.leaked != self.n_paired + self.n_single:
+        if sum(listed) + self.leaked != self.n_paired + self.n_single:
             raise ValueError("bin counts must add up to the number of measured sites")
 
     @property
@@ -123,14 +128,20 @@ class MeasurementStage:
     @property
     def fractions(self) -> np.ndarray:
         """(p00, p01, p10, p11, leaked) as fractions of measured entries."""
-        if self.n_measured == 0:
-            return np.zeros(5)
-        return np.append(self.counts, self.leaked) / self.n_measured
+        return np.array(self._listed_fractions())
+
+    def _listed_fractions(self) -> list[float]:
+        # a count and n are both made floats before they divide, as numpy
+        # divides an int64 array; above 2**53 that sets the bits
+        n = float(self.n_measured)
+        if n == 0.0:
+            return [0.0] * 5
+        return [float(c) / n for c in (*self.counts.tolist(), self.leaked)]
 
 
 def _row_pvec(table: TruthTable, label: str) -> np.ndarray:
-    row = table.row(label)
-    pvec = np.append(row, table.leakage[STATE_LABELS.index(label)])
+    i = STATE_LABELS.index(label)
+    pvec = np.concatenate((table.row(label), table.leakage[i:i + 1]))
     # guard the 1e-9 norm slack so multinomial sees an exact distribution
     return pvec / pvec.sum()
 
@@ -161,10 +172,8 @@ def run_stage(
     if table is None and stage != "unpaired_only":
         raise ValueError(f"stage {stage!r} involves the gate and needs a truth table")
 
-    control_bit, target_bit = input_label[0], input_label[1]
-    rng = np.random.default_rng([fill.seed, STAGES.index(stage), STATE_LABELS.index(input_label)])
-    counts = np.zeros(4, dtype=np.int64)
-    leaked = 0
+    control_bit, target_bit = input_label
+    counts = [0, 0, 0, 0]
 
     if stage == "unpaired_only":
         n_control = fill.n_paired + fill.n_control_only
@@ -177,26 +186,19 @@ def run_stage(
     counts[_bin_index("0", target_bit)] += fill.n_target_only
     n_single = fill.n_control_only + fill.n_target_only
 
-    if stage == "paired_and_unpaired":
-        drawn = rng.multinomial(fill.n_paired, _row_pvec(table, input_label))
-        counts += drawn[:4]
-        leaked = int(drawn[4])
-        return MeasurementStage(stage, input_label, counts, leaked, fill.n_paired, n_single)
-
-    # double_gate_with_flush
-    first = rng.multinomial(fill.n_paired, _row_pvec(table, input_label))
-    leaked = int(first[4])
-    for j, out_label in enumerate(STATE_LABELS):
-        n_out = int(first[j])
-        if n_out == 0:
-            continue
-        if out_label[1] == "0":
-            # flush removes the logical-0 target; the control reads alone
-            counts[_bin_index(out_label[0], "0")] += n_out
-        else:
-            second = rng.multinomial(n_out, _row_pvec(table, out_label))
-            counts += second[:4]
-            leaked += int(second[4])
+    rng = np.random.default_rng([fill.seed, STAGES.index(stage), STATE_LABELS.index(input_label)])
+    *drawn, leaked = rng.multinomial(fill.n_paired, _row_pvec(table, input_label)).tolist()
+    if stage == "double_gate_with_flush":
+        first, drawn = drawn, [0, 0, 0, 0]
+        for j, (out_label, n_out) in enumerate(zip(STATE_LABELS, first)):
+            if out_label[1] == "0":
+                # flush removes the logical-0 target; the control reads alone
+                drawn[j] = n_out
+            elif n_out:
+                *second, lost = rng.multinomial(n_out, _row_pvec(table, out_label)).tolist()
+                drawn = [a + b for a, b in zip(drawn, second)]
+                leaked += lost
+    counts = [a + b for a, b in zip(counts, drawn)]
     return MeasurementStage(stage, input_label, counts, leaked, fill.n_paired, n_single)
 
 
@@ -220,8 +222,8 @@ class CorrectedRow:
         _require("nonnegative", leaked_error=self.leaked_error, paired_fraction=self.paired_fraction)
 
 
-def _multinomial_se(fractions: np.ndarray, n: int) -> np.ndarray:
-    return np.sqrt(np.clip(fractions * (1.0 - fractions), 0.0, None) / n)
+def _multinomial_se(fractions: list[float], n: int) -> list[float]:
+    return [math.sqrt(max(x * (1.0 - x), 0.0) / n) for x in fractions]
 
 
 def background_subtract(stages: list[MeasurementStage]) -> CorrectedRow:
@@ -252,23 +254,25 @@ def background_subtract(stages: list[MeasurementStage]) -> CorrectedRow:
             "in the measurement at all"
         )
     alpha = m_stage.n_paired / m_stage.n_measured
-    m = m_stage.fractions
+    m = m_stage._listed_fractions()
     m_err = _multinomial_se(m, m_stage.n_measured)
 
     u_stage = background[0] if background else None
     if u_stage is None or u_stage.n_measured == 0:
         corrected, err = m, m_err
     else:
-        u = u_stage.fractions
+        u = u_stage._listed_fractions()
         u_err = _multinomial_se(u, u_stage.n_measured)
-        corrected = (m - (1.0 - alpha) * u) / alpha
-        err = np.sqrt(m_err**2 + ((1.0 - alpha) * u_err) ** 2) / alpha
+        b = 1.0 - alpha
+        corrected = [(x - b * y) / alpha for x, y in zip(m, u)]
+        # x * x is numpy's x**2; tests hold every bit to the array form
+        err = [math.sqrt(x * x + (b * y) * (b * y)) / alpha for x, y in zip(m_err, u_err)]
 
     return CorrectedRow(
-        probabilities=corrected[:4],
-        leaked=float(corrected[4]),
-        errors=err[:4],
-        leaked_error=float(err[4]),
+        probabilities=np.array(corrected[:4]),
+        leaked=corrected[4],
+        errors=np.array(err[:4]),
+        leaked_error=err[4],
         paired_fraction=alpha,
     )
 

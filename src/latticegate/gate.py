@@ -106,6 +106,8 @@ def dd_matrix_element(gamma_prime: float, c_g: float, mean_f: float, mean_g: flo
     """
     _require("nonnegative", gamma_prime=gamma_prime)
     _require("finite", c_g=c_g, mean_f=mean_f, mean_g=mean_g)
+    if not -1.0 <= c_g <= 1.0:
+        raise ValueError(f"c_g must lie in [-1, 1] (a Clebsch-Gordan amplitude), got {c_g!r}")
     c4 = c_g**4
     return GateEnvironment(
         v_dd=-HBAR * gamma_prime * c4 * mean_f,
@@ -244,5 +246,8 @@ def default_pulse(env: GateEnvironment, rabi_divisor: float = 10.0) -> PulseSpec
     _require("positive", rabi_divisor=rabi_divisor)
     if env.v_dd == 0:
         raise ValueError("v_dd = 0 gives no conditional splitting to tune against")
-    rabi = abs(env.v_dd) / (HBAR * rabi_divisor)
+    shift_per_rabi = HBAR * rabi_divisor
+    if shift_per_rabi == 0.0:
+        raise ValueError(f"hbar * rabi_divisor underflows to 0 at rabi_divisor {rabi_divisor!r}")
+    rabi = abs(env.v_dd) / shift_per_rabi
     return PulseSpec(rabi=rabi, detuning_from_shifted=0.0, duration=math.pi / rabi)

@@ -138,7 +138,10 @@ def well_separation(theta: float, wave_number: float) -> float:
     two_cos = 2.0 * math.cos(theta)
     if abs(two_cos) < 1e-12:
         two_cos = 0.0
-    return math.atan2(math.sin(theta), two_cos) / wave_number
+    separation = math.atan2(math.sin(theta), two_cos) / wave_number
+    if separation == math.inf:
+        raise ValueError(f"the well separation overflows at wave_number {wave_number!r}")
+    return separation
 
 
 def trap_params(
@@ -163,7 +166,12 @@ def trap_params(
     if intensity == 0.0:
         return TrapParams(0.0, 0.0, math.inf, math.inf, 0.0)
     gamma = species.gamma_natural
-    saturation = (intensity / species.i_sat) / (1.0 + (2.0 * detuning / gamma) ** 2)
+    try:
+        lorentzian = 1.0 + (2.0 * detuning / gamma) ** 2
+    except OverflowError:
+        raise ValueError(f"detuning is too large: (2 detuning / gamma_natural)**2 overflows, "
+                         f"got {detuning!r}") from None
+    saturation = (intensity / species.i_sat) / lorentzian
     if saturation > SATURATION_LIMIT:
         raise ValueError(
             f"saturation {saturation:.3g} exceeds the far-off-resonance limit "
@@ -172,7 +180,11 @@ def trap_params(
     single_beam_shift = HBAR * gamma**2 * (intensity / species.i_sat) / (8.0 * detuning)
     depth = 4.0 * single_beam_shift * geometry_factor
     omega = wave_number * math.sqrt(2.0 * depth / species.mass)
-    rms = math.sqrt(HBAR / (2.0 * species.mass * omega))
+    width_denominator = 2.0 * species.mass * omega
+    if width_denominator == 0.0:
+        raise ValueError(f"the trap frequency underflows to 0 at intensity {intensity!r} "
+                         f"and detuning {detuning!r}")
+    rms = math.sqrt(HBAR / width_denominator)
     return TrapParams(
         well_depth=depth,
         osc_freq=omega / (2.0 * math.pi),
@@ -204,7 +216,10 @@ def catalysis_intensity(
         raise ValueError("mean_g <= -1 would put the pair linewidth at or below zero")
     if mean_f == 0.0:
         raise ValueError("mean_f = 0: no field strength produces a level shift")
-    gamma_prime = abs(target_shift) / (HBAR * c_g4 * abs(mean_f))
+    shift_per_rate = HBAR * c_g4 * abs(mean_f)
+    if shift_per_rate == 0.0:
+        raise ValueError(f"hbar * c_g4 * |mean_f| underflows to 0 at c_g4 {c_g4!r} and mean_f {mean_f!r}")
+    gamma_prime = abs(target_shift) / shift_per_rate
     saturation = 2.0 * gamma_prime / species.gamma_natural
     field = CatalysisField(
         intensity=saturation * species.i_sat,

@@ -767,10 +767,12 @@ def optimize_ratio(eta_perp: float) -> tuple[float, float]:
 
     Golden-section search to relative tolerance 1e-4 on the ratio, on the
     closed form, so the optimum ratio does not depend on eta_perp. Returns
-    (ratio_star, kappa_approx at the optimum, signed).
+    (ratio_star, kappa_approx at the optimum, signed). eta_perp must lie in
+    [1e-98, 0.5]; the lower end is TrapGeometry's, and below ~1e-103
+    kappa_approx, which grows as eta_perp**-3, is no longer a finite double.
     """
-    if not 0.0 < eta_perp <= 0.5:
-        raise ValueError(f"eta_perp must lie in (0, 0.5], got {eta_perp!r}")
+    if not 1e-98 <= eta_perp <= 0.5:
+        raise ValueError(f"eta_perp must lie in [1e-98, 0.5], got {eta_perp!r}")
 
     def signed(ratio: float) -> float:
         return _kappa_approx_values(eta_perp, ratio * eta_perp)

@@ -14,6 +14,10 @@ one node per call, to scipy's quad_vec on the production panel cuts
 (overlap._cuts). one_shot_fill draws every well of a lattice fill on its own,
 the per-well law whose site counts ensemble.simulate_fill draws as one
 multinomial, so the tests can hold the two against the same distribution.
+one_shot_readout, whose subject is the arithmetic of the ensemble readout,
+is that readout as ensemble.py computed it in numpy arrays throughout, the
+same draws and the same operations; it is a bit reference for the Python
+int and float path, not an independent one.
 one_shot_mc_oracle, whose subject is the chunking and thread split of
 mc_oracle, draws its samples on one thread, one stream per fixed-size chunk
 of samples, and evaluates the production closed form on the full arrays. It
@@ -320,6 +324,69 @@ def one_shot_fill(n_sites: int, p: float, seed: int) -> np.ndarray:
     occupied where its own uniform draw is below p."""
     rng = np.random.default_rng(seed)
     return rng.random((n_sites, 2)) < p
+
+
+def one_shot_readout(table, label: str, n_sites: int, p: float, seed: int, subtract: bool = True):
+    """The fill, the three stages in ensemble.STAGES order and the background
+    subtraction of one prepared input, in numpy arrays. Returns the stages as
+    (counts, leaked, fractions) and the corrected row as (probabilities and
+    leaked, their errors, paired fraction), or None for the row when no site
+    is paired. With subtract=False the row is the mixed stage's, as
+    background_subtract gives it without an unpaired_only stage."""
+    labels = ("00", "01", "10", "11")
+    q = 1.0 - p
+    paired, control_only, target_only, _ = (
+        int(k) for k in np.random.default_rng(seed).multinomial(n_sites, [p * p, p * q, q * p, q * q]))
+    control, target = label
+
+    def pvec(out: str) -> np.ndarray:
+        v = np.append(table.row(out), table.leakage[labels.index(out)])
+        return v / v.sum()
+
+    def counts_of(n_control: int, n_target: int) -> np.ndarray:
+        counts = np.zeros(4, dtype=np.int64)
+        counts[labels.index(control + "0")] += n_control
+        counts[labels.index("0" + target)] += n_target
+        return counts
+
+    def stage_rng(stage_index: int):
+        return np.random.default_rng([seed, stage_index, labels.index(label)])
+
+    n_single = control_only + target_only
+    drawn = stage_rng(0).multinomial(paired, pvec(label))
+    mixed = (counts_of(control_only, target_only) + drawn[:4], int(drawn[4]), paired + n_single)
+    background = (counts_of(paired + control_only, paired + target_only), 0, 2 * paired + n_single)
+    rng = stage_rng(2)
+    first = rng.multinomial(paired, pvec(label))
+    counts, leaked = counts_of(control_only, target_only), int(first[4])
+    for j, out in enumerate(labels):
+        n_out = int(first[j])
+        if n_out == 0:
+            continue
+        if out[1] == "0":
+            counts[labels.index(out[0] + "0")] += n_out
+        else:
+            second = rng.multinomial(n_out, pvec(out))
+            counts += second[:4]
+            leaked += int(second[4])
+    double = (counts, leaked, paired + n_single)
+
+    stages = [(c, k, np.zeros(5) if n == 0 else np.append(c, k) / n) for c, k, n in (mixed, background, double)]
+    if paired == 0:
+        return stages, None
+
+    def se(fractions: np.ndarray, n: int) -> np.ndarray:
+        return np.sqrt(np.clip(fractions * (1.0 - fractions), 0.0, None) / n)
+
+    alpha = paired / mixed[2]
+    m, u = stages[0][2], stages[1][2]
+    m_err = se(m, mixed[2])
+    if not subtract or background[2] == 0:
+        return stages, (m, m_err, alpha)
+    u_err = se(u, background[2])
+    corrected = (m - (1.0 - alpha) * u) / alpha
+    err = np.sqrt(m_err**2 + ((1.0 - alpha) * u_err) ** 2) / alpha
+    return stages, (corrected, err, alpha)
 
 
 # The radial pieces as dipole_kernel.radial_parts computed them when

@@ -158,5 +158,17 @@ def test_species_invariants_enforced(cesium):
             AtomSpecies(cesium.mass, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, spin)
 
 
+def test_nuclear_spin_stays_below_two_to_the_52(cesium):
+    # from 2**52 on every double passes the half-integer test, and near
+    # 1.3e154 pi_coupling's products overflow to a silent NaN
+    for spin in (2.0**52, 1e200, 1.7976931348623157e308):
+        with pytest.raises(ValueError, match=r"nuclear_spin must lie below 2\*\*52"):
+            AtomSpecies(cesium.mass, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, spin)
+    largest = AtomSpecies(cesium.mass, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, 2.0**52 - 0.5)
+    assert largest.f_up == 2.0**52
+    # sqrt(F (F+2) / ((2F+1) (F+1))) tends to sqrt(1/2) from below
+    assert largest.pi_coupling == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+
 def test_cesium_d2_loader_is_cached_consistent():
     assert cesium_d2() == cesium_d2()

@@ -374,6 +374,19 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO_ROOT, check=True
     )
     assert result.stdout.strip() == "[]"
+    # numpy loads numpy.random on first use, which costs a one-shot command
+    # tens of milliseconds; only the sampling layers may touch it
+    probe = (
+        "import sys, latticegate.cli; "
+        "latticegate.cli.main(['kappa', '--eta-perp', '0.1', '--eta-par', '0.2']); "
+        f"latticegate.cli.main(['budget', '--config', {CONFIG!r}]); "
+        "latticegate.cli.main(['gate']); "
+        "print('numpy.random' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO_ROOT, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_import_and_serial_map_leave_multiprocessing_out():

@@ -80,6 +80,18 @@ def test_radial_parts_rejects_nonpositive():
         radial_parts(np.array([0.5, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_radial_parts_rejects_non_finite(bad):
+    for kr in (np.array([bad]), np.array([0.1, bad, 2.0]), np.full((2, 3), bad)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            radial_parts(kr)
+
+
+def test_radial_parts_of_no_radii_is_four_empty_arrays():
+    parts = radial_parts(np.array([]))
+    assert len(parts) == 4 and all(part.shape == (0,) for part in parts)
+
+
 @pytest.mark.parametrize("kr", [0.1, np.array(0.1), 1.0, np.array(1.0)])
 def test_radial_parts_rejects_a_scalar_on_both_sides_of_the_crossover(kr):
     with pytest.raises(ValueError, match="array of radii"):

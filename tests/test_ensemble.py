@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -322,6 +323,41 @@ def test_error_bars_shrink_with_site_count(reference_table):
     assert both.any()
     ratio = np.median(large.errors[both] / small.errors[both])
     assert ratio == pytest.approx(0.1, rel=0.3)
+
+
+# --- bits of the readout -----------------------------------------------------------------
+
+def _hex(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.3, 0.9])
+@pytest.mark.parametrize("n_sites", [1, 7, 1000, 10**7, 2**53 + 3, 2**62 - 1])
+def test_readout_bits_match_the_numpy_reference(reference_table, n_sites, p):
+    # every count, fraction, corrected value and error as the numpy-array
+    # readout gives them, bit for bit; above 2**53 a count is not an exact
+    # double, and a fraction must divide float(count) by float(n) as numpy does
+    for label, seed in product(STATE_LABELS, range(10)):
+        fill = simulate_fill(n_sites, p, seed)
+        stages = [run_stage(fill, None if stage == "unpaired_only" else reference_table, label, stage)
+                  for stage in STAGES]
+        reference, row5 = oracles.one_shot_readout(reference_table, label, n_sites, p, seed)
+        for stage, (counts, leaked, fractions) in zip(stages, reference):
+            assert stage.counts.dtype == np.int64
+            assert (stage.counts.tolist(), stage.leaked) == (counts.tolist(), leaked)
+            assert _hex(stage.fractions) == _hex(fractions)
+        _, mixed_row5 = oracles.one_shot_readout(reference_table, label, n_sites, p, seed, subtract=False)
+        for stage_set, want in ((stages, row5), (stages[:1], mixed_row5)):
+            if want is None:
+                with pytest.raises(NonIdentifiableError):
+                    background_subtract(stage_set)
+                continue
+            row = background_subtract(stage_set)
+            probabilities, errors, alpha = want
+            assert _hex([*row.probabilities, row.leaked]) == _hex(probabilities)
+            assert _hex([*row.errors, row.leaked_error]) == _hex(errors)
+            assert row.paired_fraction.hex() == alpha.hex()
+            assert row.probabilities.shape == row.errors.shape == (4,)
 
 
 def test_stage_names_are_stable():

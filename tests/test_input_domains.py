@@ -1,5 +1,6 @@
-"""One input rule for the whole public API: a NaN or +-inf float raises
-ValueError, with a message that names the input, and nothing else.
+"""One input rule for the whole public API: a NaN or +-inf float, or a
+finite one at the ends of the double range that a formula cannot take,
+raises ValueError, with a message that names the input, and nothing else.
 
 The callables are found, not listed: every name in latticegate.__all__ whose
 signature has a parameter annotated float. REFERENCE_ARGS gives each one a
@@ -100,16 +101,20 @@ RECORDS = sorted(name for name in PUBLIC if dataclasses.is_dataclass(getattr(lat
 EDGES = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0])
 
 
+def _drawn_args(name: str, data) -> dict:
+    """The reference row of name with each float parameter drawn."""
+    kwargs = dict(REFERENCE_ARGS[name])
+    for param in PUBLIC[name]:
+        kwargs[param] = data.draw(st.one_of(st.just(kwargs[param]), EDGES, st.floats()), label=param)
+    return kwargs
+
+
 @pytest.mark.parametrize("name", RECORDS)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_records_build_finite_or_raise_value_error(name, data):
-    record = getattr(latticegate, name)
-    kwargs = dict(REFERENCE_ARGS[name])
-    for param in PUBLIC[name]:
-        kwargs[param] = data.draw(st.one_of(st.just(kwargs[param]), EDGES, st.floats()), label=param)
     try:
-        built = record(**kwargs)
+        built = getattr(latticegate, name)(**_drawn_args(name, data))
     except ValueError:
         return
     values = {param: getattr(built, param) for param in PUBLIC[name]}
@@ -117,3 +122,46 @@ def test_records_build_finite_or_raise_value_error(name, data):
         # the documented zero-depth record: an unconfined atom has infinite width
         assert math.isinf(values.pop("ground_rms")) and math.isinf(values.pop("lamb_dicke"))
     assert all(math.isfinite(v) for v in values.values()), values
+
+
+# finite inputs at which a product or a denominator of the formula leaves the
+# doubles: each raised OverflowError or ZeroDivisionError, or returned inf
+EXTREME_FINITE = [
+    ("trap_params", "detuning", 1e200),  # (2 detuning / gamma)**2 overflows
+    ("trap_params", "detuning", 1e308),  # the depth underflows to 0
+    ("trap_params", "intensity", 5e-324),  # likewise
+    ("catalysis_intensity", "mean_f", 5e-324),  # hbar * c_g4 * |mean_f| is 0
+    ("dd_matrix_element", "c_g", -1e308),  # c_g**4 overflows
+    ("default_pulse", "rabi_divisor", 1e-300),  # hbar * rabi_divisor is 0
+    ("optimize_ratio", "eta_perp", 3e-187),  # eta_perp**2 * eta_par is 0
+    ("optimize_ratio", "eta_perp", 1e-105),  # kappa_approx is inf
+]
+
+
+@pytest.mark.parametrize("name,param,value", EXTREME_FINITE)
+def test_extreme_finite_input_raises_value_error_naming_it(name, param, value):
+    kwargs = {**REFERENCE_ARGS[name], param: value}
+    with pytest.raises(ValueError, match=rf"\b{re.escape(param)}\b"):
+        getattr(latticegate, name)(**kwargs)
+
+
+FUNCTIONS = sorted(name for name in PUBLIC if name not in RECORDS)
+
+
+def _finite_leaves(value) -> bool:
+    if dataclasses.is_dataclass(value):
+        return True  # a record checks its own fields
+    if isinstance(value, tuple):
+        return all(_finite_leaves(v) for v in value)
+    return math.isfinite(value)
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_functions_return_finite_or_raise_value_error(name, data):
+    try:
+        result = getattr(latticegate, name)(**_drawn_args(name, data))
+    except ValueError:
+        return
+    assert _finite_leaves(result), result
