@@ -188,17 +188,17 @@ def run_stage(
 
     rng = np.random.default_rng([fill.seed, STAGES.index(stage), STATE_LABELS.index(input_label)])
     *drawn, leaked = rng.multinomial(fill.n_paired, _row_pvec(table, input_label)).tolist()
-    if stage == "double_gate_with_flush":
-        first, drawn = drawn, [0, 0, 0, 0]
-        for j, (out_label, n_out) in enumerate(zip(STATE_LABELS, first)):
+    if stage == "paired_and_unpaired":
+        counts = [a + b for a, b in zip(counts, drawn)]
+    else:
+        for j, (out_label, n_out) in enumerate(zip(STATE_LABELS, drawn)):
             if out_label[1] == "0":
                 # flush removes the logical-0 target; the control reads alone
-                drawn[j] = n_out
+                counts[j] += n_out
             elif n_out:
                 *second, lost = rng.multinomial(n_out, _row_pvec(table, out_label)).tolist()
-                drawn = [a + b for a, b in zip(drawn, second)]
+                counts = [a + b for a, b in zip(counts, second)]
                 leaked += lost
-    counts = [a + b for a, b in zip(counts, drawn)]
     return MeasurementStage(stage, input_label, counts, leaked, fill.n_paired, n_single)
 
 

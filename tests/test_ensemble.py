@@ -331,22 +331,33 @@ def _hex(values) -> list[str]:
     return [float(x).hex() for x in values]
 
 
+def _dense_table() -> TruthTable:
+    """Every row weights all four outputs and leakage, so the double gate's
+    second pulses land in bins its flushed outputs also fill; a gate table
+    never moves the control bit and keeps those bins apart."""
+    base = np.array([0.4, 0.2, 0.25, 0.1])
+    populations = np.array([np.roll(base, i) for i in range(4)])
+    return TruthTable(populations, 1.0 - populations.sum(axis=1))
+
+
 @pytest.mark.parametrize("p", [0.0, 1.0, 0.3, 0.9])
 @pytest.mark.parametrize("n_sites", [1, 7, 1000, 10**7, 2**53 + 3, 2**62 - 1])
-def test_readout_bits_match_the_numpy_reference(reference_table, n_sites, p):
+@pytest.mark.parametrize("dense", [False, True], ids=["gate_table", "dense_table"])
+def test_readout_bits_match_the_numpy_reference(reference_table, n_sites, p, dense):
     # every count, fraction, corrected value and error as the numpy-array
     # readout gives them, bit for bit; above 2**53 a count is not an exact
     # double, and a fraction must divide float(count) by float(n) as numpy does
+    table = _dense_table() if dense else reference_table
     for label, seed in product(STATE_LABELS, range(10)):
         fill = simulate_fill(n_sites, p, seed)
-        stages = [run_stage(fill, None if stage == "unpaired_only" else reference_table, label, stage)
+        stages = [run_stage(fill, None if stage == "unpaired_only" else table, label, stage)
                   for stage in STAGES]
-        reference, row5 = oracles.one_shot_readout(reference_table, label, n_sites, p, seed)
+        reference, row5 = oracles.one_shot_readout(table, label, n_sites, p, seed)
         for stage, (counts, leaked, fractions) in zip(stages, reference):
             assert stage.counts.dtype == np.int64
             assert (stage.counts.tolist(), stage.leaked) == (counts.tolist(), leaked)
             assert _hex(stage.fractions) == _hex(fractions)
-        _, mixed_row5 = oracles.one_shot_readout(reference_table, label, n_sites, p, seed, subtract=False)
+        _, mixed_row5 = oracles.one_shot_readout(table, label, n_sites, p, seed, subtract=False)
         for stage_set, want in ((stages, row5), (stages[:1], mixed_row5)):
             if want is None:
                 with pytest.raises(NonIdentifiableError):
