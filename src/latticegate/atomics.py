@@ -1,8 +1,9 @@
 """Atomic species data, the SI constants the package uses, the
 ``key = value`` file reader shared by the species and lattice configuration
-loaders, and ``_require``, the one input rule of every public record and
-function: each float is positive, nonnegative or merely finite, and NaN and
-+-inf fail every rule with a ValueError that names the input.
+loaders, and the input rules of every public record and function: by
+``_require`` each float is positive, nonnegative or merely finite (NaN and
++-inf fail every rule), by ``_require_int`` each count or seed is an integer
+in a range, and either raises a ValueError that names the input.
 
 Everything here is a pure function; the species record is a frozen dataclass
 loaded from a key-value text file so other alkalis can be added without code
@@ -12,8 +13,8 @@ changes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
-from importlib import resources
 from pathlib import Path
 
 __all__ = [
@@ -34,9 +35,12 @@ class AtomSpecies:
     """Constants of one alkali D2 transition.
 
     mass kg, lambda_res m, gamma_natural rad/s, i_sat W/m^2, and the
-    nuclear spin, which fixes the hyperfine labels. The spin must lie below
-    2**52: from there on every double is a multiple of 1/2, so the
-    half-integer test would pass on any value, and well below it
+    nuclear spin, which fixes the hyperfine labels. Each constant lies in a
+    physical range, wide around the alkalis, in which the trap and catalysis
+    formulas stay inside the doubles: mass in [1e-27, 1e-24], lambda_res in
+    [1e-7, 1e-5], gamma_natural in [1e3, 1e10] and i_sat in [1e-3, 1e3]. The
+    spin must lie below 2**52: from there on every double is a multiple of
+    1/2, so the half-integer test would pass on any value, and well below it
     pi_coupling's products stay finite.
     """
 
@@ -48,6 +52,10 @@ class AtomSpecies:
 
     def __post_init__(self) -> None:
         _require("positive", **vars(self))
+        for name, low, high in (("mass", 1e-27, 1e-24), ("lambda_res", 1e-7, 1e-5),
+                                ("gamma_natural", 1e3, 1e10), ("i_sat", 1e-3, 1e3)):
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(f"{name} must lie in [{low:g}, {high:g}], got {getattr(self, name)!r}")
         # a spin within 5e-10 of a multiple of 1/2 counts as that multiple,
         # so one that close to zero fails; fmod is exact and cannot overflow
         offset = math.fmod(self.nuclear_spin, 0.5)
@@ -97,6 +105,15 @@ def _require(domain: str, why: str = "", /, **values: float) -> None:
         if not _DOMAINS[domain](value):
             rule = domain if domain == "finite" else f"{domain} and finite"
             raise ValueError(f"{name} must be {rule}{f' ({why})' if why else ''}, got {value!r}")
+
+
+def _require_int(low: int, high: float = math.inf, why: str = "", /, **values) -> None:
+    """Raise ValueError, like _require, at the first value that is not an integer in [low, high):
+    Python and numpy integers pass, and a bool or any other type fails."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < high:
+            reason = f" ({why})" if why else ""
+            raise ValueError(f"{name} must be an integer in [{low}, {high}){reason}, got {value!r}")
 
 
 def _finite_float(text: str) -> float:
@@ -156,7 +173,6 @@ def load_species(path: str | Path) -> AtomSpecies:
 
 
 def cesium_d2() -> AtomSpecies:
-    """The packaged Cs D2 record (852 nm, I = 7/2, F = 3/4, F'_max = 5)."""
-    ref = resources.files(__package__).joinpath("data/cesium_d2.txt")
-    with resources.as_file(ref) as path:
-        return load_species(path)
+    """The packaged Cs D2 record (852 nm, I = 7/2, F = 3/4, F'_max = 5),
+    read from the package's data/cesium_d2.txt like any species file."""
+    return load_species(Path(__file__).with_name("data") / "cesium_d2.txt")

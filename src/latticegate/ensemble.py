@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomics import _require
+from .atomics import _require, _require_int
 from .gate import IDEAL_CNOT_OUTPUT, STATE_LABELS, TruthTable
 
 __all__ = [
@@ -82,8 +82,8 @@ def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
     independent of n_sites.
     """
     # the unpaired-only stage bins up to 2 * n_sites atoms in int64 counts
-    if not 0 < n_sites < 2**62:
-        raise ValueError(f"n_sites must lie in [1, 2**62), got {n_sites}")
+    _require_int(1, 2**62, n_sites=n_sites)
+    _require_int(0, seed=seed)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"fill probability p must lie in [0, 1], got {p!r}")
     q = 1.0 - p

@@ -267,19 +267,36 @@ class LatticeConfig:
         _require("positive", geometry_factor=self.geometry_factor)
 
 
-def _split_quantity(key: str, raw: str) -> tuple[float, str | None]:
+# each number key's (unit kind, unit table), or None for a dimensionless one
+_CONFIG_KEYS = {
+    "intensity_perp": ("intensity", _INTENSITY_UNITS),
+    "intensity_par": ("intensity", _INTENSITY_UNITS),
+    "detuning_perp": ("frequency", _FREQUENCY_UNITS),
+    "detuning_par": ("frequency", _FREQUENCY_UNITS),
+    "lattice_wavelength": ("length", _LENGTH_UNITS),
+    "polarization_angle": ("angle", _ANGLE_UNITS),
+    "design_eta_perp": None,
+    "design_eta_par": None,
+    "target_shift": ("frequency", _FREQUENCY_UNITS),
+    "geometry_factor": None,
+}
+
+
+def _quantity(key: str, raw: str) -> float:
+    """The ``number [unit]`` value raw of key, in the SI unit of its table."""
     parts = raw.split()
-    if len(parts) not in (1, 2):
+    if len(parts) > 2:
         raise ValueError(f"malformed value for {key!r}: {raw!r}")
     try:
         value = _finite_float(parts[0])
     except ValueError as exc:
         raise ValueError(f"bad value for {key!r}: {exc}") from exc
-    return value, parts[1] if len(parts) == 2 else None
-
-
-def _convert(key: str, raw: str, units: dict[str, float], kind: str) -> float:
-    value, unit = _split_quantity(key, raw)
+    unit = parts[1] if len(parts) == 2 else None
+    if _CONFIG_KEYS[key] is None:
+        if unit is not None:
+            raise ValueError(f"{key!r} is dimensionless, got unit {unit!r}")
+        return value
+    kind, units = _CONFIG_KEYS[key]
     if unit is None:
         raise ValueError(f"{key!r} needs a {kind} unit, one of {sorted(units)}")
     if unit not in units:
@@ -287,32 +304,11 @@ def _convert(key: str, raw: str, units: dict[str, float], kind: str) -> float:
     return value * units[unit]
 
 
-def _dimensionless(key: str, raw: str) -> float:
-    value, unit = _split_quantity(key, raw)
-    if unit is not None:
-        raise ValueError(f"{key!r} is dimensionless, got unit {unit!r}")
-    return value
-
-
-_CONFIG_KEYS = {
-    "species",
-    "intensity_perp",
-    "intensity_par",
-    "detuning_perp",
-    "detuning_par",
-    "lattice_wavelength",
-    "polarization_angle",
-    "design_eta_perp",
-    "design_eta_par",
-    "target_shift",
-    "geometry_factor",
-}
-
-
 def load_lattice_config(path: str | Path) -> LatticeConfig:
     """Read a key = value lattice configuration.
 
-    Detunings and the target shift are given as ordinary frequencies
+    Each number is read in file order by the row of _CONFIG_KEYS for its
+    key. Detunings and the target shift are given as ordinary frequencies
     (Hz...THz) and converted to rad/s and joules respectively: a detuning
     of "120 GHz" means 2 pi * 120e9 rad/s, a target_shift of "5 kHz" means
     the level shift whose magnitude over the Planck constant is 5 kHz.
@@ -321,38 +317,33 @@ def load_lattice_config(path: str | Path) -> LatticeConfig:
     resolved relative to the configuration file.
     """
     path = Path(path)
-    values = _read_key_values(path, _CONFIG_KEYS, "key", optional={"geometry_factor"})
+    values = _read_key_values(path, {"species", *_CONFIG_KEYS}, "key", optional={"geometry_factor"})
 
-    species_name = values["species"]
+    species_name = values.pop("species")
     if species_name == "cesium_d2":
         species = cesium_d2()
     else:
         species = load_species(path.parent / species_name)
 
-    wavelength = _convert("lattice_wavelength", values["lattice_wavelength"], _LENGTH_UNITS, "length")
+    number = {key: _quantity(key, raw) for key, raw in values.items()}
+    wavelength = number["lattice_wavelength"]
     if wavelength <= 0:
         raise ValueError(f"'lattice_wavelength' must be positive, got {values['lattice_wavelength']!r}")
     beams = LatticeBeamConfig(
-        intensity_perp=_convert("intensity_perp", values["intensity_perp"], _INTENSITY_UNITS, "intensity"),
-        intensity_par=_convert("intensity_par", values["intensity_par"], _INTENSITY_UNITS, "intensity"),
-        detuning_perp=2.0 * math.pi * _convert("detuning_perp", values["detuning_perp"], _FREQUENCY_UNITS, "frequency"),
-        detuning_par=2.0 * math.pi * _convert("detuning_par", values["detuning_par"], _FREQUENCY_UNITS, "frequency"),
+        intensity_perp=number["intensity_perp"],
+        intensity_par=number["intensity_par"],
+        detuning_perp=2.0 * math.pi * number["detuning_perp"],
+        detuning_par=2.0 * math.pi * number["detuning_par"],
         wave_number=2.0 * math.pi / wavelength,
-        polarization_angle=_convert("polarization_angle", values["polarization_angle"], _ANGLE_UNITS, "angle"),
+        polarization_angle=number["polarization_angle"],
     )
-    design = TrapGeometry(
-        eta_perp=_dimensionless("design_eta_perp", values["design_eta_perp"]),
-        eta_par=_dimensionless("design_eta_par", values["design_eta_par"]),
-    )
-    target_shift = PLANCK * _convert("target_shift", values["target_shift"], _FREQUENCY_UNITS, "frequency")
-    geometry_factor = _dimensionless("geometry_factor", values.get("geometry_factor", "1"))
     return LatticeConfig(
         species=species,
         species_name=species_name,
         beams=beams,
-        design_geometry=design,
-        target_shift=target_shift,
-        geometry_factor=geometry_factor,
+        design_geometry=TrapGeometry(eta_perp=number["design_eta_perp"], eta_par=number["design_eta_par"]),
+        target_shift=PLANCK * number["target_shift"],
+        geometry_factor=number.get("geometry_factor", 1.0),
     )
 
 

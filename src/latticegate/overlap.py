@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import _available_cpus, _fan_out
-from .atomics import _require
+from .atomics import _require, _require_int
 from .dipole_kernel import radial_parts
 
 __all__ = [
@@ -108,8 +108,7 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol <= 1e-2:
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol!r}")
-        if self.eval_budget < 1:
-            raise ValueError("eval_budget must be >= 1")
+        _require_int(1, eval_budget=self.eval_budget)
 
 
 @dataclass(frozen=True)
@@ -457,14 +456,14 @@ def _mean_fg_many(
 
     The radial panels of all cells run in one _adaptive_gk21 lockstep, so
     each round's nodes from every cell go to one integrand call. Each cell
-    keeps its own panels, node count, evaluation budget, head term and
-    checks, and every node's value depends on that node alone, so a cell's
-    result is bit-identical to the one it gets in a batch of one.
+    keeps its own panels, node count, evaluation budget and checks; its head
+    term is its last panel, one node that the lockstep's budget of
+    eval_budget - 1 leaves room for. Every node's value depends on that node
+    alone, so a cell's result is bit-identical to the one it gets alone.
     """
     sigma_perp = np.array([geom.sigma_perp for geom in geoms])
     sigma_par = np.array([geom.sigma_par for geom in geoms])
     cuts = [_cuts(geom) for geom in geoms]
-    budget = quad_spec.eval_budget
 
     def integrand(x: np.ndarray, cell: np.ndarray) -> np.ndarray:
         """x^2-weighted (f, g) angular averages at the radii x, shape (x.size, 2)."""
@@ -482,21 +481,18 @@ def _mean_fg_many(
     # an overflowing kernel or density fails the non-finite check of
     # _expectation, which is the one report of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        counts, panel_sets = _adaptive_gk21(integrand, cuts, quad_spec.rel_tol, budget)
+        counts, panel_sets = _adaptive_gk21(integrand, cuts, quad_spec.rel_tol, quad_spec.eval_budget - 1)
         # F(x) is linear in x at the origin (the angular average kills the
-        # 1/x^3 and 1/x pieces), so the [0, x_lo] head is F(x_lo)*x_lo/2,
-        # one more node for each cell that can pay for it
-        headed = [cell for cell, n in enumerate(counts) if n < budget]
-        heads = {}
-        if headed:
-            x_lo = np.array([cuts[cell][0] for cell in headed])
-            values = integrand(x_lo, np.array(headed)) * (0.5 * x_lo)[:, None]
-            heads = dict(zip(headed, values))
-
+        # 1/x^3 and 1/x pieces), so the [0, x_lo] head is F(x_lo)*x_lo/2, one
+        # node and a last panel with no error for each cell that finished
+        done = [cell for cell, panels in enumerate(panel_sets) if panels is not None]
+        x_lo = np.array([cuts[cell][0] for cell in done])
+        for cell, head in zip(done, integrand(x_lo, np.array(done)) * (0.5 * x_lo)[:, None]):
+            panel_sets[cell].append((head, 0.0))
         return [
-            _expectation(geom, panels, heads[cell], counts[cell] + 1, quad_spec)
-            if cell in heads
-            else ConvergenceError(f"evaluation budget {budget} exhausted for {geom}")
+            ConvergenceError(f"evaluation budget {quad_spec.eval_budget} exhausted for {geom}")
+            if panels is None
+            else _expectation(geom, panels, counts[cell] + 1, quad_spec)
             for cell, (geom, panels) in enumerate(zip(geoms, panel_sets))
         ]
 
@@ -504,11 +500,10 @@ def _mean_fg_many(
 def _expectation(
     geom: TrapGeometry,
     panels: list[tuple[np.ndarray, float]],
-    head: np.ndarray,
     count: int,
     quad_spec: QuadratureSpec,
 ) -> DipoleExpectation | ConvergenceError:
-    """One cell's <f>, <g> from its panels and head term, or the
+    """One cell's <f>, <g> from its panels, the head term last, or the
     ConvergenceError of its non-finite or achieved-error check."""
     total = np.zeros(2)
     err_sum = 0.0
@@ -517,8 +512,6 @@ def _expectation(
         total += value
         err_sum += err
         sum_abs += np.abs(value)
-    total += head
-    sum_abs += np.abs(head)
 
     # the azimuth's 2 pi times the density prefactor (2 pi)^(-3/2) / (a^2 c)
     prefactor = 2.0 * math.pi * ((2.0 * math.pi) ** -1.5 / (geom.sigma_perp**2 * geom.sigma_par))
@@ -679,9 +672,8 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     non-finite mean or error (widths so small that the residual cancels
     beyond double precision) raises ConvergenceError.
     """
-    samples = int(samples)
-    if samples < 10_000:
-        raise ValueError("mc_oracle needs at least 10^4 samples")
+    _require_int(10_000, math.inf, "its standard errors need at least 10^4 samples", samples=samples)
+    _require_int(0, seed=seed)
     rho_scale = 2.0 * geom.sigma_perp**2
     chunks = -(-samples // _MC_CHUNK)
     workers = min(_available_cpus(), _MC_WORKERS, chunks)
@@ -705,7 +697,7 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     err_g = g_std / root_n
     if not all(map(math.isfinite, (mean_f, err_f, mean_g, err_g))):
         raise ConvergenceError(f"non-finite Monte Carlo estimate for {geom} from {samples} samples")
-    return DipoleExpectation(mean_f, mean_g, err_f, err_g, samples)
+    return DipoleExpectation(mean_f, mean_g, err_f, err_g, int(samples))
 
 
 def kappa(geom: TrapGeometry, quad_spec: QuadratureSpec = QuadratureSpec()) -> float:

@@ -420,6 +420,8 @@ def test_atomics_and_lattice_stay_plain_python():
     # stays in the array layers
     numpy_users = ["cli.py", "dipole_kernel.py", "ensemble.py", "gate.py", "overlap.py"]
     assert sorted(package_imports({"numpy"})) == numpy_users
+    # the packaged species file is read by path, like any species file
+    assert package_imports({"importlib"}) == {}
 
 
 def test_version_flag():

@@ -21,6 +21,7 @@ import latticegate
 from conftest import CG_PI, CG_PI_4, REF_MEAN_F, REF_MEAN_G
 from latticegate import (
     PLANCK,
+    AtomSpecies,
     CatalysisField,
     GateEnvironment,
     LatticeBeamConfig,
@@ -102,10 +103,13 @@ EDGES = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0])
 
 
 def _drawn_args(name: str, data) -> dict:
-    """The reference row of name with each float parameter drawn."""
+    """The reference row of name with each float parameter drawn, and with
+    the species' fields drawn alike where the row has a species."""
     kwargs = dict(REFERENCE_ARGS[name])
     for param in PUBLIC[name]:
         kwargs[param] = data.draw(st.one_of(st.just(kwargs[param]), EDGES, st.floats()), label=param)
+    if "species" in kwargs:
+        kwargs["species"] = AtomSpecies(**_drawn_args("AtomSpecies", data))
     return kwargs
 
 
@@ -135,14 +139,64 @@ EXTREME_FINITE = [
     ("default_pulse", "rabi_divisor", 1e-300),  # hbar * rabi_divisor is 0
     ("optimize_ratio", "eta_perp", 3e-187),  # eta_perp**2 * eta_par is 0
     ("optimize_ratio", "eta_perp", 1e-105),  # kappa_approx is inf
+    # a species field, set on the reference species: outside its physical
+    # range a formula returned nonsense or blamed another input
+    ("catalysis_intensity", "i_sat", 5e-324),  # intensity 0 beside a nonzero saturation
+    ("trap_params", "mass", 5e-324),  # osc_freq 4.4e154, scatter_rate 3.0e150
+    ("trap_params", "i_sat", 1e300),  # the depth underflows, blamed on intensity and detuning
 ]
 
 
 @pytest.mark.parametrize("name,param,value", EXTREME_FINITE)
 def test_extreme_finite_input_raises_value_error_naming_it(name, param, value):
-    kwargs = {**REFERENCE_ARGS[name], param: value}
     with pytest.raises(ValueError, match=rf"\b{re.escape(param)}\b"):
+        if param in REFERENCE_ARGS[name]:
+            kwargs = {**REFERENCE_ARGS[name], param: value}
+        else:
+            kwargs = {**REFERENCE_ARGS[name], "species": dataclasses.replace(CESIUM, **{param: value})}
         getattr(latticegate, name)(**kwargs)
+
+
+# a valid call of each public callable with an integer input: a count or a seed
+INTEGER_ARGS = {
+    "mc_oracle": dict(geom=TrapGeometry(0.1, 0.2), samples=10**4, seed=1),
+    "simulate_fill": REFERENCE_ARGS["simulate_fill"],
+    "QuadratureSpec": dict(rel_tol=1e-6, eval_budget=300),
+}
+# each input must be an integer in its range; a bool, a float or a string
+# fails even where its value would pass
+BAD_INTEGERS = [
+    ("mc_oracle", "samples", 9999),
+    ("mc_oracle", "samples", math.inf),  # raised OverflowError
+    ("mc_oracle", "samples", 10000.5),  # ran 10^4 samples
+    ("mc_oracle", "samples", "100000"),  # ran
+    ("mc_oracle", "seed", -1),
+    ("mc_oracle", "seed", 1.0),
+    ("simulate_fill", "n_sites", 0),
+    ("simulate_fill", "n_sites", 2**62),
+    ("simulate_fill", "n_sites", 2.5),  # returned n_sites=2.5
+    ("simulate_fill", "n_sites", True),  # returned n_sites=True
+    ("simulate_fill", "seed", 1.5),  # raised TypeError
+    ("simulate_fill", "seed", -1),  # a ValueError that did not name the seed
+    ("QuadratureSpec", "eval_budget", 0),
+    ("QuadratureSpec", "eval_budget", 1.5),  # built
+    ("QuadratureSpec", "eval_budget", math.inf),  # built
+    ("QuadratureSpec", "eval_budget", np.float64(300.0)),
+]
+
+
+@pytest.mark.parametrize("name,param,value", BAD_INTEGERS)
+def test_integer_input_outside_its_rule_raises_value_error_naming_it(name, param, value):
+    kwargs = {**INTEGER_ARGS[name], param: value}
+    with pytest.raises(ValueError, match=rf"^{re.escape(param)} must be an integer in \["):
+        getattr(latticegate, name)(**kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGS))
+def test_numpy_integers_pass_the_integer_rule(name):
+    kwargs = INTEGER_ARGS[name]
+    as_numpy = {param: np.int64(value) if type(value) is int else value for param, value in kwargs.items()}
+    assert getattr(latticegate, name)(**as_numpy) == getattr(latticegate, name)(**kwargs)
 
 
 FUNCTIONS = sorted(name for name in PUBLIC if name not in RECORDS)

@@ -800,17 +800,40 @@ def test_map_cells_of_one_batch_are_independent():
             assert values[i, j].hex() == alone.hex()
 
 
-def test_batched_failures_match_single_cell_failures():
-    # at rel_tol = 1e-15 every cell fails, some with a partial and some on
-    # the budget; messages and partials match a batch of one's bit for bit
-    geoms = [TrapGeometry(*eta) for eta in ((0.01, 0.01), (0.1, 0.2), (0.05, 1.0), (1.0, 0.05), (0.3, 0.3))]
-    for spec in (QuadratureSpec(rel_tol=1e-15), QuadratureSpec(rel_tol=1e-15, eval_budget=300)):
+@pytest.mark.parametrize(
+    "etas,specs,converged",
+    [
+        # at rel_tol = 1e-15 every cell fails, some with a partial and some
+        # on the budget
+        (((0.01, 0.01), (0.1, 0.2), (0.05, 1.0), (1.0, 0.05), (0.3, 0.3)),
+         (QuadratureSpec(rel_tol=1e-15), QuadratureSpec(rel_tol=1e-15, eval_budget=300)), ((), ())),
+        # (0.1, 0.2) takes 232 nodes, its head among them, beside cells that
+        # take 337 and 295: at a budget of 231 the head node does not fit
+        (((0.1, 0.2), (0.05, 1.0), (1.0, 0.05)),
+         (QuadratureSpec(eval_budget=231), QuadratureSpec(eval_budget=232)), ((), ((0.1, 0.2),))),
+    ],
+    ids=["tolerance", "head_node"],
+)
+def test_batched_failures_match_single_cell_failures(etas, specs, converged):
+    # converged lists the cells that converge under each spec, with their
+    # default-budget bits; a failure without a partial is the budget's, and
+    # messages and partials match a batch of one's bit for bit
+    geoms = [TrapGeometry(*eta) for eta in etas]
+    for spec, ok in zip(specs, converged):
         batched = overlap._mean_fg_many(geoms, spec)
-        assert all(isinstance(result, ConvergenceError) for result in batched)
+        done = [geom for geom, result in zip(geoms, batched) if not isinstance(result, ConvergenceError)]
+        assert done == [TrapGeometry(*eta) for eta in ok]
         for geom, result in zip(geoms, batched):
-            with pytest.raises(ConvergenceError) as alone:
-                mean_fg(geom, spec)
-            assert _outcome(result) == _outcome(alone.value)
+            try:
+                alone = mean_fg(geom, spec)
+            except ConvergenceError as exc:
+                alone = exc
+            assert _outcome(result) == _outcome(alone)
+            if isinstance(result, ConvergenceError):
+                if result.partial is None:
+                    assert str(result) == f"evaluation budget {spec.eval_budget} exhausted for {geom}"
+            else:
+                assert _outcome(result) == _outcome(mean_fg(geom))
 
 
 def test_map_surface_is_smooth_at_fig_grid_resolution():
