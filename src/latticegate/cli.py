@@ -13,7 +13,7 @@ runs with identical inputs are byte-identical. Exit codes: 0 success,
 ensemble estimator.
 
 This is the one module that renders output: the physics modules return
-numbers and records, and every JSON document and CSV file is formatted here.
+numbers and records, and every JSON document and the map CSV are formatted here.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _config_hash(args: argparse.Namespace) -> str:
     Output destination and worker count are excluded: results are
     independent of both by contract.
     """
-    skip = {"func", "out", "stages_csv", "jobs"}
+    skip = {"func", "out", "jobs"}
     payload = {}
     for key, value in sorted(vars(args).items()):
         if key in skip:
@@ -116,16 +116,6 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
     document = {"schema_version": SCHEMA_VERSION, "provenance": _provenance(args)}
     document.update(payload)
     _emit(json.dumps(_round_floats(document), indent=2) + "\n", args.out)
-
-
-def _csv_header(args: argparse.Namespace) -> str:
-    prov = _provenance(args)
-    return (
-        f"# latticegate {prov['version']}\n"
-        f"# schema_version {SCHEMA_VERSION}\n"
-        f"# config_hash {prov['config_hash']}\n"
-        f"# seed {prov['seed']}\n"
-    )
 
 
 def _csv_cells(values) -> str:
@@ -176,10 +166,13 @@ def _cmd_map(args: argparse.Namespace) -> int:
     par = _grid(args.par_min, args.par_max, args.par_steps, "par")
     values = kappa_map(perp, par, _quad_spec(args), jobs=args.jobs)
     failed = int(np.sum(~np.isfinite(values)))
-    # header row of eta_par, first column eta_perp
-    lines = [f"# failed_cells {failed}", "eta_perp/eta_par," + _csv_cells(par)]
+    prov = _provenance(args)
+    # provenance comments, then a header row of eta_par, first column eta_perp
+    lines = [f"# latticegate {prov['version']}", f"# schema_version {SCHEMA_VERSION}",
+             f"# config_hash {prov['config_hash']}", f"# seed {prov['seed']}",
+             f"# failed_cells {failed}", "eta_perp/eta_par," + _csv_cells(par)]
     lines += [_csv_cells([eta, *row]) for eta, row in zip(perp, values)]
-    _emit(_csv_header(args) + "\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_NO_CONVERGENCE if failed else EXIT_OK
 
 
@@ -257,10 +250,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         run_stage(fill, None, args.input, "unpaired_only"),
         run_stage(fill, table, args.input, "double_gate_with_flush"),
     ]
-    if args.stages_csv:
-        lines = ["stage,input,p00,p01,p10,p11,leaked,n"]
-        lines += [f"{s.stage},{s.input_label},{_csv_cells(s.fractions)},{s.n_measured}" for s in stages]
-        Path(args.stages_csv).write_text(_csv_header(args) + "\n".join(lines) + "\n")
     row = background_subtract(stages)
     ideal = IDEAL_CNOT_OUTPUT[args.input]
     _emit_json(
@@ -361,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--sites", type=int, default=100_000)
     p_ens.add_argument("--fill-prob", type=float, default=0.6)
     p_ens.add_argument("--input", choices=("00", "01", "10", "11"), default="10")
-    p_ens.add_argument("--stages-csv", help="also write the per-stage CSV here")
     _add_common(p_ens)
     p_ens.set_defaults(func=_cmd_ensemble)
 

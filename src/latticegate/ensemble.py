@@ -126,17 +126,15 @@ class MeasurementStage:
         return self.n_paired + self.n_single
 
     @property
-    def fractions(self) -> np.ndarray:
-        """(p00, p01, p10, p11, leaked) as fractions of measured entries."""
-        return np.array(self._listed_fractions())
-
-    def _listed_fractions(self) -> list[float]:
+    def fractions(self) -> tuple[float, ...]:
+        """(p00, p01, p10, p11, leaked) as fractions of measured entries,
+        all 0.0 when nothing was measured."""
         # a count and n are both made floats before they divide, as numpy
         # divides an int64 array; above 2**53 that sets the bits
         n = float(self.n_measured)
         if n == 0.0:
-            return [0.0] * 5
-        return [float(c) / n for c in (*self.counts.tolist(), self.leaked)]
+            return (0.0,) * 5
+        return tuple(float(c) / n for c in (*self.counts.tolist(), self.leaked))
 
 
 def _row_pvec(table: TruthTable, label: str) -> np.ndarray:
@@ -222,7 +220,7 @@ class CorrectedRow:
         _require("nonnegative", leaked_error=self.leaked_error, paired_fraction=self.paired_fraction)
 
 
-def _multinomial_se(fractions: list[float], n: int) -> list[float]:
+def _multinomial_se(fractions: tuple[float, ...], n: int) -> list[float]:
     return [math.sqrt(max(x * (1.0 - x), 0.0) / n) for x in fractions]
 
 
@@ -254,14 +252,14 @@ def background_subtract(stages: list[MeasurementStage]) -> CorrectedRow:
             "in the measurement at all"
         )
     alpha = m_stage.n_paired / m_stage.n_measured
-    m = m_stage._listed_fractions()
+    m = m_stage.fractions
     m_err = _multinomial_se(m, m_stage.n_measured)
 
     u_stage = background[0] if background else None
     if u_stage is None or u_stage.n_measured == 0:
         corrected, err = m, m_err
     else:
-        u = u_stage._listed_fractions()
+        u = u_stage.fractions
         u_err = _multinomial_se(u, u_stage.n_measured)
         b = 1.0 - alpha
         corrected = [(x - b * y) / alpha for x, y in zip(m, u)]
@@ -280,4 +278,4 @@ def background_subtract(stages: list[MeasurementStage]) -> CorrectedRow:
 def apparent_fidelity(stage: MeasurementStage) -> float:
     """Fraction of measured sites on the ideal output bin, background included."""
     ideal = IDEAL_CNOT_OUTPUT[stage.input_label]
-    return float(stage.fractions[STATE_LABELS.index(ideal)])
+    return stage.fractions[STATE_LABELS.index(ideal)]

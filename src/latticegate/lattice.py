@@ -38,14 +38,22 @@ SATURATION_LIMIT = 0.1
 _BLUE = "blue of resonance; red or zero detuning is not supported"
 
 
+def _require_wave_number(wave_number: float) -> None:
+    # lattice light from 100 nm (UV) to 100 um (past CO2 lasers)
+    if not 2.0 * math.pi / 1e-4 <= wave_number <= 2.0 * math.pi / 1e-7:
+        raise ValueError(f"wave_number must lie in [2 pi / 1e-4, 2 pi / 1e-7] rad/m, a wavelength of "
+                         f"100 nm to 100 um, got {wave_number!r}")
+
+
 @dataclass(frozen=True)
 class LatticeBeamConfig:
     """Beam parameters of the two standing-wave pairs.
 
-    Intensities in W/m^2 per beam, detunings in rad/s and blue of the
-    resonance, wave_number in rad/m, polarization_angle in rad between the
-    linear polarizations of the counter-propagating transverse beams.
-    Intensity zero is allowed as the explicit no-trap degenerate case.
+    Intensities in W/m^2 per beam, positive so that every beam traps,
+    detunings in rad/s and blue of the resonance, wave_number in
+    [2 pi / 1e-4, 2 pi / 1e-7] rad/m (a wavelength of 100 nm to 100 um),
+    polarization_angle in rad between the linear polarizations of the
+    counter-propagating transverse beams.
     """
 
     intensity_perp: float
@@ -56,9 +64,9 @@ class LatticeBeamConfig:
     polarization_angle: float
 
     def __post_init__(self) -> None:
-        _require("nonnegative", intensity_perp=self.intensity_perp, intensity_par=self.intensity_par)
+        _require("positive", intensity_perp=self.intensity_perp, intensity_par=self.intensity_par)
         _require("positive", _BLUE, detuning_perp=self.detuning_perp, detuning_par=self.detuning_par)
-        _require("positive", wave_number=self.wave_number)
+        _require_wave_number(self.wave_number)
         if not 0.0 <= self.polarization_angle <= math.pi:
             raise ValueError("polarization_angle must lie in [0, pi]")
 
@@ -67,10 +75,9 @@ class LatticeBeamConfig:
 class TrapParams:
     """One axis of the harmonic well: depth, frequency, width, scattering.
 
-    osc_freq is an ordinary frequency in Hz. A zero-intensity beam gives
-    the degenerate record (zero depth, frequency and scattering; infinite
-    ground-state width), kept constructible so an all-zero budget stays
-    representable.
+    osc_freq is an ordinary frequency in Hz. Every field is finite: the
+    atom is confined, so depth, frequency, width and Lamb-Dicke parameter
+    are positive and the scattering rate nonnegative.
     """
 
     well_depth: float
@@ -80,12 +87,6 @@ class TrapParams:
     scatter_rate: float
 
     def __post_init__(self) -> None:
-        if self.well_depth == 0.0:
-            if self.osc_freq != 0.0 or self.scatter_rate != 0.0:
-                raise ValueError("zero-depth trap must have zero frequency and scattering")
-            if not (math.isinf(self.ground_rms) and math.isinf(self.lamb_dicke)):
-                raise ValueError("zero-depth trap leaves the atom unconfined")
-            return
         _require("positive", well_depth=self.well_depth, osc_freq=self.osc_freq, ground_rms=self.ground_rms,
                  lamb_dicke=self.lamb_dicke)
         _require("nonnegative", scatter_rate=self.scatter_rate)
@@ -159,12 +160,11 @@ def trap_params(
     detuning. The scattering contribution is the zero-point residual: a
     node-sited atom samples the field over its ground-state width, which
     in the harmonic approximation scatters at Gamma * omega / (4 Delta).
+    intensity and wave_number have LatticeBeamConfig's domains.
     """
     _require("positive", _BLUE, detuning=detuning)
-    _require("nonnegative", intensity=intensity)
-    _require("positive", geometry_factor=geometry_factor, wave_number=wave_number)
-    if intensity == 0.0:
-        return TrapParams(0.0, 0.0, math.inf, math.inf, 0.0)
+    _require("positive", intensity=intensity, geometry_factor=geometry_factor)
+    _require_wave_number(wave_number)
     gamma = species.gamma_natural
     try:
         lorentzian = 1.0 + (2.0 * detuning / gamma) ** 2
@@ -207,7 +207,9 @@ def catalysis_intensity(
     scattering rate Gamma', converts to saturation s = 2 Gamma' / Gamma and
     intensity I = s * I_sat, and reports the superradiant pair rate
     Gamma' * c_g4 * (1 + <g>). target_shift is in joules; its sign is
-    ignored.
+    ignored. The solver's forms are those of a weak drive, so, as for the
+    trap beams, a shift that needs a saturation above SATURATION_LIMIT
+    raises ValueError; the reference 5 kHz shift needs 1.8e-4.
     """
     if not 0.0 < c_g4 <= 1.0:
         raise ValueError("c_g4 must lie in (0, 1]")
@@ -221,6 +223,9 @@ def catalysis_intensity(
         raise ValueError(f"hbar * c_g4 * |mean_f| underflows to 0 at c_g4 {c_g4!r} and mean_f {mean_f!r}")
     gamma_prime = abs(target_shift) / shift_per_rate
     saturation = 2.0 * gamma_prime / species.gamma_natural
+    if saturation > SATURATION_LIMIT:
+        raise ValueError(f"saturation {saturation:.3g} at target_shift {target_shift!r} exceeds the "
+                         f"weak-drive limit {SATURATION_LIMIT}; the catalysis model does not apply")
     field = CatalysisField(
         intensity=saturation * species.i_sat,
         saturation=saturation,
@@ -350,16 +355,12 @@ def load_lattice_config(path: str | Path) -> LatticeConfig:
 # --- budget ---------------------------------------------------------------
 
 
-def _finite_or_none(x: float) -> float | None:
-    return x if math.isfinite(x) else None
-
-
 def _trap_block(params: TrapParams) -> dict:
     return {
         "well_depth_joule": params.well_depth,
         "osc_freq_hz": params.osc_freq,
-        "ground_rms_m": _finite_or_none(params.ground_rms),
-        "lamb_dicke": _finite_or_none(params.lamb_dicke),
+        "ground_rms_m": params.ground_rms,
+        "lamb_dicke": params.lamb_dicke,
         "scatter_rate_per_s": params.scatter_rate,
         "formulas": {
             "well_depth": "4 * geometry_factor * hbar * gamma^2 * (I / I_sat) / (8 * detuning)",
@@ -432,8 +433,8 @@ def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = QuadratureS
         "dipole_average": {
             "design_eta_perp": design.eta_perp,
             "design_eta_par": design.eta_par,
-            "derived_eta_perp": _finite_or_none(perp.lamb_dicke),
-            "derived_eta_par": _finite_or_none(par.lamb_dicke),
+            "derived_eta_perp": perp.lamb_dicke,
+            "derived_eta_par": par.lamb_dicke,
             **asdict(expectation),
         },
         "figure_of_merit": {

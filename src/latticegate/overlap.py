@@ -658,13 +658,17 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     than chunks. Each thread has one set of ten chunk-sized scratch arrays
     for the call (chunk k takes set k % workers, which the round-robin gives
     to one thread alone), and radial_parts works in seven of them, so a call
-    holds O(workers x chunk) memory and no chunk allocates its arrays. A
-    chunk reduces its residuals and its g values to _chunk_moments, and the
-    calling thread pools them in chunk order (_pooled_mean_and_std). A
-    chunk's samples depend on (seed, k) alone, every later step is
-    elementwise or within the chunk, and the pooling runs in chunk order, so
-    the result has the same bits for any number of threads. A chunk's
-    exception stops the other threads between chunks and is re-raised.
+    holds O(workers x chunk) memory and no chunk allocates its arrays. The
+    scratch is there for speed, measured at 10^6 samples on a 2-CPU host:
+    the same steps as plain numpy expressions, a fresh temporary each, kept
+    every bit but ran slower in 8 of 8 alternating fresh-process pairs
+    (57 -> 82 ms, median of the per-process medians). A chunk reduces its
+    residuals and its g values to _chunk_moments, and the calling thread
+    pools them in chunk order (_pooled_mean_and_std). A chunk's samples
+    depend on (seed, k) alone, every later step is elementwise or within
+    the chunk, and the pooling runs in chunk order, so the result has the
+    same bits for any number of threads. A chunk's exception stops the
+    other threads between chunks and is re-raised.
 
     err_f is the standard error of the residual's mean combined in
     quadrature with the rounding of the control constant, bounded by
@@ -818,8 +822,7 @@ def kappa_map(
         if np.any(np.diff(grid) <= 0):
             raise ValueError(f"{name} must be strictly increasing")
     cells = [TrapGeometry(ep, el) for ep in perp.tolist() for el in par.tolist()]
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    _require_int(1, jobs=jobs)
 
     workers = min(jobs, _available_cpus(), len(cells))
     size = min(_MAP_CHUNK, math.ceil(len(cells) / workers))

@@ -5,9 +5,10 @@ exercise argument parsing, exit codes, and byte-level output stability
 exactly as a shell user would see them.
 """
 
-import csv
 import json
 import math
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from conftest import package_imports
+from latticegate.cli import build_parser
+from latticegate.ensemble import STAGES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG = str(REPO_ROOT / "configs" / "cesium_reference.cfg")
@@ -240,6 +243,17 @@ def test_budget_bad_config_value_is_usage_error(tmp_path, line, edited, key):
     assert "Traceback" not in result.stderr
 
 
+def test_budget_zero_intensity_is_usage_error(tmp_path):
+    # every beam must trap: a zero intensity leaves the atom unconfined
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(Path(CONFIG).read_text().replace("intensity_perp = 50 W/cm2", "intensity_perp = 0 W/cm2"))
+    assert cfg.read_text() != Path(CONFIG).read_text()
+    result = run_cli("budget", "--config", str(cfg), check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: intensity_perp must be positive and finite, got 0.0\n"
+
+
 # --- gate -------------------------------------------------------------------
 
 def test_gate_reference_operating_point():
@@ -299,12 +313,8 @@ def test_gate_pulse_speed_tradeoff():
 
 # --- ensemble ---------------------------------------------------------------
 
-def test_ensemble_subtraction_recovers_gate_row(tmp_path):
-    csv_path = tmp_path / "stages.csv"
-    result = run_cli(
-        "ensemble", "--sites", "100000", "--fill-prob", "0.6",
-        "--stages-csv", str(csv_path),
-    )
+def test_ensemble_subtraction_recovers_gate_row():
+    result = run_cli("ensemble", "--sites", "100000", "--fill-prob", "0.6")
     doc = json.loads(result.stdout)
     target = doc["gate_row"]["11"]
     sigma = doc["corrected_row"]["errors"]["11"]
@@ -313,19 +323,12 @@ def test_ensemble_subtraction_recovers_gate_row(tmp_path):
     # pairs count once among p^2 + 2p(1-p) measured units: p / (2 - p)
     assert doc["paired_fraction"] == pytest.approx(0.6 / 1.4, abs=0.02)
     assert_nine_digit_floats(doc)
-
-    lines = csv_path.read_text().splitlines()
-    assert lines[0].startswith("# latticegate ")
-    assert lines[3] == "# seed 1729"
-    assert lines[4] == "stage,input,p00,p01,p10,p11,leaked,n"
-    assert len(lines) == 8
-    records = list(csv.DictReader(lines[4:]))
-    assert [r["stage"] for r in records] == [s["stage"] for s in doc["stages"]]
-    for record, stage in zip(records, doc["stages"]):
-        assert record["input"] == "10"
-        assert int(record["n"]) == stage["n_measured"]
-        fracs = [float(record[k]) for k in ("p00", "p01", "p10", "p11", "leaked")]
-        assert fracs == pytest.approx(list(stage["fractions"].values()), rel=1e-8, abs=1e-9)
+    assert doc["input"] == "10"
+    assert [s["stage"] for s in doc["stages"]] == list(STAGES)
+    for stage in doc["stages"]:
+        assert list(stage["fractions"]) == ["00", "01", "10", "11", "leaked"]
+        assert sum(stage["fractions"].values()) == pytest.approx(1.0, rel=1e-8)
+        assert stage["n_measured"] > 0
 
 
 def test_ensemble_is_seed_deterministic():
@@ -355,6 +358,18 @@ def test_ensemble_site_count_beyond_int64_is_usage_error():
 
 
 # --- entry points -----------------------------------------------------------
+
+def test_readme_commands_parse():
+    # every `latticegate ...` line of README's sh blocks, with its backslash
+    # continuations, is a command line the parser accepts
+    readme = (REPO_ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("latticegate ")]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+    assert {argv[1] for argv in commands} == {"kappa", "map", "budget", "gate", "ensemble"}
+
 
 def test_console_script_is_installed():
     binary = shutil.which("latticegate")

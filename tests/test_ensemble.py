@@ -217,7 +217,7 @@ def test_measurement_stage_record_invariants():
     with pytest.raises(ValueError, match="length-4"):
         MeasurementStage("unpaired_only", "10", np.array([2, 0, 3]), 0, 0, 5)
     empty = MeasurementStage("unpaired_only", "10", np.zeros(4, dtype=int), 0, 0, 0)
-    assert empty.fractions.tolist() == [0.0] * 5
+    assert empty.fractions == (0.0,) * 5
 
 
 def test_mixed_stage_matches_analytic_mixture(reference_table):

@@ -105,15 +105,21 @@ EDGES = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0])
 # AtomSpecies row itself draws its fields from every float, in range or not
 SPECIES_RANGES = {"mass": (1e-27, 1e-24), "lambda_res": (1e-7, 1e-5), "gamma_natural": (1e3, 1e10),
                   "i_sat": (1e-3, 1e3)}
+# the lattice light's wave number, 100 nm to 100 um, drawn inside its range
+# beside every float so that the examples also reach the trap formula
+WAVE_NUMBERS = st.floats(2.0 * math.pi / 1e-4, 2.0 * math.pi / 1e-7)
 
 
 def _drawn_args(name: str, data) -> dict:
     """The reference row of name with each float parameter drawn; where the
     row has a species, its fields are drawn inside their ranges, so that the
-    species builds and every example reaches the callable's own formula."""
+    species builds and every example reaches the callable's own formula; a
+    wave number is drawn, with the reference, inside its range about as
+    often as at the edges or from every float."""
     kwargs = dict(REFERENCE_ARGS[name])
     for param in PUBLIC[name]:
-        kwargs[param] = data.draw(st.one_of(st.just(kwargs[param]), EDGES, st.floats()), label=param)
+        inside = [WAVE_NUMBERS] if param == "wave_number" else []
+        kwargs[param] = data.draw(st.one_of(st.just(kwargs[param]), *inside, EDGES, st.floats()), label=param)
     if "species" in kwargs:
         kwargs["species"] = dataclasses.replace(CESIUM, **{
             field: data.draw(st.one_of(st.just(getattr(CESIUM, field)), st.floats(low, high)), label=field)
@@ -131,9 +137,6 @@ def test_records_build_finite_or_raise_value_error(name, data):
     except ValueError:
         return
     values = {param: getattr(built, param) for param in PUBLIC[name]}
-    if name == "TrapParams" and built.well_depth == 0.0:
-        # the documented zero-depth record: an unconfined atom has infinite width
-        assert math.isinf(values.pop("ground_rms")) and math.isinf(values.pop("lamb_dicke"))
     assert all(math.isfinite(v) for v in values.values()), values
 
 
@@ -144,6 +147,9 @@ EXTREME_FINITE = [
     ("trap_params", "detuning", 1e308),  # the depth underflows to 0
     ("trap_params", "intensity", 5e-324),  # likewise
     ("catalysis_intensity", "mean_f", 5e-324),  # hbar * c_g4 * |mean_f| is 0
+    ("catalysis_intensity", "target_shift", 1e300),  # blamed on the intensity, an output
+    ("trap_params", "wave_number", 1e300),  # lamb_dicke 1.9e146
+    ("trap_params", "wave_number", 1e305),  # blamed on scatter_rate, an output
     ("dd_matrix_element", "c_g", -1e308),  # c_g**4 overflows
     ("default_pulse", "rabi_divisor", 1e-300),  # hbar * rabi_divisor is 0
     ("optimize_ratio", "eta_perp", 3e-187),  # eta_perp**2 * eta_par is 0
@@ -171,6 +177,7 @@ INTEGER_ARGS = {
     "mc_oracle": dict(geom=TrapGeometry(0.1, 0.2), samples=10**4, seed=1),
     "simulate_fill": REFERENCE_ARGS["simulate_fill"],
     "QuadratureSpec": dict(rel_tol=1e-6, eval_budget=300),
+    "kappa_map": dict(eta_perp_grid=np.array([0.1]), eta_par_grid=np.array([0.2]), jobs=1),
 }
 # each input must be an integer in its range; a bool, a float or a string
 # fails even where its value would pass
@@ -191,6 +198,10 @@ BAD_INTEGERS = [
     ("QuadratureSpec", "eval_budget", 1.5),  # built
     ("QuadratureSpec", "eval_budget", math.inf),  # built
     ("QuadratureSpec", "eval_budget", np.float64(300.0)),
+    ("kappa_map", "jobs", 0),
+    ("kappa_map", "jobs", 1.5),  # raised TypeError
+    ("kappa_map", "jobs", 2.0),  # likewise
+    ("kappa_map", "jobs", True),  # ran
 ]
 
 

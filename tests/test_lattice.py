@@ -8,6 +8,7 @@ from scipy.constants import h, hbar
 from conftest import CG_PI_4, REF_MEAN_F, REF_MEAN_G, REPO_ROOT
 from latticegate import lattice
 from latticegate.lattice import (
+    SATURATION_LIMIT,
     CatalysisField,
     LatticeBeamConfig,
     TrapParams,
@@ -136,28 +137,36 @@ def test_trap_rejects_red_detuning_and_saturation(cesium):
     with pytest.raises(ValueError, match="saturation"):
         # 50 W/cm^2 at only 2 pi * 50 MHz: far outside the dispersive regime
         trap_params(cesium, PERP_INTENSITY, 2.0 * math.pi * 50e6, k)
-    with pytest.raises(ValueError, match="intensity must be nonnegative"):
+    with pytest.raises(ValueError, match="intensity must be positive"):
         trap_params(cesium, -1.0, PERP_DETUNING, k)
+    # a beam that does not trap leaves the atom unconfined, outside the model
+    with pytest.raises(ValueError, match=r"^intensity must be positive and finite, got 0\.0$"):
+        trap_params(cesium, 0.0, PERP_DETUNING, k)
     with pytest.raises(ValueError, match="geometry_factor"):
         trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k, geometry_factor=0.0)
     with pytest.raises(ValueError, match="wave_number"):
         trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, 0.0)
 
 
-def test_zero_intensity_gives_degenerate_record(cesium):
-    trap = trap_params(cesium, 0.0, PERP_DETUNING, _wave_number(cesium))
-    assert trap.well_depth == 0.0
-    assert trap.osc_freq == 0.0
-    assert trap.scatter_rate == 0.0
-    assert math.isinf(trap.ground_rms)
-    assert math.isinf(trap.lamb_dicke)
+@pytest.mark.parametrize("wavelength,outside", [(1e-4, 1.001e-4), (1e-7, 0.999e-7)])
+def test_wave_number_range_holds_its_ends(cesium, wavelength, outside):
+    # lattice light from 100 nm to 100 um, both ends included
+    k = 2.0 * math.pi / wavelength
+    LatticeBeamConfig(1.0, 1.0, 1.0, 1.0, k, 0.0)
+    trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k)
+    k_out = 2.0 * math.pi / outside
+    message = r"^wave_number must lie in \[2 pi / 1e-4, 2 pi / 1e-7\] rad/m, a wavelength of 100 nm to 100 um, got "
+    with pytest.raises(ValueError, match=message):
+        LatticeBeamConfig(1.0, 1.0, 1.0, 1.0, k_out, 0.0)
+    with pytest.raises(ValueError, match=message):
+        trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k_out)
 
 
 def test_trap_params_record_invariants():
-    with pytest.raises(ValueError, match="zero-depth"):
-        TrapParams(0.0, 1.0, math.inf, math.inf, 0.0)
-    with pytest.raises(ValueError, match="unconfined"):
-        TrapParams(0.0, 0.0, 1e-9, 0.1, 0.0)
+    with pytest.raises(ValueError, match="well_depth must be positive"):
+        TrapParams(0.0, 0.0, math.inf, math.inf, 0.0)
+    with pytest.raises(ValueError, match="ground_rms must be positive and finite"):
+        TrapParams(1e-27, 1.0, math.inf, math.inf, 0.0)
     with pytest.raises(ValueError, match="positive"):
         TrapParams(1e-27, -1.0, 1e-9, 0.1, 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -220,6 +229,15 @@ def test_catalysis_validation(cesium):
         catalysis_intensity(cesium, CG_PI_4, 0.0, REF_MEAN_G, h * 5000.0)
     with pytest.raises(ValueError):
         CatalysisField(-1.0, 0.1, 1.0)
+
+
+def test_catalysis_stays_a_weak_drive(cesium):
+    # the reference needs saturation 1.8e-4 at 5 kHz, so SATURATION_LIMIT
+    # falls near 2.85 MHz, as for the trap beams
+    below = catalysis_intensity(cesium, CG_PI_4, REF_MEAN_F, REF_MEAN_G, h * 2.8e6)
+    assert 0.09 < below.field.saturation <= SATURATION_LIMIT
+    with pytest.raises(ValueError, match=r"^saturation 0\.102 at target_shift .* exceeds the weak-drive limit 0\.1;"):
+        catalysis_intensity(cesium, CG_PI_4, REF_MEAN_F, REF_MEAN_G, h * 2.9e6)
 
 
 # --- configuration loading --------------------------------------------------------
@@ -317,6 +335,9 @@ def test_config_species_path_resolved_relative(tmp_path, cesium):
         (dict(detuning_par="inf THz"), "'detuning_par': not a finite number"),
         # 0 nm parses but would divide by zero in the wave number
         (dict(lattice_wavelength="0 nm"), "'lattice_wavelength' must be positive"),
+        # every beam traps, and the lattice light lies between 100 nm and 100 um
+        (dict(intensity_perp="0 W/cm2"), "^intensity_perp must be positive and finite, got 0.0$"),
+        (dict(lattice_wavelength="1 m"), "^wave_number must lie in"),
     ],
 )
 def test_config_errors(tmp_path, overrides, fragment):
@@ -334,9 +355,11 @@ def test_config_rejects_duplicates(tmp_path):
 
 def test_beam_config_validation(cesium):
     k = _wave_number(cesium)
-    LatticeBeamConfig(0.0, 0.0, 1.0, 1.0, k, 0.0)  # explicit no-trap case
-    with pytest.raises(ValueError, match="nonnegative"):
+    LatticeBeamConfig(1.0, 1.0, 1.0, 1.0, k, 0.0)
+    with pytest.raises(ValueError, match="intensity_perp must be positive"):
         LatticeBeamConfig(-1.0, 1.0, 1.0, 1.0, k, 0.0)
+    with pytest.raises(ValueError, match="intensity_par must be positive"):
+        LatticeBeamConfig(1.0, 0.0, 1.0, 1.0, k, 0.0)
     with pytest.raises(ValueError, match="blue"):
         LatticeBeamConfig(1.0, 1.0, -1.0, 1.0, k, 0.0)
     with pytest.raises(ValueError, match="wave_number"):
@@ -365,19 +388,6 @@ def test_budget_report_reference_numbers(reference_config):
     assert report["dipole_average"]["derived_eta_perp"] == pytest.approx(
         report["dipole_average"]["design_eta_perp"], rel=1e-3
     )
-
-
-def test_budget_report_zero_intensity_degenerates(tmp_path):
-    cfg = load_lattice_config(_write_config(
-        tmp_path, intensity_perp="0 W/cm2", intensity_par="0 W/cm2"
-    ))
-    report = budget_report(cfg)
-    assert report["transverse_trap"]["osc_freq_hz"] == 0.0
-    assert report["transverse_trap"]["ground_rms_m"] is None
-    assert report["transverse_trap"]["lamb_dicke"] is None
-    assert report["lattice_scatter"]["rate_per_s"] == 0.0
-    # the dipole average still reports at the design geometry
-    assert report["dipole_average"]["mean_f"] == pytest.approx(REF_MEAN_F, rel=1e-7)
 
 
 def test_budget_report_is_json_ready(reference_config):

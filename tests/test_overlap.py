@@ -709,7 +709,7 @@ def test_map_grid_validation():
         kappa_map(np.array([math.nan, math.nan]), good)
     with pytest.raises(ValueError, match="eta_par must lie in \\[1e-98, 1\\], got nan"):
         kappa_map(good, np.array([math.nan]))
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
+    with pytest.raises(ValueError, match="jobs must be an integer in \\[1, inf\\), got 0"):
         kappa_map(good, good, jobs=0)
 
 
