@@ -1,9 +1,9 @@
 """Atomic species data, the SI constants the package uses, the
 ``key = value`` file reader shared by the species and lattice configuration
 loaders, and the input rules of every public record and function: by
-``_require`` each float is positive, nonnegative or merely finite (NaN and
-+-inf fail every rule), by ``_require_int`` each count or seed is an integer
-in a range, and either raises a ValueError that names the input.
+``_require`` each float lies in its row of the ``_RANGES`` table, by
+``_require_int`` each count or seed is an integer in a range, and either
+raises a ValueError that names the input and gives its value.
 
 Everything here is a pure function; the species record is a frozen dataclass
 loaded from a key-value text file so other alkalis can be added without code
@@ -35,11 +35,10 @@ class AtomSpecies:
     """Constants of one alkali D2 transition.
 
     mass kg, lambda_res m, gamma_natural rad/s, i_sat W/m^2, and the
-    nuclear spin, which fixes the hyperfine labels. Each constant lies in a
-    physical range, wide around the alkalis, in which the trap and catalysis
-    formulas stay inside the doubles: mass in [1e-27, 1e-24], lambda_res in
-    [1e-7, 1e-5], gamma_natural in [1e3, 1e10] and i_sat in [1e-3, 1e3]. The
-    spin must lie below 2**52: from there on every double is a multiple of
+    nuclear spin, which fixes the hyperfine labels. Each lies in its row of
+    _RANGES, a physical range wide around the alkalis in which the trap and
+    catalysis formulas stay inside the doubles. The spin is an integer or
+    half-integer below 2**52: from there on every double is a multiple of
     1/2, so the half-integer test would pass on any value, and well below it
     pi_coupling's products stay finite.
     """
@@ -51,20 +50,13 @@ class AtomSpecies:
     nuclear_spin: float
 
     def __post_init__(self) -> None:
-        _require("positive", **vars(self))
-        for name, low, high in (("mass", 1e-27, 1e-24), ("lambda_res", 1e-7, 1e-5),
-                                ("gamma_natural", 1e3, 1e10), ("i_sat", 1e-3, 1e3)):
-            if not low <= getattr(self, name) <= high:
-                raise ValueError(f"{name} must lie in [{low:g}, {high:g}], got {getattr(self, name)!r}")
-        # a spin within 5e-10 of a multiple of 1/2 counts as that multiple,
-        # so one that close to zero fails; fmod is exact and cannot overflow
+        for name, value in vars(self).items():
+            _require(name, **{name: value})
+        # a spin within 5e-10 of a multiple of 1/2 counts as that multiple;
+        # fmod is exact and cannot overflow
         offset = math.fmod(self.nuclear_spin, 0.5)
         if min(offset, 0.5 - offset) > 5e-10:
             raise ValueError(f"nuclear_spin must be an integer or half-integer, got {self.nuclear_spin!r}")
-        if self.nuclear_spin < 0.25:
-            raise ValueError("nuclear_spin must be positive")
-        if self.nuclear_spin >= 2**52:
-            raise ValueError(f"nuclear_spin must lie below 2**52, got {self.nuclear_spin!r}")
 
     @property
     def f_up(self) -> float:
@@ -89,22 +81,64 @@ class AtomSpecies:
 # ---------------------------------------------------------------------------
 # input domains and key = value files
 
-# the domains _require names; each is finite, and every comparison with NaN
-# is false, so NaN and +-inf fail them all
-_DOMAINS = {
-    "positive": lambda x: 0.0 < x < math.inf,
-    "nonnegative": lambda x: 0.0 <= x < math.inf,
-    "finite": lambda x: -math.inf < x < math.inf,
+
+def _shown(bound: float) -> str:
+    """A bound as a message prints it: %g where that reads back exactly."""
+    return f"{bound:g}" if float(f"{bound:g}") == bound else repr(bound)
+
+
+def _span(low: float, high: float, unit: str = "", ends: str = "[]") -> tuple[float, float, str]:
+    """A row of _RANGES: the doubles from low to high, one double inward at
+    an open end, and the rule a message states."""
+    return (low if ends[0] == "[" else math.nextafter(low, math.inf),
+            high if ends[1] == "]" else math.nextafter(high, -math.inf),
+            f"lie in {ends[0]}{_shown(low)}, {_shown(high)}{ends[1]}" + (f" {unit}" if unit else ""))
+
+
+_MAX = math.nextafter(math.inf, 0.0)
+# the lattice light, from 100 nm (UV) to 100 um (past CO2 lasers)
+_WAVELENGTH = _span(1e-7, 1e-4, "m")
+# deep Lamb-Dicke down to where double precision runs out (TrapGeometry)
+_ETA = _span(1e-98, 1.0)
+
+# name -> (lowest, highest, rule): the one table of float domains. A value
+# passes its row if lowest <= value <= highest; every row is finite, so NaN
+# and +-inf fail them all. The rule is what an error message states.
+_RANGES = {
+    "positive": (math.ulp(0.0), _MAX, "be positive and finite"),
+    "nonnegative": (0.0, _MAX, "be nonnegative and finite"),
+    "finite": (-_MAX, _MAX, "be finite"),
+    "detuning": (math.ulp(0.0), _MAX,
+                 "be positive and finite (blue of resonance; red or zero detuning is not supported)"),
+    # AtomSpecies: physical ranges, wide around the alkalis
+    "mass": _span(1e-27, 1e-24, "kg"),
+    "lambda_res": _span(1e-7, 1e-5, "m"),
+    "gamma_natural": _span(1e3, 1e10, "rad/s"),
+    "i_sat": _span(1e-3, 1e3, "W/m^2"),
+    "nuclear_spin": _span(0.25, 2**52, ends="[)"),
+    "lattice_wavelength": _WAVELENGTH,
+    "wave_number": (2.0 * math.pi / _WAVELENGTH[1], 2.0 * math.pi / _WAVELENGTH[0],
+                    f"lie in [2 pi / {_shown(_WAVELENGTH[1])}, 2 pi / {_shown(_WAVELENGTH[0])}] rad/m"),
+    "polarization_angle": _span(0.0, math.pi, "rad"),
+    "eta": _ETA,
+    # optimize_ratio's eta_perp, below which |kappa_approx| ~ eta**-3 overflows
+    "optimize_ratio_eta": _span(_ETA[0], 0.5),
+    "rel_tol": _span(0.0, 1e-2, ends="(]"),
+    "probability": _span(0.0, 1.0),
+    "c_g": _span(-1.0, 1.0, "(a Clebsch-Gordan amplitude)"),
+    "c_g4": _span(0.0, 1.0, ends="(]"),
 }
 
 
-def _require(domain: str, why: str = "", /, **values: float) -> None:
-    """Raise ValueError at the first value outside domain, a key of _DOMAINS;
-    the message names the value and adds why, if given, in parentheses."""
+def _require(domain: str, written: str = "", /, **values: float) -> None:
+    """Raise ValueError at the first value outside the row domain of _RANGES,
+    naming it and giving its value, or, if read from a file, its key and text."""
+    low, high, rule = _RANGES[domain]
     for name, value in values.items():
-        if not _DOMAINS[domain](value):
-            rule = domain if domain == "finite" else f"{domain} and finite"
-            raise ValueError(f"{name} must be {rule}{f' ({why})' if why else ''}, got {value!r}")
+        if not low <= value <= high:
+            if written:
+                name, value = repr(name), written
+            raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
 def _require_int(low: int, high: float = math.inf, why: str = "", /, **values) -> None:
@@ -116,21 +150,25 @@ def _require_int(low: int, high: float = math.inf, why: str = "", /, **values) -
             raise ValueError(f"{name} must be an integer in [{low}, {high}){reason}, got {value!r}")
 
 
-def _finite_float(text: str) -> float:
-    """float(text), rejecting nan and +-inf so they never reach a formula."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
+def _number(key: str, text: str, domain: str, scale: float = 1.0, written: str = "") -> float:
+    """float(text) * scale, key's value in a key = value file, inside the row
+    domain of _RANGES; an error quotes written, the value as written, or text."""
+    try:
+        value = float(text) * scale
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from None
+    _require(domain, written or text, **{key: value})
     return value
 
 
-def _read_key_values(path: str | Path, keys, noun: str, optional=(), convert=str) -> dict:
+def _read_key_values(path: str | Path, keys, noun: str, convert, optional=()) -> dict:
     """Values of a ``key = value`` file, one per line; ``#`` starts a comment.
 
     Each key must be one of ``keys`` (typos fail loudly), appear once and
-    carry a nonempty value, which ``convert`` turns into the returned value;
-    every key not in ``optional`` is required. ``noun`` names a key in the
-    error messages, which also give the file and line.
+    carry a nonempty value, which ``convert(key, value)`` turns into the
+    returned value; every key not in ``optional`` is required. ``noun`` names
+    a key in the error messages, which, like those of ``convert``, give the
+    file and line.
     """
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -148,9 +186,9 @@ def _read_key_values(path: str | Path, keys, noun: str, optional=(), convert=str
         if not value:
             raise ValueError(f"{path}:{lineno}: empty value for {key!r}")
         try:
-            values[key] = convert(value)
+            values[key] = convert(key, value)
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     missing = sorted(set(keys) - set(optional) - set(values))
     if missing:
         raise ValueError(f"{path}: missing {noun}s: {', '.join(missing)}")
@@ -166,10 +204,10 @@ def load_species(path: str | Path) -> AtomSpecies:
 
     Lines look like ``mass = 2.2069e-25``; ``#`` starts a comment. All five
     fields of AtomSpecies are required; unknown keys are rejected so typos
-    fail loudly.
+    fail loudly, and a value outside its range is reported as written.
     """
     names = [field.name for field in fields(AtomSpecies)]
-    return AtomSpecies(**_read_key_values(path, names, "species field", convert=_finite_float))
+    return AtomSpecies(**_read_key_values(path, names, "species field", lambda key, text: _number(key, text, key)))
 
 
 def cesium_d2() -> AtomSpecies:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomics import HBAR, PLANCK, cesium_d2
+from .atomics import HBAR, PLANCK, _require_int, cesium_d2
 from .ensemble import (
     NonIdentifiableError,
     apparent_fidelity,
@@ -152,12 +152,9 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
 
 
 def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
-    if steps < 1:
-        raise ValueError(f"{name}-steps must be >= 1")
-    if steps == 1:
-        if lo != hi:
-            raise ValueError(f"single-step {name} grid needs min == max")
-        return np.array([lo])
+    _require_int(1, **{f"{name}-steps": steps})
+    if steps == 1 and lo != hi:
+        raise ValueError(f"single-step {name} grid needs min == max")
     return np.linspace(lo, hi, steps)
 
 

@@ -84,8 +84,7 @@ def simulate_fill(n_sites: int, p: float, seed: int) -> LatticeFill:
     # the unpaired-only stage bins up to 2 * n_sites atoms in int64 counts
     _require_int(1, 2**62, n_sites=n_sites)
     _require_int(0, seed=seed)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"fill probability p must lie in [0, 1], got {p!r}")
+    _require("probability", p=p)
     q = 1.0 - p
     n_paired, n_control_only, n_target_only, _ = np.random.default_rng(seed).multinomial(
         n_sites, [p * p, p * q, q * p, q * q]).tolist()

@@ -105,9 +105,8 @@ def dd_matrix_element(gamma_prime: float, c_g: float, mean_f: float, mean_g: flo
     cooperative decay.
     """
     _require("nonnegative", gamma_prime=gamma_prime)
-    _require("finite", c_g=c_g, mean_f=mean_f, mean_g=mean_g)
-    if not -1.0 <= c_g <= 1.0:
-        raise ValueError(f"c_g must lie in [-1, 1] (a Clebsch-Gordan amplitude), got {c_g!r}")
+    _require("c_g", c_g=c_g)
+    _require("finite", mean_f=mean_f, mean_g=mean_g)
     c4 = c_g**4
     return GateEnvironment(
         v_dd=-HBAR * gamma_prime * c4 * mean_f,

@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .atomics import HBAR, PLANCK, AtomSpecies, _finite_float, _read_key_values, _require, cesium_d2, load_species
+from .atomics import HBAR, PLANCK, AtomSpecies, _number, _read_key_values, _require, cesium_d2, load_species
 from .overlap import QuadratureSpec, TrapGeometry, mean_fg
 
 __all__ = [
@@ -34,16 +34,6 @@ __all__ = [
 
 SATURATION_LIMIT = 0.1
 
-# why a detuning must be positive
-_BLUE = "blue of resonance; red or zero detuning is not supported"
-
-
-def _require_wave_number(wave_number: float) -> None:
-    # lattice light from 100 nm (UV) to 100 um (past CO2 lasers)
-    if not 2.0 * math.pi / 1e-4 <= wave_number <= 2.0 * math.pi / 1e-7:
-        raise ValueError(f"wave_number must lie in [2 pi / 1e-4, 2 pi / 1e-7] rad/m, a wavelength of "
-                         f"100 nm to 100 um, got {wave_number!r}")
-
 
 @dataclass(frozen=True)
 class LatticeBeamConfig:
@@ -51,9 +41,9 @@ class LatticeBeamConfig:
 
     Intensities in W/m^2 per beam, positive so that every beam traps,
     detunings in rad/s and blue of the resonance, wave_number in
-    [2 pi / 1e-4, 2 pi / 1e-7] rad/m (a wavelength of 100 nm to 100 um),
-    polarization_angle in rad between the linear polarizations of the
-    counter-propagating transverse beams.
+    [2 pi / 1e-4, 2 pi / 1e-7] rad/m (a lattice wavelength of 100 nm to
+    100 um), polarization_angle in [0, pi] rad between the linear
+    polarizations of the transverse beams: each a row of atomics._RANGES.
     """
 
     intensity_perp: float
@@ -65,10 +55,9 @@ class LatticeBeamConfig:
 
     def __post_init__(self) -> None:
         _require("positive", intensity_perp=self.intensity_perp, intensity_par=self.intensity_par)
-        _require("positive", _BLUE, detuning_perp=self.detuning_perp, detuning_par=self.detuning_par)
-        _require_wave_number(self.wave_number)
-        if not 0.0 <= self.polarization_angle <= math.pi:
-            raise ValueError("polarization_angle must lie in [0, pi]")
+        _require("detuning", detuning_perp=self.detuning_perp, detuning_par=self.detuning_par)
+        _require("wave_number", wave_number=self.wave_number)
+        _require("polarization_angle", polarization_angle=self.polarization_angle)
 
 
 @dataclass(frozen=True)
@@ -129,11 +118,10 @@ def well_separation(theta: float, wave_number: float) -> float:
     standing waves whose minima slide apart as the angle opens; on the
     branch continuous in theta the separation is atan2(sin, 2 cos)/k,
     growing monotonically from 0 through a quarter wavelength at 90 deg.
-    theta must lie in [0, pi]; a NaN angle is rejected with the rest.
+    theta has the polarization_angle row of LatticeBeamConfig.
     """
     _require("positive", wave_number=wave_number)
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"polarization angle theta must lie in [0, pi], got {theta!r}")
+    _require("polarization_angle", theta=theta)
     # cos(pi/2) is only zero to rounding; snap it so the quarter-wave
     # separation at 90 degrees comes out exact rather than one ulp short
     two_cos = 2.0 * math.cos(theta)
@@ -162,9 +150,9 @@ def trap_params(
     in the harmonic approximation scatters at Gamma * omega / (4 Delta).
     intensity and wave_number have LatticeBeamConfig's domains.
     """
-    _require("positive", _BLUE, detuning=detuning)
+    _require("detuning", detuning=detuning)
     _require("positive", intensity=intensity, geometry_factor=geometry_factor)
-    _require_wave_number(wave_number)
+    _require("wave_number", wave_number=wave_number)
     gamma = species.gamma_natural
     try:
         lorentzian = 1.0 + (2.0 * detuning / gamma) ** 2
@@ -211,8 +199,7 @@ def catalysis_intensity(
     trap beams, a shift that needs a saturation above SATURATION_LIMIT
     raises ValueError; the reference 5 kHz shift needs 1.8e-4.
     """
-    if not 0.0 < c_g4 <= 1.0:
-        raise ValueError("c_g4 must lie in (0, 1]")
+    _require("c_g4", c_g4=c_g4)
     _require("finite", mean_f=mean_f, mean_g=mean_g, target_shift=target_shift)
     if mean_g <= -1.0:
         raise ValueError("mean_g <= -1 would put the pair linewidth at or below zero")
@@ -237,22 +224,13 @@ def catalysis_intensity(
 
 # --- configuration file ---------------------------------------------------
 
-_INTENSITY_UNITS = {
-    "W/m2": 1.0,
-    "mW/m2": 1e-3,
-    "W/cm2": 1e4,
-    "mW/cm2": 10.0,
-    "uW/cm2": 1e-2,
+# the SI value of one unit, by the kind of quantity it measures
+_UNITS = {
+    "intensity": {"W/m2": 1.0, "mW/m2": 1e-3, "W/cm2": 1e4, "mW/cm2": 10.0, "uW/cm2": 1e-2},
+    "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9, "THz": 1e12},
+    "length": {"m": 1.0, "um": 1e-6, "nm": 1e-9},
+    "angle": {"rad": 1.0, "deg": math.pi / 180.0},
 }
-_FREQUENCY_UNITS = {
-    "Hz": 1.0,
-    "kHz": 1e3,
-    "MHz": 1e6,
-    "GHz": 1e9,
-    "THz": 1e12,
-}
-_LENGTH_UNITS = {"m": 1.0, "um": 1e-6, "nm": 1e-9}
-_ANGLE_UNITS = {"rad": 1.0, "deg": math.pi / 180.0}
 
 
 @dataclass(frozen=True)
@@ -272,74 +250,66 @@ class LatticeConfig:
         _require("positive", geometry_factor=self.geometry_factor)
 
 
-# each number key's (unit kind, unit table), or None for a dimensionless one
+# each number key's row of atomics._RANGES, which holds its SI value, and
+# the kind of its unit, or None for a dimensionless key
 _CONFIG_KEYS = {
-    "intensity_perp": ("intensity", _INTENSITY_UNITS),
-    "intensity_par": ("intensity", _INTENSITY_UNITS),
-    "detuning_perp": ("frequency", _FREQUENCY_UNITS),
-    "detuning_par": ("frequency", _FREQUENCY_UNITS),
-    "lattice_wavelength": ("length", _LENGTH_UNITS),
-    "polarization_angle": ("angle", _ANGLE_UNITS),
-    "design_eta_perp": None,
-    "design_eta_par": None,
-    "target_shift": ("frequency", _FREQUENCY_UNITS),
-    "geometry_factor": None,
+    "intensity_perp": ("positive", "intensity"),
+    "intensity_par": ("positive", "intensity"),
+    "detuning_perp": ("detuning", "frequency"),
+    "detuning_par": ("detuning", "frequency"),
+    "lattice_wavelength": ("lattice_wavelength", "length"),
+    "polarization_angle": ("polarization_angle", "angle"),
+    "design_eta_perp": ("eta", None),
+    "design_eta_par": ("eta", None),
+    "target_shift": ("finite", "frequency"),
+    "geometry_factor": ("positive", None),
 }
 
 
-def _quantity(key: str, raw: str) -> float:
-    """The ``number [unit]`` value raw of key, in the SI unit of its table."""
-    parts = raw.split()
-    if len(parts) > 2:
+def _quantity(key: str, raw: str) -> float | str:
+    """The ``number [unit]`` value raw of key, in SI units and inside its row
+    of atomics._RANGES; the species key's raw text as it is."""
+    if key == "species":
+        return raw
+    domain, kind = _CONFIG_KEYS[key]
+    units = _UNITS.get(kind, {})
+    number, *unit = raw.split()
+    if len(unit) > 1:
         raise ValueError(f"malformed value for {key!r}: {raw!r}")
-    try:
-        value = _finite_float(parts[0])
-    except ValueError as exc:
-        raise ValueError(f"bad value for {key!r}: {exc}") from exc
-    unit = parts[1] if len(parts) == 2 else None
-    if _CONFIG_KEYS[key] is None:
-        if unit is not None:
-            raise ValueError(f"{key!r} is dimensionless, got unit {unit!r}")
-        return value
-    kind, units = _CONFIG_KEYS[key]
-    if unit is None:
+    if unit and not units:
+        raise ValueError(f"{key!r} is dimensionless, got unit {unit[0]!r}")
+    if units and not unit:
         raise ValueError(f"{key!r} needs a {kind} unit, one of {sorted(units)}")
-    if unit not in units:
-        raise ValueError(f"unknown {kind} unit {unit!r} for {key!r}; use one of {sorted(units)}")
-    return value * units[unit]
+    if unit and unit[0] not in units:
+        raise ValueError(f"unknown {kind} unit {unit[0]!r} for {key!r}; use one of {sorted(units)}")
+    return _number(key, number, domain, units[unit[0]] if unit else 1.0, raw)
 
 
 def load_lattice_config(path: str | Path) -> LatticeConfig:
     """Read a key = value lattice configuration.
 
-    Each number is read in file order by the row of _CONFIG_KEYS for its
-    key. Detunings and the target shift are given as ordinary frequencies
-    (Hz...THz) and converted to rad/s and joules respectively: a detuning
-    of "120 GHz" means 2 pi * 120e9 rad/s, a target_shift of "5 kHz" means
-    the level shift whose magnitude over the Planck constant is 5 kHz.
-    Intensities accept W/m2 and the usual per-cm^2 variants; the species
-    is either the built-in "cesium_d2" or a path to a species file,
-    resolved relative to the configuration file.
+    Each number is read in file order by its key's row of _CONFIG_KEYS, whose
+    range holds its SI value; an error gives the file, the line, the key and
+    the value as written. Detunings and the target shift are given as
+    ordinary frequencies (Hz...THz) and converted to rad/s and joules
+    respectively: a detuning of "120 GHz" means 2 pi * 120e9 rad/s, a
+    target_shift of "5 kHz" means the level shift whose magnitude over the
+    Planck constant is 5 kHz. Intensities accept W/m2 and the usual per-cm^2
+    variants; the species is either the built-in "cesium_d2" or a path to a
+    species file, resolved relative to the configuration file.
     """
     path = Path(path)
-    values = _read_key_values(path, {"species", *_CONFIG_KEYS}, "key", optional={"geometry_factor"})
+    number = _read_key_values(path, {"species", *_CONFIG_KEYS}, "key", _quantity, optional={"geometry_factor"})
 
-    species_name = values.pop("species")
-    if species_name == "cesium_d2":
-        species = cesium_d2()
-    else:
-        species = load_species(path.parent / species_name)
+    species_name = number.pop("species")
+    species = cesium_d2() if species_name == "cesium_d2" else load_species(path.parent / species_name)
 
-    number = {key: _quantity(key, raw) for key, raw in values.items()}
-    wavelength = number["lattice_wavelength"]
-    if wavelength <= 0:
-        raise ValueError(f"'lattice_wavelength' must be positive, got {values['lattice_wavelength']!r}")
     beams = LatticeBeamConfig(
         intensity_perp=number["intensity_perp"],
         intensity_par=number["intensity_par"],
         detuning_perp=2.0 * math.pi * number["detuning_perp"],
         detuning_par=2.0 * math.pi * number["detuning_par"],
-        wave_number=2.0 * math.pi / wavelength,
+        wave_number=2.0 * math.pi / number["lattice_wavelength"],
         polarization_angle=number["polarization_angle"],
     )
     return LatticeConfig(

@@ -61,10 +61,10 @@ class TrapGeometry:
     """Lamb-Dicke parameters of one well: eta = k * rms ground-state width.
 
     eta_perp applies to both transverse axes, eta_par to the axis along the
-    dipole polarization. Both must lie in [1e-98, 1]. The upper end is the
-    deep Lamb-Dicke regime this code assumes. The lower end is where double
-    precision runs out: mean_fg's radial range starts at kr = 1e-4 * min(eta),
-    and the kernel's 1/(kr)^3 overflows below kr ~ 1.8e-103.
+    dipole polarization. Both lie in [1e-98, 1], atomics._RANGES' eta row:
+    the deep Lamb-Dicke regime this code assumes, down to where doubles run
+    out: mean_fg's radial range starts at kr = 1e-4 * min(eta), and the
+    kernel's 1/(kr)^3 overflows below kr ~ 1.8e-103.
 
     sigma_perp and sigma_par are the widths, in kr units, of the relative
     coordinate of two atoms in identical ground-state packets: the
@@ -76,10 +76,7 @@ class TrapGeometry:
     eta_par: float
 
     def __post_init__(self) -> None:
-        for name in ("eta_perp", "eta_par"):
-            value = getattr(self, name)
-            if not 1e-98 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [1e-98, 1], got {value!r}")
+        _require("eta", eta_perp=self.eta_perp, eta_par=self.eta_par)
 
     @property
     def sigma_perp(self) -> float:
@@ -106,8 +103,7 @@ class QuadratureSpec:
     eval_budget: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol <= 1e-2:
-            raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol!r}")
+        _require("rel_tol", rel_tol=self.rel_tol)
         _require_int(1, eval_budget=self.eval_budget)
 
 
@@ -763,12 +759,11 @@ def optimize_ratio(eta_perp: float) -> tuple[float, float]:
 
     Golden-section search to relative tolerance 1e-4 on the ratio, on the
     closed form, so the optimum ratio does not depend on eta_perp. Returns
-    (ratio_star, kappa_approx at the optimum, signed). eta_perp must lie in
+    (ratio_star, kappa_approx at the optimum, signed). eta_perp lies in
     [1e-98, 0.5]; the lower end is TrapGeometry's, and below ~1e-103
     kappa_approx, which grows as eta_perp**-3, is no longer a finite double.
     """
-    if not 1e-98 <= eta_perp <= 0.5:
-        raise ValueError(f"eta_perp must lie in [1e-98, 0.5], got {eta_perp!r}")
+    _require("optimize_ratio_eta", eta_perp=eta_perp)
 
     def signed(ratio: float) -> float:
         return _kappa_approx_values(eta_perp, ratio * eta_perp)

@@ -134,8 +134,12 @@ def test_load_species_roundtrip(tmp_path, cesium):
         ("mass = 1e-25\nmass = 2e-25\n", "duplicate"),
         ("mass 1e-25\n", "expected 'key = value'"),
         ("mass =\n", "empty value"),
-        ("mass = nan\n", "bad value for 'mass'"),
-        ("mass = inf\n", "bad value for 'mass'"),
+        ("mass = nan\n", r"^\S*bad\.txt:1: 'mass' must lie in \[1e-27, 1e-24\] kg, got 'nan'$"),
+        ("mass = inf\n", r"^\S*bad\.txt:1: 'mass' must lie in \[1e-27, 1e-24\] kg, got 'inf'$"),
+        # a value outside its field's range is reported under its key, as written
+        ("mass = 1\n", r"^\S*bad\.txt:1: 'mass' must lie in \[1e-27, 1e-24\] kg, got '1'$"),
+        ("i_sat = 11.0\nnuclear_spin = 2e16\n",
+         r"^\S*bad\.txt:2: 'nuclear_spin' must lie in \[0\.25, 4503599627370496\), got '2e16'$"),
         # the hyperfine labels follow from nuclear_spin and are no fields
         ("f_up = 4\n", "unknown species field 'f_up'"),
     ],
@@ -148,13 +152,13 @@ def test_load_species_errors(tmp_path, body, fragment):
 
 
 def test_species_invariants_enforced(cesium):
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=r"^mass must lie in \[1e-27, 1e-24\] kg, got -1\.0$"):
         AtomSpecies(-1.0, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, 3.5)
     with pytest.raises(ValueError, match="integer or half-integer"):
         AtomSpecies(cesium.mass, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, 2.25)
     # 1e-10 is within rounding of the half-integer grid, at zero
     for spin in (0.0, -0.5, 1e-10):
-        with pytest.raises(ValueError, match="nuclear_spin must be positive"):
+        with pytest.raises(ValueError, match=r"^nuclear_spin must lie in \[0\.25, 4503599627370496\), got "):
             AtomSpecies(cesium.mass, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, spin)
 
 
@@ -162,7 +166,7 @@ def test_nuclear_spin_stays_below_two_to_the_52(cesium):
     # from 2**52 on every double passes the half-integer test, and near
     # 1.3e154 pi_coupling's products overflow to a silent NaN
     for spin in (2.0**52, 1e200, 1.7976931348623157e308):
-        with pytest.raises(ValueError, match=r"nuclear_spin must lie below 2\*\*52"):
+        with pytest.raises(ValueError, match=r"^nuclear_spin must lie in \[0\.25, 4503599627370496\), got "):
             AtomSpecies(cesium.mass, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, spin)
     largest = AtomSpecies(cesium.mass, cesium.lambda_res, cesium.gamma_natural, cesium.i_sat, 2.0**52 - 0.5)
     assert largest.f_up == 2.0**52

@@ -191,7 +191,7 @@ def test_map_starved_budget_marks_failed_cells():
 @pytest.mark.parametrize(
     "perp, message",
     [
-        (("0.1", "0.2", "0"), "perp-steps must be >= 1"),
+        (("0.1", "0.2", "0"), "perp-steps must be an integer in [1, inf), got 0"),
         (("0.1", "0.2", "1"), "single-step perp grid needs min == max"),
     ],
 )
@@ -251,7 +251,7 @@ def test_budget_zero_intensity_is_usage_error(tmp_path):
     result = run_cli("budget", "--config", str(cfg), check=False)
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr == "error: intensity_perp must be positive and finite, got 0.0\n"
+    assert result.stderr == f"error: {cfg}:7: 'intensity_perp' must be positive and finite, got '0 W/cm2'\n"
 
 
 # --- gate -------------------------------------------------------------------

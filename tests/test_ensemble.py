@@ -136,8 +136,6 @@ def test_fill_site_count_stops_below_int64_overflow(reference_table):
 def test_fill_validation():
     with pytest.raises(ValueError):
         simulate_fill(0, 0.5, seed=1)
-    with pytest.raises(ValueError):
-        simulate_fill(10, 1.5, seed=1)
     with pytest.raises(ValueError, match="add up"):
         LatticeFill(n_sites=3, n_paired=2, n_control_only=1, n_target_only=1, seed=1)
     with pytest.raises(ValueError, match="nonnegative"):

@@ -1,6 +1,7 @@
 """One input rule for the whole public API: a NaN or +-inf float, or a
 finite one at the ends of the double range that a formula cannot take,
 raises ValueError, with a message that names the input, and nothing else.
+Each float range is a row of atomics._RANGES, which these tests read.
 
 The callables are found, not listed: every name in latticegate.__all__ whose
 signature has a parameter annotated float. REFERENCE_ARGS gives each one a
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticegate
-from conftest import CG_PI, CG_PI_4, REF_MEAN_F, REF_MEAN_G
+from conftest import CG_PI, CG_PI_4, REF_MEAN_F, REF_MEAN_G, REPO_ROOT
 from latticegate import (
     PLANCK,
     CatalysisField,
@@ -27,6 +28,7 @@ from latticegate import (
     TrapGeometry,
     cesium_d2,
 )
+from latticegate.atomics import _RANGES, _require
 
 CESIUM = cesium_d2()
 WAVE_NUMBER = 2.0 * math.pi / 852e-9
@@ -100,14 +102,13 @@ RECORDS = sorted(name for name in PUBLIC if dataclasses.is_dataclass(getattr(lat
 # the double range and the valid reference value
 EDGES = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0])
 
+# the AtomSpecies fields drawn inside their rows of _RANGES where a call takes
+# a species; the AtomSpecies row itself draws them from every float
+SPECIES_FIELDS = ("mass", "lambda_res", "gamma_natural", "i_sat")
 
-# the documented physical range of each AtomSpecies field but the spin; the
-# AtomSpecies row itself draws its fields from every float, in range or not
-SPECIES_RANGES = {"mass": (1e-27, 1e-24), "lambda_res": (1e-7, 1e-5), "gamma_natural": (1e3, 1e10),
-                  "i_sat": (1e-3, 1e3)}
-# the lattice light's wave number, 100 nm to 100 um, drawn inside its range
-# beside every float so that the examples also reach the trap formula
-WAVE_NUMBERS = st.floats(2.0 * math.pi / 1e-4, 2.0 * math.pi / 1e-7)
+
+def _inside(row: str):
+    return st.floats(*_RANGES[row][:2])
 
 
 def _drawn_args(name: str, data) -> dict:
@@ -118,12 +119,12 @@ def _drawn_args(name: str, data) -> dict:
     often as at the edges or from every float."""
     kwargs = dict(REFERENCE_ARGS[name])
     for param in PUBLIC[name]:
-        inside = [WAVE_NUMBERS] if param == "wave_number" else []
+        inside = [_inside("wave_number")] if param == "wave_number" else []
         kwargs[param] = data.draw(st.one_of(st.just(kwargs[param]), *inside, EDGES, st.floats()), label=param)
     if "species" in kwargs:
         kwargs["species"] = dataclasses.replace(CESIUM, **{
-            field: data.draw(st.one_of(st.just(getattr(CESIUM, field)), st.floats(low, high)), label=field)
-            for field, (low, high) in SPECIES_RANGES.items()})
+            field: data.draw(st.one_of(st.just(getattr(CESIUM, field)), _inside(field)), label=field)
+            for field in SPECIES_FIELDS})
     return kwargs
 
 
@@ -240,3 +241,72 @@ def test_functions_return_finite_or_raise_value_error(name, data):
     except ValueError:
         return
     assert _finite_leaves(result), result
+
+
+@pytest.mark.parametrize("row", sorted(_RANGES))
+def test_each_range_holds_its_ends_and_not_the_next_double_out(row):
+    low, high, rule = _RANGES[row]
+    _require(row, x=low)
+    _require(row, x=high)
+    for outside in (math.nextafter(low, -math.inf), math.nextafter(high, math.inf)):
+        with pytest.raises(ValueError, match=rf"^x must {re.escape(rule)}, got {re.escape(repr(outside))}$"):
+            _require(row, x=outside)
+
+
+# where each row of _RANGES but the generic three is checked, and the one
+# wave number that may be any positive one: (row, public callable, input);
+# lattice_wavelength is a key of the configuration file (test_config_errors)
+SITES = [
+    *((field, "AtomSpecies", field) for field in (*SPECIES_FIELDS, "nuclear_spin")),
+    ("detuning", "LatticeBeamConfig", "detuning_perp"),
+    ("detuning", "LatticeBeamConfig", "detuning_par"),
+    ("detuning", "trap_params", "detuning"),
+    ("wave_number", "LatticeBeamConfig", "wave_number"),
+    ("wave_number", "trap_params", "wave_number"),
+    ("positive", "well_separation", "wave_number"),
+    ("polarization_angle", "LatticeBeamConfig", "polarization_angle"),
+    ("polarization_angle", "well_separation", "theta"),
+    ("eta", "TrapGeometry", "eta_perp"),
+    ("eta", "TrapGeometry", "eta_par"),
+    ("optimize_ratio_eta", "optimize_ratio", "eta_perp"),
+    ("rel_tol", "QuadratureSpec", "rel_tol"),
+    ("probability", "simulate_fill", "p"),
+    ("c_g", "dd_matrix_element", "c_g"),
+    ("c_g4", "catalysis_intensity", "c_g4"),
+]
+
+
+def test_every_named_row_has_a_site():
+    named = set(_RANGES) - {"positive", "nonnegative", "finite", "lattice_wavelength"}
+    assert named == {row for row, _, _ in SITES} - {"positive"}
+
+
+@pytest.mark.parametrize("row,name,param", SITES)
+def test_each_site_holds_its_rows_ends_and_names_a_value_outside(row, name, param):
+    low, high, rule = _RANGES[row]
+    call = getattr(latticegate, name)
+    for end in (low, high):
+        try:
+            call(**{**REFERENCE_ARGS[name], param: end})
+        except ValueError as exc:  # the end passes the rule; a formula after it may not
+            assert f"must {rule}" not in str(exc), exc
+    for outside in (math.nextafter(low, -math.inf), math.nextafter(high, math.inf)):
+        message = rf"^{param} must {re.escape(rule)}, got {re.escape(repr(outside))}$"
+        with pytest.raises(ValueError, match=message):
+            call(**{**REFERENCE_ARGS[name], param: outside})
+
+
+def test_range_checks_live_in_atomics_alone():
+    # a range written out where it is used, in place of a row of _RANGES
+    chained = re.compile(r"^\s*if [^\n]*[<>]=?\s*[\w.()\[\]]+\s*[<>]=?[^\n]*:\n\s*raise ValueError", re.M)
+    for path in sorted((REPO_ROOT / "src" / "latticegate").glob("*.py")):
+        if path.name != "atomics.py":
+            text = path.read_text()
+            assert "must lie in" not in text, path.name
+            assert not chained.search(text), (path.name, chained.search(text))
+
+
+def test_readme_quotes_every_row_as_a_message_states_it():
+    readme = (REPO_ROOT / "README.md").read_text()
+    missing = [row for row, (_, _, rule) in _RANGES.items() if f"| `{row}` | must {rule} |" not in readme]
+    assert not missing

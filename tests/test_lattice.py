@@ -65,18 +65,6 @@ def test_separation_strictly_increasing_and_continuous(cesium):
     assert np.max(steps) <= 2.05 * dtheta / k
 
 
-def test_separation_domain(cesium):
-    k = _wave_number(cesium)
-    with pytest.raises(ValueError):
-        well_separation(-0.1, k)
-    with pytest.raises(ValueError):
-        well_separation(math.pi + 0.1, k)
-    with pytest.raises(ValueError, match="polarization angle"):
-        well_separation(math.nan, k)
-    with pytest.raises(ValueError):
-        well_separation(1.0, 0.0)
-
-
 # --- trap parameters ------------------------------------------------------------
 
 def test_transverse_trap_frozen_chain(cesium):
@@ -148,20 +136,6 @@ def test_trap_rejects_red_detuning_and_saturation(cesium):
         trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, 0.0)
 
 
-@pytest.mark.parametrize("wavelength,outside", [(1e-4, 1.001e-4), (1e-7, 0.999e-7)])
-def test_wave_number_range_holds_its_ends(cesium, wavelength, outside):
-    # lattice light from 100 nm to 100 um, both ends included
-    k = 2.0 * math.pi / wavelength
-    LatticeBeamConfig(1.0, 1.0, 1.0, 1.0, k, 0.0)
-    trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k)
-    k_out = 2.0 * math.pi / outside
-    message = r"^wave_number must lie in \[2 pi / 1e-4, 2 pi / 1e-7\] rad/m, a wavelength of 100 nm to 100 um, got "
-    with pytest.raises(ValueError, match=message):
-        LatticeBeamConfig(1.0, 1.0, 1.0, 1.0, k_out, 0.0)
-    with pytest.raises(ValueError, match=message):
-        trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k_out)
-
-
 def test_trap_params_record_invariants():
     with pytest.raises(ValueError, match="well_depth must be positive"):
         TrapParams(0.0, 0.0, math.inf, math.inf, 0.0)
@@ -219,10 +193,6 @@ def test_catalysis_ignores_shift_sign(cesium):
 
 
 def test_catalysis_validation(cesium):
-    with pytest.raises(ValueError, match="c_g4"):
-        catalysis_intensity(cesium, 0.0, REF_MEAN_F, REF_MEAN_G, h * 5000.0)
-    with pytest.raises(ValueError, match="c_g4"):
-        catalysis_intensity(cesium, 1.5, REF_MEAN_F, REF_MEAN_G, h * 5000.0)
     with pytest.raises(ValueError, match="mean_g"):
         catalysis_intensity(cesium, CG_PI_4, REF_MEAN_F, -1.0, h * 5000.0)
     with pytest.raises(ValueError, match="mean_f"):
@@ -297,7 +267,7 @@ def test_readme_config_example_is_the_reference_config(tmp_path, reference_confi
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     # its comments list exactly the units the loader accepts
     comments = [line.partition("#")[2].strip() for line in block.splitlines()]
-    for table in (lattice._INTENSITY_UNITS, lattice._FREQUENCY_UNITS, lattice._LENGTH_UNITS, lattice._ANGLE_UNITS):
+    for table in lattice._UNITS.values():
         assert any(c.endswith(", ".join(table)) for c in comments), list(table)
     path = tmp_path / "readme.cfg"
     path.write_text(block)
@@ -328,19 +298,35 @@ def test_config_species_path_resolved_relative(tmp_path, cesium):
         (dict(intensity_perp=""), "empty value"),
         # a value with a newline leaves a second line that has no "="
         (dict(target_shift="5 kHz\nbeam_power 3 W"), "expected 'key = value'"),
-        # nan and inf parse as floats but must not reach the formulas
-        (dict(intensity_perp="nan W/cm2"), "'intensity_perp': not a finite number"),
-        (dict(target_shift="nan kHz"), "'target_shift': not a finite number"),
-        (dict(geometry_factor="nan"), "'geometry_factor': not a finite number"),
-        (dict(detuning_par="inf THz"), "'detuning_par': not a finite number"),
+        # nan and inf parse as floats but lie in no range: they never reach
+        # the formulas, and each error gives the key and the value as written
+        (dict(intensity_perp="nan W/cm2"),
+         r"cfg:2: 'intensity_perp' must be positive and finite, got 'nan W/cm2'$"),
+        (dict(target_shift="nan kHz"), r"cfg:10: 'target_shift' must be finite, got 'nan kHz'$"),
+        (dict(geometry_factor="nan"), r"cfg:11: 'geometry_factor' must be positive and finite, got 'nan'$"),
+        (dict(detuning_par="inf THz"), r"cfg:5: 'detuning_par' must be positive and finite \(blue of"),
         # 0 nm parses but would divide by zero in the wave number
-        (dict(lattice_wavelength="0 nm"), "'lattice_wavelength' must be positive"),
+        (dict(lattice_wavelength="0 nm"),
+         r"cfg:6: 'lattice_wavelength' must lie in \[1e-07, 0\.0001\] m, got '0 nm'$"),
         # every beam traps, and the lattice light lies between 100 nm and 100 um
-        (dict(intensity_perp="0 W/cm2"), "^intensity_perp must be positive and finite, got 0.0$"),
-        (dict(lattice_wavelength="1 m"), "^wave_number must lie in"),
+        (dict(intensity_perp="0 W/cm2"), r"cfg:2: 'intensity_perp' must be positive and finite, got '0 W/cm2'$"),
+        (dict(lattice_wavelength="1 m"),
+         r"cfg:6: 'lattice_wavelength' must lie in \[1e-07, 0\.0001\] m, got '1 m'$"),
+        (dict(design_eta_perp="2"), r"cfg:8: 'design_eta_perp' must lie in \[1e-98, 1\], got '2'$"),
+        (dict(detuning_perp="-5 GHz"),
+         r"cfg:4: 'detuning_perp' must be positive and finite \(blue of resonance; red or zero detuning is not "
+         r"supported\), got '-5 GHz'$"),
+        (dict(polarization_angle="200 deg"),
+         r"cfg:7: 'polarization_angle' must lie in \[0, 3\.141592653589793\] rad, got '200 deg'$"),
+        # a unit scale that overflows the number is caught under its key
+        (dict(target_shift="1e300 THz"), r"cfg:10: 'target_shift' must be finite, got '1e300 THz'$"),
+        # a species file's value is reported in that file, under its key
+        (dict(species="bad_species.txt"),
+         r"bad_species\.txt:1: 'mass' must lie in \[1e-27, 1e-24\] kg, got '1'$"),
     ],
 )
 def test_config_errors(tmp_path, overrides, fragment):
+    (tmp_path / "bad_species.txt").write_text("mass = 1\n")
     path = _write_config(tmp_path, **overrides)
     with pytest.raises(ValueError, match=fragment):
         load_lattice_config(path)
@@ -360,12 +346,6 @@ def test_beam_config_validation(cesium):
         LatticeBeamConfig(-1.0, 1.0, 1.0, 1.0, k, 0.0)
     with pytest.raises(ValueError, match="intensity_par must be positive"):
         LatticeBeamConfig(1.0, 0.0, 1.0, 1.0, k, 0.0)
-    with pytest.raises(ValueError, match="blue"):
-        LatticeBeamConfig(1.0, 1.0, -1.0, 1.0, k, 0.0)
-    with pytest.raises(ValueError, match="wave_number"):
-        LatticeBeamConfig(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="polarization_angle"):
-        LatticeBeamConfig(1.0, 1.0, 1.0, 1.0, k, 4.0)
 
 
 # --- budget report ----------------------------------------------------------------

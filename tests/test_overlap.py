@@ -671,13 +671,6 @@ def test_optimize_ratio_is_geometry_free_in_closed_form():
         assert abs(kappa_star) * ep**3 == pytest.approx(0.017023663, rel=1e-4)
 
 
-def test_optimize_ratio_domain():
-    with pytest.raises(ValueError):
-        optimize_ratio(0.0)
-    with pytest.raises(ValueError):
-        optimize_ratio(0.6)
-
-
 # --- map --------------------------------------------------------------------
 
 def test_map_matches_pointwise_kappa():
@@ -908,25 +901,10 @@ def test_non_finite_result_raises_without_partial():
 
 # --- input validation ---------------------------------------------------------
 
-def test_trap_geometry_domain():
-    TrapGeometry(1.0, 1.0)
-    with pytest.raises(ValueError):
-        TrapGeometry(0.0, 0.1)
-    with pytest.raises(ValueError):
-        TrapGeometry(0.1, 1.5)
-    with pytest.raises(ValueError):
-        TrapGeometry(-0.1, 0.1)
-
-
 def test_quadrature_spec_validation():
     QuadratureSpec(rel_tol=1e-9, eval_budget=1)
-    for kwargs in (
-        dict(rel_tol=0.0),
-        dict(rel_tol=0.5),
-        dict(eval_budget=0),
-    ):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
+    with pytest.raises(ValueError):
+        QuadratureSpec(eval_budget=0)
 
 
 def test_expectation_record_invariants():
