@@ -59,22 +59,18 @@ class AtomSpecies:
             raise ValueError(f"nuclear_spin must be an integer or half-integer, got {self.nuclear_spin!r}")
 
     @property
-    def f_up(self) -> float:
-        """The upper ground hyperfine level, F = nuclear_spin + 1/2."""
-        return self.nuclear_spin + 0.5
-
-    @property
     def pi_coupling(self) -> float:
         """Clebsch-Gordan amplitude of the pi transition from the upper
         hyperfine level at |M| = 1 to the strongest excited manifold,
-        <F 1; 1 0 | F+1 1> = sqrt(F (F+2) / ((2F+1) (F+1))) with F = f_up.
+        <F 1; 1 0 | F+1 1> = sqrt(F (F+2) / ((2F+1) (F+1))) with
+        F = nuclear_spin + 1/2.
 
         Its fourth power scales every laser-induced pair quantity (shift,
         cooperative decay, single-atom scattering in a logical-1 state).
         """
-        f = self.f_up
+        f = self.nuclear_spin + 0.5
         if f != int(f):
-            raise ValueError(f"M = 1 needs an integer f_up, got {f!r}")
+            raise ValueError(f"M = 1 needs an integer F = nuclear_spin + 1/2, got {f!r}")
         return math.sqrt(f * (f + 2) / ((2 * f + 1) * (f + 1)))
 
 
@@ -161,14 +157,14 @@ def _number(key: str, text: str, domain: str, scale: float = 1.0, written: str =
     return value
 
 
-def _read_key_values(path: str | Path, keys, noun: str, convert, optional=()) -> dict:
+def _read_key_values(path: str | Path, keys, noun: str, convert) -> dict:
     """Values of a ``key = value`` file, one per line; ``#`` starts a comment.
 
-    Each key must be one of ``keys`` (typos fail loudly), appear once and
-    carry a nonempty value, which ``convert(key, value)`` turns into the
-    returned value; every key not in ``optional`` is required. ``noun`` names
-    a key in the error messages, which, like those of ``convert``, give the
-    file and line.
+    Every key of ``keys`` must appear once, and no other (typos fail
+    loudly), with a nonempty value, which ``convert(key, value)`` turns into
+    the returned value. Lines are checked in file order, each key before its
+    value, and missing keys after the last line. ``noun`` names a key in the
+    error messages, which, like those of ``convert``, give the file and line.
     """
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -189,7 +185,7 @@ def _read_key_values(path: str | Path, keys, noun: str, convert, optional=()) ->
             values[key] = convert(key, value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    missing = sorted(set(keys) - set(optional) - set(values))
+    missing = sorted(set(keys) - set(values))
     if missing:
         raise ValueError(f"{path}: missing {noun}s: {', '.join(missing)}")
     return values

@@ -29,8 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomics import HBAR, PLANCK, _require_int, cesium_d2
+from .atomics import HBAR, PLANCK, _require, _require_int, cesium_d2
 from .ensemble import (
+    STAGES,
     NonIdentifiableError,
     apparent_fidelity,
     background_subtract,
@@ -155,6 +156,8 @@ def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
     _require_int(1, **{f"{name}-steps": steps})
     if steps == 1 and lo != hi:
         raise ValueError(f"single-step {name} grid needs min == max")
+    if steps > 1 and not lo < hi:
+        raise ValueError(f"{name}-min must be below {name}-max, got {lo!r} and {hi!r}")
     return np.linspace(lo, hi, steps)
 
 
@@ -180,7 +183,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
 
 
 def _gate_chain(args: argparse.Namespace):
-    """Shared kappa -> rates -> truth-table pipeline for gate and ensemble."""
+    """Shared kappa -> rates -> pulse -> truth-table pipeline for gate and ensemble."""
     species = cesium_d2()
     geom = TrapGeometry(args.eta_perp, args.eta_par)
     expectation = mean_fg(geom, _quad_spec(args))
@@ -195,18 +198,13 @@ def _gate_chain(args: argparse.Namespace):
         solution.field.scatter_rate, species.pi_coupling, expectation.mean_f, expectation.mean_g
     )
     pulse = default_pulse(env, rabi_divisor=args.rabi_divisor)
-    if args.duration is not None or args.detuning_from_shifted != 0.0:
-        pulse = dataclasses.replace(
-            pulse,
-            detuning_from_shifted=args.detuning_from_shifted,
-            duration=pulse.duration if args.duration is None else args.duration,
-        )
-    return expectation, solution, env, pulse
+    pulse = dataclasses.replace(pulse, detuning_from_shifted=args.detuning_from_shifted,
+                                duration=pulse.duration if args.duration is None else args.duration)
+    return expectation, env, pulse, truth_table(env, pulse)
 
 
 def _cmd_gate(args: argparse.Namespace) -> int:
-    expectation, solution, env, pulse = _gate_chain(args)
-    table = truth_table(env, pulse)
+    expectation, env, pulse, table = _gate_chain(args)
     fid = truth_table_fidelity(table)
     rows = zip(STATE_LABELS, table.populations.tolist(), table.leakage.tolist())
     _emit_json(
@@ -239,14 +237,10 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
-    _, _, env, pulse = _gate_chain(args)
-    table = truth_table(env, pulse)
+    *_, table = _gate_chain(args)
+    _require("probability", **{"fill-prob": args.fill_prob})
     fill = simulate_fill(args.sites, args.fill_prob, args.seed)
-    stages = [
-        run_stage(fill, table, args.input, "paired_and_unpaired"),
-        run_stage(fill, None, args.input, "unpaired_only"),
-        run_stage(fill, table, args.input, "double_gate_with_flush"),
-    ]
+    stages = [run_stage(fill, table, args.input, stage) for stage in STAGES]
     row = background_subtract(stages)
     ideal = IDEAL_CNOT_OUTPUT[args.input]
     _emit_json(

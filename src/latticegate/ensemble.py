@@ -230,17 +230,13 @@ def background_subtract(stages: list[MeasurementStage]) -> CorrectedRow:
     with alpha the exactly counted paired fraction; the unpaired-only
     stage measures u; solving for g is a single linear step with
     multinomial errors propagated through it. A double-gate stage may be
-    present and is ignored here. With no unpaired atoms in the
-    unpaired-only stage there is nothing to subtract and the mixed-stage
-    fractions are returned as-is.
+    present and is ignored here.
     """
     mixed = [s for s in stages if s.stage == "paired_and_unpaired"]
     background = [s for s in stages if s.stage == "unpaired_only"]
-    if len(mixed) != 1:
-        raise ValueError("need exactly one paired_and_unpaired stage")
-    if len(background) > 1:
-        raise ValueError("need at most one unpaired_only stage")
-    m_stage = mixed[0]
+    if len(mixed) != 1 or len(background) != 1:
+        raise ValueError("need exactly one paired_and_unpaired and one unpaired_only stage")
+    m_stage, u_stage = mixed[0], background[0]
     labels = {s.input_label for s in stages}
     if len(labels) != 1:
         raise ValueError(f"stages mix prepared inputs {sorted(labels)}")
@@ -250,20 +246,17 @@ def background_subtract(stages: list[MeasurementStage]) -> CorrectedRow:
             "no paired sites in the mixed stage: the gate row does not appear "
             "in the measurement at all"
         )
+    # the unpaired_only stage of a fill with a pair reads both its atoms, so
+    # only stages of different fills reach this, which would divide by zero
+    if u_stage.n_measured == 0:
+        raise ValueError("the unpaired_only stage measured no atom")
     alpha = m_stage.n_paired / m_stage.n_measured
-    m = m_stage.fractions
-    m_err = _multinomial_se(m, m_stage.n_measured)
-
-    u_stage = background[0] if background else None
-    if u_stage is None or u_stage.n_measured == 0:
-        corrected, err = m, m_err
-    else:
-        u = u_stage.fractions
-        u_err = _multinomial_se(u, u_stage.n_measured)
-        b = 1.0 - alpha
-        corrected = [(x - b * y) / alpha for x, y in zip(m, u)]
-        # x * x is numpy's x**2; tests hold every bit to the array form
-        err = [math.sqrt(x * x + (b * y) * (b * y)) / alpha for x, y in zip(m_err, u_err)]
+    m, u = m_stage.fractions, u_stage.fractions
+    m_err, u_err = _multinomial_se(m, m_stage.n_measured), _multinomial_se(u, u_stage.n_measured)
+    b = 1.0 - alpha
+    corrected = [(x - b * y) / alpha for x, y in zip(m, u)]
+    # x * x is numpy's x**2; tests hold every bit to the array form
+    err = [math.sqrt(x * x + (b * y) * (b * y)) / alpha for x, y in zip(m_err, u_err)]
 
     return CorrectedRow(
         probabilities=np.array(corrected[:4]),

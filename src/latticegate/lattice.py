@@ -138,20 +138,19 @@ def trap_params(
     intensity: float,
     detuning: float,
     wave_number: float,
-    geometry_factor: float = 1.0,
 ) -> TrapParams:
     """Far-off-resonance standing-wave trap parameters for one axis.
 
     Two-level light shift per beam U1 = hbar Gamma^2 (I/I_sat) / (8 Delta),
-    standing-wave depth 4 U1 times a geometry factor absorbing beam
-    arrangement details, harmonic expansion about the node for blue
-    detuning. The scattering contribution is the zero-point residual: a
+    standing-wave depth 4 U1 of a counter-propagating pair, harmonic
+    expansion about the node for blue detuning. The scattering
+    contribution is the zero-point residual: a
     node-sited atom samples the field over its ground-state width, which
     in the harmonic approximation scatters at Gamma * omega / (4 Delta).
     intensity and wave_number have LatticeBeamConfig's domains.
     """
     _require("detuning", detuning=detuning)
-    _require("positive", intensity=intensity, geometry_factor=geometry_factor)
+    _require("positive", intensity=intensity)
     _require("wave_number", wave_number=wave_number)
     gamma = species.gamma_natural
     try:
@@ -166,7 +165,7 @@ def trap_params(
             f"{SATURATION_LIMIT}; the two-level light-shift model does not apply"
         )
     single_beam_shift = HBAR * gamma**2 * (intensity / species.i_sat) / (8.0 * detuning)
-    depth = 4.0 * single_beam_shift * geometry_factor
+    depth = 4.0 * single_beam_shift
     omega = wave_number * math.sqrt(2.0 * depth / species.mass)
     width_denominator = 2.0 * species.mass * omega
     if width_denominator == 0.0:
@@ -243,11 +242,9 @@ class LatticeConfig:
     beams: LatticeBeamConfig
     design_geometry: TrapGeometry
     target_shift: float
-    geometry_factor: float
 
     def __post_init__(self) -> None:
         _require("finite", target_shift=self.target_shift)
-        _require("positive", geometry_factor=self.geometry_factor)
 
 
 # each number key's row of atomics._RANGES, which holds its SI value, and
@@ -262,7 +259,6 @@ _CONFIG_KEYS = {
     "design_eta_perp": ("eta", None),
     "design_eta_par": ("eta", None),
     "target_shift": ("finite", "frequency"),
-    "geometry_factor": ("positive", None),
 }
 
 
@@ -299,7 +295,7 @@ def load_lattice_config(path: str | Path) -> LatticeConfig:
     species file, resolved relative to the configuration file.
     """
     path = Path(path)
-    number = _read_key_values(path, {"species", *_CONFIG_KEYS}, "key", _quantity, optional={"geometry_factor"})
+    number = _read_key_values(path, {"species", *_CONFIG_KEYS}, "key", _quantity)
 
     species_name = number.pop("species")
     species = cesium_d2() if species_name == "cesium_d2" else load_species(path.parent / species_name)
@@ -318,7 +314,6 @@ def load_lattice_config(path: str | Path) -> LatticeConfig:
         beams=beams,
         design_geometry=TrapGeometry(eta_perp=number["design_eta_perp"], eta_par=number["design_eta_par"]),
         target_shift=PLANCK * number["target_shift"],
-        geometry_factor=number.get("geometry_factor", 1.0),
     )
 
 
@@ -326,6 +321,8 @@ def load_lattice_config(path: str | Path) -> LatticeConfig:
 
 
 def _trap_block(params: TrapParams) -> dict:
+    # the well_depth label keeps its geometry_factor, which is 1 for the
+    # counter-propagating pairs modeled here
     return {
         "well_depth_joule": params.well_depth,
         "osc_freq_hz": params.osc_freq,
@@ -353,12 +350,8 @@ def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = QuadratureS
     """
     species = config.species
     beams = config.beams
-    perp = trap_params(
-        species, beams.intensity_perp, beams.detuning_perp, beams.wave_number, config.geometry_factor
-    )
-    par = trap_params(
-        species, beams.intensity_par, beams.detuning_par, beams.wave_number, config.geometry_factor
-    )
+    perp = trap_params(species, beams.intensity_perp, beams.detuning_perp, beams.wave_number)
+    par = trap_params(species, beams.intensity_par, beams.detuning_par, beams.wave_number)
     lattice_rate = 2.0 * perp.scatter_rate + par.scatter_rate
 
     design = config.design_geometry

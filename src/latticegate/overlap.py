@@ -658,7 +658,10 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     scratch is there for speed, measured at 10^6 samples on a 2-CPU host:
     the same steps as plain numpy expressions, a fresh temporary each, kept
     every bit but ran slower in 8 of 8 alternating fresh-process pairs
-    (57 -> 82 ms, median of the per-process medians). A chunk reduces its
+    (57 -> 82 ms, median of the per-process medians); allocating each
+    chunk's arrays, with radial_parts given no out=, kept every bit and
+    took the tracemalloc peak from 3.15 to 2.85 MB, but ran slower in 6 of
+    6 such pairs (48 -> 59 ms). A chunk reduces its
     residuals and its g values to _chunk_moments, and the calling thread
     pools them in chunk order (_pooled_mean_and_std). A chunk's samples
     depend on (seed, k) alone, every later step is elementwise or within

@@ -1,6 +1,9 @@
 import ast
+import importlib.util
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +69,40 @@ def package_imports(apis: set[str]) -> dict[str, list[str]]:
 
 def default_jobs() -> int:
     return max(1, min(8, os.cpu_count() or 1))
+
+
+def run_cli(*argv, check=True):
+    """The completed ``python -m latticegate.cli *argv`` with its output as
+    text; with check, a nonzero exit fails the test with its stderr."""
+    result = subprocess.run(
+        [sys.executable, "-m", "latticegate.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    if check and result.returncode != 0:
+        raise AssertionError(
+            f"cli {' '.join(argv)} exited {result.returncode}: {result.stderr}"
+        )
+    return result
+
+
+@pytest.fixture(scope="session")
+def cli_digests():
+    """scripts/cli_digests.py as a module."""
+    spec = importlib.util.spec_from_file_location("cli_digests", REPO_ROOT / "scripts" / "cli_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def digest_runs(cli_digests):
+    """One run of each of cli_digests' commands, by argv, shared by the tests
+    that read them (the 20 subprocesses take ~4 s)."""
+    runs = {argv: cli_digests.run_command(argv) for _, argv in cli_digests.COMMANDS}
+    assert len(runs) == len(cli_digests.COMMANDS)
+    return runs
 
 
 @pytest.fixture(scope="session")

@@ -326,13 +326,12 @@ def one_shot_fill(n_sites: int, p: float, seed: int) -> np.ndarray:
     return rng.random((n_sites, 2)) < p
 
 
-def one_shot_readout(table, label: str, n_sites: int, p: float, seed: int, subtract: bool = True):
+def one_shot_readout(table, label: str, n_sites: int, p: float, seed: int):
     """The fill, the three stages in ensemble.STAGES order and the background
     subtraction of one prepared input, in numpy arrays. Returns the stages as
     (counts, leaked, fractions) and the corrected row as (probabilities and
     leaked, their errors, paired fraction), or None for the row when no site
-    is paired. With subtract=False the row is the mixed stage's, as
-    background_subtract gives it without an unpaired_only stage."""
+    is paired."""
     labels = ("00", "01", "10", "11")
     q = 1.0 - p
     paired, control_only, target_only, _ = (
@@ -381,8 +380,6 @@ def one_shot_readout(table, label: str, n_sites: int, p: float, seed: int, subtr
     alpha = paired / mixed[2]
     m, u = stages[0][2], stages[1][2]
     m_err = se(m, mixed[2])
-    if not subtract or background[2] == 0:
-        return stages, (m, m_err, alpha)
     u_err = se(u, background[2])
     corrected = (m - (1.0 - alpha) * u) / alpha
     err = np.sqrt(m_err**2 + ((1.0 - alpha) * u_err) ** 2) / alpha

@@ -6,12 +6,8 @@ so a plain ``pytest tests/test_acceptance.py -v -rA`` doubles as the
 release checklist.
 """
 
-import json
 import math
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 from scipy.constants import hbar
@@ -40,7 +36,7 @@ from latticegate.overlap import (
     optimize_ratio,
 )
 
-from conftest import REFERENCE_GEOMETRY, REPO_ROOT
+from conftest import REFERENCE_GEOMETRY, REPO_ROOT, run_cli
 
 CONFIG_PATH = REPO_ROOT / "configs" / "cesium_reference.cfg"
 
@@ -238,28 +234,22 @@ def test_criterion_8_background_subtracted_readout(reference_table):
     )
 
 
-def _cli(*argv: str) -> str:
-    result = subprocess.run(
-        [sys.executable, "-m", "latticegate.cli", *argv],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
+def test_criterion_9_byte_level_reproducibility(cli_digests, digest_runs):
+    # a fresh run of each command against the session's run of it
+    def same(argv, *extra):
+        first = digest_runs[argv]
+        assert first.returncode == 0, first.stderr
+        return run_cli(*argv, *extra).stdout == first.stdout.decode()
 
-
-def test_criterion_9_byte_level_reproducibility():
-    kappa_args = ("kappa", "--eta-perp", "0.1", "--eta-par", "0.2")
-    kappa_stable = _cli(*kappa_args) == _cli(*kappa_args)
+    kappa_stable = same(cli_digests.KAPPA_REF)
     map_args = (
         "map",
         "--perp-min", "0.1", "--perp-max", "0.2", "--perp-steps", "2",
         "--par-min", "0.1", "--par-max", "0.2", "--par-steps", "2",
     )
-    map_stable = _cli(*map_args, "--jobs", "1") == _cli(*map_args, "--jobs", "2")
-    ens_args = ("ensemble", "--sites", "20000")
-    ens_stable = _cli(*ens_args) == _cli(*ens_args)
+    # the session ran the map serially, at the default --jobs 1
+    map_stable = same(map_args, "--jobs", "2")
+    ens_stable = same(("ensemble", "--sites", "20000"))
     ok = kappa_stable and map_stable and ens_stable
     report(
         9,

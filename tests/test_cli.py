@@ -16,26 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import package_imports
+from conftest import REPO_ROOT, package_imports, run_cli
 from latticegate.cli import build_parser
 from latticegate.ensemble import STAGES
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG = str(REPO_ROOT / "configs" / "cesium_reference.cfg")
-
-
-def run_cli(*argv, check=True):
-    result = subprocess.run(
-        [sys.executable, "-m", "latticegate.cli", *argv],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-    )
-    if check and result.returncode != 0:
-        raise AssertionError(
-            f"cli {' '.join(argv)} exited {result.returncode}: {result.stderr}"
-        )
-    return result
 
 
 def assert_nine_digit_floats(obj, path="$"):
@@ -203,6 +188,19 @@ def test_map_rejects_a_malformed_grid(perp, message):
     assert message in result.stderr
 
 
+@pytest.mark.parametrize(
+    "grid, stderr",
+    [
+        (("0.2", "0.1", "2", "0.1", "0.2", "2"), "error: perp-min must be below perp-max, got 0.2 and 0.1\n"),
+        (("0.1", "0.2", "2", "0.2", "0.2", "3"), "error: par-min must be below par-max, got 0.2 and 0.2\n"),
+    ],
+)
+def test_map_names_the_flags_of_a_grid_that_does_not_increase(grid, stderr):
+    flags = ("--perp-min", "--perp-max", "--perp-steps", "--par-min", "--par-max", "--par-steps")
+    result = run_cli("map", *(x for pair in zip(flags, grid) for x in pair), check=False)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", stderr)
+
+
 # --- budget -----------------------------------------------------------------
 
 def test_budget_reference_numbers():
@@ -241,6 +239,16 @@ def test_budget_bad_config_value_is_usage_error(tmp_path, line, edited, key):
     assert result.stdout == ""
     assert result.stderr.startswith("error:") and f"'{key}'" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_budget_refuses_a_geometry_factor(tmp_path):
+    # the depth is that of a counter-propagating pair; no key scales it
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(Path(CONFIG).read_text() + "geometry_factor = 1\n")
+    line = len(cfg.read_text().splitlines())
+    result = run_cli("budget", "--config", str(cfg), check=False)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {cfg}:{line}: unknown key 'geometry_factor'\n"
 
 
 def test_budget_zero_intensity_is_usage_error(tmp_path):
@@ -346,6 +354,12 @@ def test_ensemble_empty_lattice_is_non_identifiable():
     )
     assert result.returncode == 4
     assert "identifiable" in result.stderr
+
+
+def test_ensemble_names_the_fill_prob_flag():
+    result = run_cli("ensemble", "--sites", "100", "--fill-prob", "1.5", check=False)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: fill-prob must lie in [0, 1], got 1.5\n"
 
 
 def test_ensemble_site_count_beyond_int64_is_usage_error():

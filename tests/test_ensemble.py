@@ -278,18 +278,6 @@ def test_apparent_fidelity_is_diluted_by_background(reference_table):
     assert corrected == pytest.approx(true_value, abs=4.0 * row.errors[STATE_LABELS.index("11")])
 
 
-def test_no_unpaired_atoms_returns_raw_fractions(reference_table):
-    # all-paired fill: the mixed stage holds no single atoms, so without a
-    # background stage the raw fractions are the row. An unpaired-only stage
-    # would break every pair and count all 20,000 atoms.
-    fill = simulate_fill(10_000, 1.0, seed=3)
-    mixed = run_stage(fill, reference_table, "10", "paired_and_unpaired")
-    broken = run_stage(fill, None, "10", "unpaired_only")
-    assert broken.n_measured == 20_000  # pairs broken: every atom counts
-    only_mixed = background_subtract([mixed])
-    assert np.array_equal(only_mixed.probabilities, mixed.fractions[:4])
-
-
 def test_subtraction_not_identifiable_without_pairs(reference_table):
     rows = [[True, False]] * 50 + [[False, True]] * 50
     fill = _fill_from_rows(rows)
@@ -303,15 +291,31 @@ def test_subtraction_not_identifiable_without_pairs(reference_table):
 
 def test_subtraction_stage_set_validation(reference_table):
     mixed, unpaired = _stage_pair(reference_table, 1000, 0.5, seed=4)
-    with pytest.raises(ValueError, match="exactly one"):
-        background_subtract([unpaired])
-    with pytest.raises(ValueError, match="exactly one"):
-        background_subtract([mixed, mixed, unpaired])
-    with pytest.raises(ValueError, match="at most one"):
-        background_subtract([mixed, unpaired, unpaired])
+    one_each = "^need exactly one paired_and_unpaired and one unpaired_only stage$"
+    for stage_set in ([unpaired], [mixed, mixed, unpaired], [mixed, unpaired, unpaired]):
+        with pytest.raises(ValueError, match=one_each):
+            background_subtract(stage_set)
     other = _stage_pair(reference_table, 1000, 0.5, seed=4, input_label="11")[1]
     with pytest.raises(ValueError, match="mix prepared inputs"):
         background_subtract([mixed, other])
+
+
+def test_subtraction_needs_a_background_stage(reference_table):
+    # an all-paired fill has no single atom in its mixed stage, yet the row
+    # still needs its unpaired_only stage
+    mixed = run_stage(simulate_fill(10_000, 1.0, seed=3), reference_table, "10", "paired_and_unpaired")
+    with pytest.raises(ValueError, match="^need exactly one paired_and_unpaired and one unpaired_only stage$"):
+        background_subtract([mixed])
+
+
+def test_an_empty_background_stage_is_refused(reference_table):
+    # only a stage of another, empty fill measures no atom; subtracting it
+    # would divide by zero
+    mixed = run_stage(simulate_fill(1000, 0.5, seed=4), reference_table, "10", "paired_and_unpaired")
+    empty = run_stage(simulate_fill(1000, 0.0, seed=4), None, "10", "unpaired_only")
+    assert empty.n_measured == 0
+    with pytest.raises(ValueError, match="^the unpaired_only stage measured no atom$"):
+        background_subtract([mixed, empty])
 
 
 def test_error_bars_shrink_with_site_count(reference_table):
@@ -355,18 +359,16 @@ def test_readout_bits_match_the_numpy_reference(reference_table, n_sites, p, den
             assert stage.counts.dtype == np.int64
             assert (stage.counts.tolist(), stage.leaked) == (counts.tolist(), leaked)
             assert _hex(stage.fractions) == _hex(fractions)
-        _, mixed_row5 = oracles.one_shot_readout(table, label, n_sites, p, seed, subtract=False)
-        for stage_set, want in ((stages, row5), (stages[:1], mixed_row5)):
-            if want is None:
-                with pytest.raises(NonIdentifiableError):
-                    background_subtract(stage_set)
-                continue
-            row = background_subtract(stage_set)
-            probabilities, errors, alpha = want
-            assert _hex([*row.probabilities, row.leaked]) == _hex(probabilities)
-            assert _hex([*row.errors, row.leaked_error]) == _hex(errors)
-            assert row.paired_fraction.hex() == alpha.hex()
-            assert row.probabilities.shape == row.errors.shape == (4,)
+        if row5 is None:
+            with pytest.raises(NonIdentifiableError):
+                background_subtract(stages)
+            continue
+        row = background_subtract(stages)
+        probabilities, errors, alpha = row5
+        assert _hex([*row.probabilities, row.leaked]) == _hex(probabilities)
+        assert _hex([*row.errors, row.leaked_error]) == _hex(errors)
+        assert row.paired_fraction.hex() == alpha.hex()
+        assert row.probabilities.shape == row.errors.shape == (4,)
 
 
 def test_stage_names_are_stable():

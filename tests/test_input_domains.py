@@ -47,11 +47,10 @@ REFERENCE_ARGS = {
     "CatalysisField": dict(intensity=1.0, saturation=0.1, scatter_rate=100.0),
     "CatalysisSolution": dict(field=CatalysisField(1.0, 0.1, 100.0), gamma_sup=100.0),
     "LatticeConfig": dict(species=CESIUM, species_name="cesium_d2", beams=BEAMS,
-                          design_geometry=TrapGeometry(0.1, 0.2), target_shift=PLANCK * 5000.0,
-                          geometry_factor=1.0),
+                          design_geometry=TrapGeometry(0.1, 0.2), target_shift=PLANCK * 5000.0),
     "well_separation": dict(theta=math.pi / 4, wave_number=WAVE_NUMBER),
     "trap_params": dict(species=CESIUM, intensity=50.0e4, detuning=2.0 * math.pi * 120e9,
-                        wave_number=WAVE_NUMBER, geometry_factor=1.0),
+                        wave_number=WAVE_NUMBER),
     "catalysis_intensity": dict(species=CESIUM, c_g4=CG_PI_4, mean_f=REF_MEAN_F, mean_g=REF_MEAN_G,
                                 target_shift=PLANCK * 5000.0),
     "GateEnvironment": dataclasses.asdict(ENV),

@@ -111,13 +111,6 @@ def test_trap_scaling_laws(cesium):
     )
 
 
-def test_trap_geometry_factor_scales_depth(cesium):
-    k = _wave_number(cesium)
-    base = trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k)
-    doubled = trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k, geometry_factor=2.0)
-    assert doubled.well_depth / base.well_depth == pytest.approx(2.0, rel=1e-12)
-
-
 def test_trap_rejects_red_detuning_and_saturation(cesium):
     k = _wave_number(cesium)
     with pytest.raises(ValueError, match="red or zero"):
@@ -130,8 +123,6 @@ def test_trap_rejects_red_detuning_and_saturation(cesium):
     # a beam that does not trap leaves the atom unconfined, outside the model
     with pytest.raises(ValueError, match=r"^intensity must be positive and finite, got 0\.0$"):
         trap_params(cesium, 0.0, PERP_DETUNING, k)
-    with pytest.raises(ValueError, match="geometry_factor"):
-        trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, k, geometry_factor=0.0)
     with pytest.raises(ValueError, match="wave_number"):
         trap_params(cesium, PERP_INTENSITY, PERP_DETUNING, 0.0)
 
@@ -224,7 +215,6 @@ def test_reference_config_loads(reference_config, cesium):
     assert cfg.beams.polarization_angle == pytest.approx(math.pi / 2.0, rel=1e-15)
     assert (cfg.design_geometry.eta_perp, cfg.design_geometry.eta_par) == (0.1, 0.2)
     assert cfg.target_shift == pytest.approx(h * 5000.0, rel=1e-15)
-    assert cfg.geometry_factor == 1.0
 
 
 def _write_config(tmp_path, **overrides):
@@ -303,7 +293,8 @@ def test_config_species_path_resolved_relative(tmp_path, cesium):
         (dict(intensity_perp="nan W/cm2"),
          r"cfg:2: 'intensity_perp' must be positive and finite, got 'nan W/cm2'$"),
         (dict(target_shift="nan kHz"), r"cfg:10: 'target_shift' must be finite, got 'nan kHz'$"),
-        (dict(geometry_factor="nan"), r"cfg:11: 'geometry_factor' must be positive and finite, got 'nan'$"),
+        # the standing-wave depth is that of a counter-propagating pair; no key scales it
+        (dict(geometry_factor="1"), r"cfg:11: unknown key 'geometry_factor'$"),
         (dict(detuning_par="inf THz"), r"cfg:5: 'detuning_par' must be positive and finite \(blue of"),
         # 0 nm parses but would divide by zero in the wave number
         (dict(lattice_wavelength="0 nm"),
@@ -330,6 +321,28 @@ def test_config_errors(tmp_path, overrides, fragment):
     path = _write_config(tmp_path, **overrides)
     with pytest.raises(ValueError, match=fragment):
         load_lattice_config(path)
+
+
+@pytest.mark.parametrize(
+    "overrides,first,second",
+    [
+        # each line's key and number before the next line's: a bad unit on
+        # line 3 comes before an unknown key on the last line
+        (dict(intensity_par="52 furlongs", beam_power="3 W"),
+         r"cfg:3: unknown intensity unit 'furlongs' for 'intensity_par'", r"cfg:11: unknown key 'beam_power'$"),
+        # the species is loaded after every number has passed
+        (dict(lattice_wavelength="1 m", species="nofile.txt"),
+         r"cfg:6: 'lattice_wavelength' must lie in \[1e-07, 0\.0001\] m, got '1 m'$", "nofile"),
+    ],
+    ids=["line_order", "species_last"],
+)
+def test_config_faults_are_reported_in_readme_order(tmp_path, overrides, first, second):
+    with pytest.raises(ValueError, match=first):
+        load_lattice_config(_write_config(tmp_path, **overrides))
+    # with the first fault mended, the other one is reported
+    mended = dict(list(overrides.items())[1:])
+    with pytest.raises((ValueError, OSError), match=second):
+        load_lattice_config(_write_config(tmp_path, **mended))
 
 
 def test_config_rejects_duplicates(tmp_path):

@@ -2,7 +2,6 @@
 
 import difflib
 import hashlib
-import importlib.util
 import subprocess
 import sys
 
@@ -27,23 +26,6 @@ def test_reference_run_prints_reference_kappa():
     result = run_script("reference_run.py")
     assert result.returncode == 0, result.stderr
     assert "  kappa = -19.3282636   (" in result.stdout
-
-
-@pytest.fixture(scope="module")
-def cli_digests():
-    spec = importlib.util.spec_from_file_location("cli_digests", SCRIPTS / "cli_digests.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def digest_runs(cli_digests):
-    """One run of each of cli_digests' commands, shared by the tests that
-    read them (the 20 subprocesses take ~5 s)."""
-    runs = {argv: cli_digests.run_command(argv) for _, argv in cli_digests.COMMANDS}
-    assert len(runs) == len(cli_digests.COMMANDS)
-    return runs
 
 
 def test_cli_digests_lists_every_command(cli_digests, digest_runs, monkeypatch, capsys):
