@@ -1,4 +1,4 @@
-"""The package's one scheduler: chunks dealt round-robin to worker threads.
+"""The package's one scheduler: chunks dealt to worker threads, each told its worker.
 
 numpy releases the interpreter lock inside its array loops, so chunked array
 work scales across CPUs within one process, with no pool and no pickling.
@@ -20,12 +20,14 @@ def _available_cpus() -> int:
 
 
 def _fan_out(workers: int, chunks: int, work) -> list:
-    """[work(0), ..., work(chunks - 1)]: thread w takes chunks w, w + workers,
-    ..., the calling thread being thread 0, and a thread with no chunk is
-    never started. A thread that finishes a chunk after another thread has
-    failed takes no further chunk. Every thread is joined before this
-    returns or raises; the first exception in thread order is then
-    re-raised here."""
+    """[work(0, w), ..., work(chunks - 1, w)], each call told the index w, in
+    range(workers), of the thread that runs it, the calling thread being
+    worker 0. A worker runs its chunks one at a time, so a caller may keep
+    one scratch per worker. Worker w takes chunks w, w + workers, ..., and a
+    worker with no chunk is never started. A thread that finishes a chunk
+    after another thread has failed takes no further chunk. Every thread is
+    joined before this returns or raises; the first exception in thread
+    order is then re-raised here."""
     results: list = [None] * chunks
     errors: list = [None] * workers
     failed = False
@@ -34,7 +36,7 @@ def _fan_out(workers: int, chunks: int, work) -> list:
         nonlocal failed
         try:
             for k in range(w, chunks, workers):
-                results[k] = work(k)
+                results[k] = work(k, w)
                 if failed:
                     return
         except BaseException as exc:  # re-raised in the calling thread below

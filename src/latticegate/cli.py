@@ -158,7 +158,12 @@ def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
         raise ValueError(f"single-step {name} grid needs min == max")
     if steps > 1 and not lo < hi:
         raise ValueError(f"{name}-min must be below {name}-max, got {lo!r} and {hi!r}")
-    return np.linspace(lo, hi, steps)
+    # kappa_map's rule on the grid itself: ends a few ulps apart repeat a value
+    grid = np.linspace(lo, hi, steps)
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError(f"{name}-min and {name}-max are too close for {steps} {name}-steps, "
+                         f"got {lo!r} and {hi!r}")
+    return grid
 
 
 def _cmd_map(args: argparse.Namespace) -> int:

@@ -20,7 +20,6 @@ from .overlap import QuadratureSpec, TrapGeometry, mean_fg
 
 __all__ = [
     "SATURATION_LIMIT",
-    "LatticeBeamConfig",
     "TrapParams",
     "CatalysisField",
     "CatalysisSolution",
@@ -33,31 +32,6 @@ __all__ = [
 ]
 
 SATURATION_LIMIT = 0.1
-
-
-@dataclass(frozen=True)
-class LatticeBeamConfig:
-    """Beam parameters of the two standing-wave pairs.
-
-    Intensities in W/m^2 per beam, positive so that every beam traps,
-    detunings in rad/s and blue of the resonance, wave_number in
-    [2 pi / 1e-4, 2 pi / 1e-7] rad/m (a lattice wavelength of 100 nm to
-    100 um), polarization_angle in [0, pi] rad between the linear
-    polarizations of the transverse beams: each a row of atomics._RANGES.
-    """
-
-    intensity_perp: float
-    intensity_par: float
-    detuning_perp: float
-    detuning_par: float
-    wave_number: float
-    polarization_angle: float
-
-    def __post_init__(self) -> None:
-        _require("positive", intensity_perp=self.intensity_perp, intensity_par=self.intensity_par)
-        _require("detuning", detuning_perp=self.detuning_perp, detuning_par=self.detuning_par)
-        _require("wave_number", wave_number=self.wave_number)
-        _require("polarization_angle", polarization_angle=self.polarization_angle)
 
 
 @dataclass(frozen=True)
@@ -118,7 +92,7 @@ def well_separation(theta: float, wave_number: float) -> float:
     standing waves whose minima slide apart as the angle opens; on the
     branch continuous in theta the separation is atan2(sin, 2 cos)/k,
     growing monotonically from 0 through a quarter wavelength at 90 deg.
-    theta has the polarization_angle row of LatticeBeamConfig.
+    theta has the polarization_angle row of LatticeConfig.
     """
     _require("positive", wave_number=wave_number)
     _require("polarization_angle", theta=theta)
@@ -147,7 +121,7 @@ def trap_params(
     contribution is the zero-point residual: a
     node-sited atom samples the field over its ground-state width, which
     in the harmonic approximation scatters at Gamma * omega / (4 Delta).
-    intensity and wave_number have LatticeBeamConfig's domains.
+    intensity and wave_number have LatticeConfig's domains.
     """
     _require("detuning", detuning=detuning)
     _require("positive", intensity=intensity)
@@ -210,8 +184,8 @@ def catalysis_intensity(
     gamma_prime = abs(target_shift) / shift_per_rate
     saturation = 2.0 * gamma_prime / species.gamma_natural
     if saturation > SATURATION_LIMIT:
-        raise ValueError(f"saturation {saturation:.3g} at target_shift {target_shift!r} exceeds the "
-                         f"weak-drive limit {SATURATION_LIMIT}; the catalysis model does not apply")
+        raise ValueError(f"target_shift needs saturation {saturation:.3g}, above the weak-drive limit "
+                         f"{SATURATION_LIMIT}; the catalysis model does not apply")
     field = CatalysisField(
         intensity=saturation * species.i_sat,
         saturation=saturation,
@@ -234,16 +208,34 @@ _UNITS = {
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Parsed run configuration: species, beams, the design localization
-    at which the dipole average is quoted, and the requested shift."""
+    """Parsed run configuration: species, the two standing-wave pairs, the
+    design localization at which the dipole average is quoted, and the
+    requested shift.
+
+    Intensities in W/m^2 per beam, positive so that every beam traps,
+    detunings in rad/s and blue of the resonance, wave_number in
+    [2 pi / 1e-4, 2 pi / 1e-7] rad/m (a lattice wavelength of 100 nm to
+    100 um), polarization_angle in [0, pi] rad between the linear
+    polarizations of the transverse beams, target_shift in joules: each a
+    row of atomics._RANGES.
+    """
 
     species: AtomSpecies
     species_name: str
-    beams: LatticeBeamConfig
+    intensity_perp: float
+    intensity_par: float
+    detuning_perp: float
+    detuning_par: float
+    wave_number: float
+    polarization_angle: float
     design_geometry: TrapGeometry
     target_shift: float
 
     def __post_init__(self) -> None:
+        _require("positive", intensity_perp=self.intensity_perp, intensity_par=self.intensity_par)
+        _require("detuning", detuning_perp=self.detuning_perp, detuning_par=self.detuning_par)
+        _require("wave_number", wave_number=self.wave_number)
+        _require("polarization_angle", polarization_angle=self.polarization_angle)
         _require("finite", target_shift=self.target_shift)
 
 
@@ -300,18 +292,15 @@ def load_lattice_config(path: str | Path) -> LatticeConfig:
     species_name = number.pop("species")
     species = cesium_d2() if species_name == "cesium_d2" else load_species(path.parent / species_name)
 
-    beams = LatticeBeamConfig(
+    return LatticeConfig(
+        species=species,
+        species_name=species_name,
         intensity_perp=number["intensity_perp"],
         intensity_par=number["intensity_par"],
         detuning_perp=2.0 * math.pi * number["detuning_perp"],
         detuning_par=2.0 * math.pi * number["detuning_par"],
         wave_number=2.0 * math.pi / number["lattice_wavelength"],
         polarization_angle=number["polarization_angle"],
-    )
-    return LatticeConfig(
-        species=species,
-        species_name=species_name,
-        beams=beams,
         design_geometry=TrapGeometry(eta_perp=number["design_eta_perp"], eta_par=number["design_eta_par"]),
         target_shift=PLANCK * number["target_shift"],
     )
@@ -349,9 +338,8 @@ def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = QuadratureS
     two is visible in the output.
     """
     species = config.species
-    beams = config.beams
-    perp = trap_params(species, beams.intensity_perp, beams.detuning_perp, beams.wave_number)
-    par = trap_params(species, beams.intensity_par, beams.detuning_par, beams.wave_number)
+    perp = trap_params(species, config.intensity_perp, config.detuning_perp, config.wave_number)
+    par = trap_params(species, config.intensity_par, config.detuning_par, config.wave_number)
     lattice_rate = 2.0 * perp.scatter_rate + par.scatter_rate
 
     design = config.design_geometry
@@ -364,7 +352,7 @@ def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = QuadratureS
         target_shift=config.target_shift,
     )
 
-    theta = beams.polarization_angle
+    theta = config.polarization_angle
     return {
         "species": {
             "name": config.species_name,
@@ -374,11 +362,11 @@ def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = QuadratureS
             "lambda_res_m": species.lambda_res,
         },
         "beams": {
-            "intensity_perp_w_m2": beams.intensity_perp,
-            "intensity_par_w_m2": beams.intensity_par,
-            "detuning_perp_rad_s": beams.detuning_perp,
-            "detuning_par_rad_s": beams.detuning_par,
-            "wave_number_rad_m": beams.wave_number,
+            "intensity_perp_w_m2": config.intensity_perp,
+            "intensity_par_w_m2": config.intensity_par,
+            "detuning_perp_rad_s": config.detuning_perp,
+            "detuning_par_rad_s": config.detuning_par,
+            "wave_number_rad_m": config.wave_number,
             "polarization_angle_rad": theta,
         },
         "transverse_trap": _trap_block(perp),
@@ -390,7 +378,7 @@ def budget_report(config: LatticeConfig, quad_spec: QuadratureSpec = QuadratureS
         },
         "well_separation": {
             "angle_rad": theta,
-            "separation_m": well_separation(theta, beams.wave_number),
+            "separation_m": well_separation(theta, config.wave_number),
             "formula": "atan2(sin(angle), 2 cos(angle)) / k",
         },
         "dipole_average": {

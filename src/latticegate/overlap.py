@@ -651,10 +651,10 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     last chunk the rest) and draws them from default_rng([seed, k]): all its
     exponentials, then all its normals. _threads._fan_out deals the chunks
     to one thread per available CPU, at most _MC_WORKERS = 2 and no more
-    than chunks. Each thread has one set of ten chunk-sized scratch arrays
-    for the call (chunk k takes set k % workers, which the round-robin gives
-    to one thread alone), and radial_parts works in seven of them, so a call
-    holds O(workers x chunk) memory and no chunk allocates its arrays. The
+    than chunks. Each worker has one set of ten chunk-sized scratch arrays
+    for the call, which the chunks it runs share, and radial_parts works in
+    seven of them, so a call holds O(workers x chunk) memory and no chunk
+    allocates its arrays. The
     scratch is there for speed, measured at 10^6 samples on a 2-CPU host:
     the same steps as plain numpy expressions, a fresh temporary each, kept
     every bit but ran slower in 8 of 8 alternating fresh-process pairs
@@ -682,13 +682,13 @@ def mc_oracle(geom: TrapGeometry, samples: int, seed: int) -> DipoleExpectation:
     workers = min(_available_cpus(), _MC_WORKERS, chunks)
     scratch = [np.empty((10, min(_MC_CHUNK, samples))) for _ in range(workers)]
 
-    def chunk(k: int) -> tuple[tuple, tuple]:
+    def chunk(k: int, w: int) -> tuple[tuple, tuple]:
         size = min(_MC_CHUNK, samples - k * _MC_CHUNK)
         # numpy's error state is per thread. An overflow becomes a
         # non-finite estimate, reported below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _evaluate_mc_chunk(np.random.default_rng([seed, k]), rho_scale, geom.sigma_par,
-                                      scratch[k % workers][:, :size])
+                                      scratch[w][:, :size])
 
     moments = _fan_out(workers, chunks, chunk)
     root_n = math.sqrt(samples)
@@ -825,6 +825,6 @@ def kappa_map(
     workers = min(jobs, _available_cpus(), len(cells))
     size = min(_MAP_CHUNK, math.ceil(len(cells) / workers))
     batches = [cells[i : i + size] for i in range(0, len(cells), size)]
-    chunks = _fan_out(workers, len(batches), lambda k: _mean_fg_many(batches[k], quad_spec))
+    chunks = _fan_out(workers, len(batches), lambda k, _: _mean_fg_many(batches[k], quad_spec))
     values = [math.nan if isinstance(r, ConvergenceError) else r.kappa for chunk in chunks for r in chunk]
     return np.array(values, dtype=float).reshape(perp.size, par.size)

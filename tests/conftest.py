@@ -71,6 +71,15 @@ def default_jobs() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
+def _checked(result, argv, check):
+    # with check, a nonzero exit fails the test with its stderr
+    if check and result.returncode != 0:
+        raise AssertionError(
+            f"cli {' '.join(argv)} exited {result.returncode}: {result.stderr}"
+        )
+    return result
+
+
 def run_cli(*argv, check=True):
     """The completed ``python -m latticegate.cli *argv`` with its output as
     text; with check, a nonzero exit fails the test with its stderr."""
@@ -80,11 +89,7 @@ def run_cli(*argv, check=True):
         text=True,
         cwd=REPO_ROOT,
     )
-    if check and result.returncode != 0:
-        raise AssertionError(
-            f"cli {' '.join(argv)} exited {result.returncode}: {result.stderr}"
-        )
-    return result
+    return _checked(result, argv, check)
 
 
 @pytest.fixture(scope="session")
@@ -103,6 +108,21 @@ def digest_runs(cli_digests):
     runs = {argv: cli_digests.run_command(argv) for _, argv in cli_digests.COMMANDS}
     assert len(runs) == len(cli_digests.COMMANDS)
     return runs
+
+
+@pytest.fixture(scope="session")
+def read_cli(digest_runs):
+    """run_cli for a test that only reads a command's result: a command of
+    cli_digests is not run again, and the session's run of it is returned,
+    its output as text."""
+    def read(*argv, check=True):
+        if argv not in digest_runs:
+            return run_cli(*argv, check=check)
+        run = digest_runs[argv]
+        text = subprocess.CompletedProcess(run.args, run.returncode, run.stdout.decode(), run.stderr.decode())
+        return _checked(text, argv, check)
+
+    return read
 
 
 @pytest.fixture(scope="session")

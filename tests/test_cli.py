@@ -2,7 +2,9 @@
 
 Every invocation goes through ``python -m latticegate.cli`` so the tests
 exercise argument parsing, exit codes, and byte-level output stability
-exactly as a shell user would see them.
+exactly as a shell user would see them. A test that only reads the result of
+one of scripts/cli_digests.py's commands takes the session's run of it
+(read_cli) instead of starting the command again.
 """
 
 import json
@@ -12,7 +14,6 @@ import shlex
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,9 @@ from conftest import REPO_ROOT, package_imports, run_cli
 from latticegate.cli import build_parser
 from latticegate.ensemble import STAGES
 
-CONFIG = str(REPO_ROOT / "configs" / "cesium_reference.cfg")
+# as cli_digests names it, relative to the repository root that run_cli runs in
+CONFIG = "configs/cesium_reference.cfg"
+CONFIG_TEXT = (REPO_ROOT / CONFIG).read_text()
 
 
 def assert_nine_digit_floats(obj, path="$"):
@@ -40,8 +43,8 @@ def assert_nine_digit_floats(obj, path="$"):
 
 # --- kappa ------------------------------------------------------------------
 
-def test_kappa_json_payload():
-    result = run_cli("kappa", "--eta-perp", "0.1", "--eta-par", "0.2")
+def test_kappa_json_payload(read_cli):
+    result = read_cli("kappa", "--eta-perp", "0.1", "--eta-par", "0.2")
     doc = json.loads(result.stdout)
     assert doc["schema_version"] == 1
     prov = doc["provenance"]
@@ -65,8 +68,8 @@ def test_kappa_runs_are_byte_identical(tmp_path):
     assert out_file.read_text() == first.stdout
 
 
-def test_kappa_config_hash_tracks_inputs():
-    base = json.loads(run_cli("kappa", "--eta-perp", "0.1", "--eta-par", "0.2").stdout)
+def test_kappa_config_hash_tracks_inputs(read_cli):
+    base = json.loads(read_cli("kappa", "--eta-perp", "0.1", "--eta-par", "0.2").stdout)
     moved = json.loads(run_cli("kappa", "--eta-perp", "0.11", "--eta-par", "0.2").stdout)
     assert base["provenance"]["config_hash"] != moved["provenance"]["config_hash"]
 
@@ -109,10 +112,10 @@ EXTREME_GEOMETRY_EXITS = {
 
 
 @pytest.mark.parametrize("eta_perp,eta_par", list(EXTREME_GEOMETRY_EXITS))
-def test_kappa_extreme_geometry_never_prints_a_silent_number(eta_perp, eta_par):
+def test_kappa_extreme_geometry_never_prints_a_silent_number(read_cli, eta_perp, eta_par):
     # each answer is finite or names the domain it left, never a traceback,
     # a numpy warning or a nan with exit 0
-    result = run_cli("kappa", "--eta-perp", eta_perp, "--eta-par", eta_par, check=False)
+    result = read_cli("kappa", "--eta-perp", eta_perp, "--eta-par", eta_par, check=False)
     assert result.returncode == EXTREME_GEOMETRY_EXITS[eta_perp, eta_par], result.stderr
     if result.returncode == 0:
         assert result.stderr == ""
@@ -145,7 +148,7 @@ def test_map_output_is_worker_independent(tmp_path):
     assert header[4] == "# failed_cells 0"
 
 
-def test_map_single_cell_agrees_with_kappa_command():
+def test_map_single_cell_agrees_with_kappa_command(read_cli):
     cell = run_cli(
         "map",
         "--perp-min", "0.1", "--perp-max", "0.1", "--perp-steps", "1",
@@ -155,7 +158,7 @@ def test_map_single_cell_agrees_with_kappa_command():
     assert rows[0] == "eta_perp/eta_par,0.2"
     label, value = rows[1].split(",")
     assert label == "0.1"
-    point = json.loads(run_cli("kappa", "--eta-perp", "0.1", "--eta-par", "0.2").stdout)
+    point = json.loads(read_cli("kappa", "--eta-perp", "0.1", "--eta-par", "0.2").stdout)
     assert float(value) == point["kappa"]
 
 
@@ -193,6 +196,9 @@ def test_map_rejects_a_malformed_grid(perp, message):
     [
         (("0.2", "0.1", "2", "0.1", "0.2", "2"), "error: perp-min must be below perp-max, got 0.2 and 0.1\n"),
         (("0.1", "0.2", "2", "0.2", "0.2", "3"), "error: par-min must be below par-max, got 0.2 and 0.2\n"),
+        # ends one ulp apart: the three-step linspace repeats a value
+        (("0.1", "0.10000000000000002", "3", "0.2", "0.2", "1"),
+         "error: perp-min and perp-max are too close for 3 perp-steps, got 0.1 and 0.10000000000000002\n"),
     ],
 )
 def test_map_names_the_flags_of_a_grid_that_does_not_increase(grid, stderr):
@@ -203,8 +209,8 @@ def test_map_names_the_flags_of_a_grid_that_does_not_increase(grid, stderr):
 
 # --- budget -----------------------------------------------------------------
 
-def test_budget_reference_numbers():
-    result = run_cli("budget", "--config", CONFIG)
+def test_budget_reference_numbers(read_cli):
+    result = read_cli("budget", "--config", CONFIG)
     doc = json.loads(result.stdout)
     assert doc["transverse_trap"]["osc_freq_hz"] == pytest.approx(206614.603, rel=1e-6)
     assert doc["longitudinal_trap"]["osc_freq_hz"] == pytest.approx(51612.3112, rel=1e-6)
@@ -213,6 +219,7 @@ def test_budget_reference_numbers():
     assert doc["catalysis"]["intensity_uw_cm2"] == pytest.approx(0.193178117, rel=1e-6)
     assert doc["figure_of_merit"]["kappa"] == pytest.approx(-19.3282636, rel=1e-7)
     assert_nine_digit_floats(doc)
+    # one fresh run against the session's run
     assert run_cli("budget", "--config", CONFIG).stdout == result.stdout
 
 
@@ -232,8 +239,8 @@ def test_budget_missing_config_is_usage_error(tmp_path):
 )
 def test_budget_bad_config_value_is_usage_error(tmp_path, line, edited, key):
     cfg = tmp_path / "edited.cfg"
-    cfg.write_text(Path(CONFIG).read_text().replace(line, edited))
-    assert cfg.read_text() != Path(CONFIG).read_text()
+    cfg.write_text(CONFIG_TEXT.replace(line, edited))
+    assert cfg.read_text() != CONFIG_TEXT
     result = run_cli("budget", "--config", str(cfg), check=False)
     assert result.returncode == 2
     assert result.stdout == ""
@@ -244,7 +251,7 @@ def test_budget_bad_config_value_is_usage_error(tmp_path, line, edited, key):
 def test_budget_refuses_a_geometry_factor(tmp_path):
     # the depth is that of a counter-propagating pair; no key scales it
     cfg = tmp_path / "edited.cfg"
-    cfg.write_text(Path(CONFIG).read_text() + "geometry_factor = 1\n")
+    cfg.write_text(CONFIG_TEXT + "geometry_factor = 1\n")
     line = len(cfg.read_text().splitlines())
     result = run_cli("budget", "--config", str(cfg), check=False)
     assert (result.returncode, result.stdout) == (2, "")
@@ -254,8 +261,8 @@ def test_budget_refuses_a_geometry_factor(tmp_path):
 def test_budget_zero_intensity_is_usage_error(tmp_path):
     # every beam must trap: a zero intensity leaves the atom unconfined
     cfg = tmp_path / "edited.cfg"
-    cfg.write_text(Path(CONFIG).read_text().replace("intensity_perp = 50 W/cm2", "intensity_perp = 0 W/cm2"))
-    assert cfg.read_text() != Path(CONFIG).read_text()
+    cfg.write_text(CONFIG_TEXT.replace("intensity_perp = 50 W/cm2", "intensity_perp = 0 W/cm2"))
+    assert cfg.read_text() != CONFIG_TEXT
     result = run_cli("budget", "--config", str(cfg), check=False)
     assert result.returncode == 2
     assert result.stdout == ""
@@ -264,8 +271,8 @@ def test_budget_zero_intensity_is_usage_error(tmp_path):
 
 # --- gate -------------------------------------------------------------------
 
-def test_gate_reference_operating_point():
-    doc = json.loads(run_cli("gate").stdout)
+def test_gate_reference_operating_point(read_cli):
+    doc = json.loads(read_cli("gate").stdout)
     assert doc["fidelity"]["conditioned_mean"] == pytest.approx(0.967501928, abs=1e-6)
     assert doc["fidelity"]["conditioned_row"]["00"] > 0.999
     assert [row["input"] for row in doc["rows"]] == ["00", "01", "10", "11"]
@@ -276,8 +283,8 @@ def test_gate_reference_operating_point():
     assert doc["figure_of_merit"] == pytest.approx(-19.3282636, rel=1e-7)
     assert_nine_digit_floats(doc)
     # kappa, gate and budget quote the same reference point: same bits
-    kappa_doc = json.loads(run_cli("kappa", "--eta-perp", "0.1", "--eta-par", "0.2").stdout)
-    budget_doc = json.loads(run_cli("budget", "--config", CONFIG).stdout)
+    kappa_doc = json.loads(read_cli("kappa", "--eta-perp", "0.1", "--eta-par", "0.2").stdout)
+    budget_doc = json.loads(read_cli("budget", "--config", CONFIG).stdout)
     assert doc["figure_of_merit"] == kappa_doc["kappa"] == budget_doc["figure_of_merit"]["kappa"]
 
 
@@ -301,6 +308,14 @@ def test_gate_non_finite_shift_is_usage_error_naming_it(shift):
     assert "Traceback" not in result.stderr
 
 
+def test_gate_names_the_saturation_not_the_shift_in_joules():
+    # the shift is a flag in Hz; the limit it passes is a saturation
+    result = run_cli("gate", "--shift-over-h-hz", "1e9", check=False)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: target_shift needs saturation 35.1, above the weak-drive limit 0.1; "
+        "the catalysis model does not apply\n")
+
+
 def test_gate_far_detuned_pulse_exits_cleanly():
     # the true "00" leakage here is 3.4e-14; an expm-based propagator came
     # out norm-gaining and the command exited 2
@@ -309,10 +324,10 @@ def test_gate_far_detuned_pulse_exits_cleanly():
     assert all(row["leaked"] >= 0.0 for row in doc["rows"])
 
 
-def test_gate_pulse_speed_tradeoff():
+def test_gate_pulse_speed_tradeoff(read_cli):
     # faster pulse: less time to scatter, higher conditioned fidelity;
     # slower pulse: cooperative decay eats the target rows
-    default = json.loads(run_cli("gate").stdout)["fidelity"]["conditioned_mean"]
+    default = json.loads(read_cli("gate").stdout)["fidelity"]["conditioned_mean"]
     fast = json.loads(run_cli("gate", "--rabi-divisor", "2").stdout)
     slow = json.loads(run_cli("gate", "--rabi-divisor", "100").stdout)
     assert fast["fidelity"]["conditioned_mean"] > default
@@ -339,9 +354,10 @@ def test_ensemble_subtraction_recovers_gate_row():
         assert stage["n_measured"] > 0
 
 
-def test_ensemble_is_seed_deterministic():
+def test_ensemble_is_seed_deterministic(read_cli):
     argv = ("ensemble", "--sites", "20000")
-    first = run_cli(*argv)
+    # one fresh run against the session's run
+    first = read_cli(*argv)
     assert run_cli(*argv).stdout == first.stdout
     reseeded = run_cli(*argv, "--seed", "999")
     assert reseeded.stdout != first.stdout

@@ -24,7 +24,6 @@ from latticegate import (
     PLANCK,
     CatalysisField,
     GateEnvironment,
-    LatticeBeamConfig,
     TrapGeometry,
     cesium_d2,
 )
@@ -32,7 +31,6 @@ from latticegate.atomics import _RANGES, _require
 
 CESIUM = cesium_d2()
 WAVE_NUMBER = 2.0 * math.pi / 852e-9
-BEAMS = LatticeBeamConfig(50.0e4, 52.0e4, 2.0 * math.pi * 120e9, 2.0 * math.pi * 2e12, WAVE_NUMBER, math.pi / 2)
 ENV = GateEnvironment(v_dd=-3.3e-30, gamma_dd=806.2, gamma_single=819.2)
 
 REFERENCE_ARGS = {
@@ -42,11 +40,12 @@ REFERENCE_ARGS = {
     "QuadratureSpec": dict(rel_tol=1e-6),
     "DipoleExpectation": dict(mean_f=REF_MEAN_F, mean_g=REF_MEAN_G, err_f=1e-8, err_g=1e-8, evaluations=274),
     "optimize_ratio": dict(eta_perp=0.1),
-    "LatticeBeamConfig": dataclasses.asdict(BEAMS),
     "TrapParams": dict(well_depth=1e-27, osc_freq=1e5, ground_rms=1e-8, lamb_dicke=0.1, scatter_rate=10.0),
     "CatalysisField": dict(intensity=1.0, saturation=0.1, scatter_rate=100.0),
     "CatalysisSolution": dict(field=CatalysisField(1.0, 0.1, 100.0), gamma_sup=100.0),
-    "LatticeConfig": dict(species=CESIUM, species_name="cesium_d2", beams=BEAMS,
+    "LatticeConfig": dict(species=CESIUM, species_name="cesium_d2", intensity_perp=50.0e4, intensity_par=52.0e4,
+                          detuning_perp=2.0 * math.pi * 120e9, detuning_par=2.0 * math.pi * 2e12,
+                          wave_number=WAVE_NUMBER, polarization_angle=math.pi / 2,
                           design_geometry=TrapGeometry(0.1, 0.2), target_shift=PLANCK * 5000.0),
     "well_separation": dict(theta=math.pi / 4, wave_number=WAVE_NUMBER),
     "trap_params": dict(species=CESIUM, intensity=50.0e4, detuning=2.0 * math.pi * 120e9,
@@ -257,13 +256,13 @@ def test_each_range_holds_its_ends_and_not_the_next_double_out(row):
 # lattice_wavelength is a key of the configuration file (test_config_errors)
 SITES = [
     *((field, "AtomSpecies", field) for field in (*SPECIES_FIELDS, "nuclear_spin")),
-    ("detuning", "LatticeBeamConfig", "detuning_perp"),
-    ("detuning", "LatticeBeamConfig", "detuning_par"),
+    ("detuning", "LatticeConfig", "detuning_perp"),
+    ("detuning", "LatticeConfig", "detuning_par"),
     ("detuning", "trap_params", "detuning"),
-    ("wave_number", "LatticeBeamConfig", "wave_number"),
+    ("wave_number", "LatticeConfig", "wave_number"),
     ("wave_number", "trap_params", "wave_number"),
     ("positive", "well_separation", "wave_number"),
-    ("polarization_angle", "LatticeBeamConfig", "polarization_angle"),
+    ("polarization_angle", "LatticeConfig", "polarization_angle"),
     ("polarization_angle", "well_separation", "theta"),
     ("eta", "TrapGeometry", "eta_perp"),
     ("eta", "TrapGeometry", "eta_par"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,6 @@ from latticegate import lattice
 from latticegate.lattice import (
     SATURATION_LIMIT,
     CatalysisField,
-    LatticeBeamConfig,
     TrapParams,
     budget_report,
     catalysis_intensity,
@@ -86,9 +86,9 @@ def test_longitudinal_trap_frozen_chain(cesium):
 
 
 def test_total_scatter_sums_three_axes(reference_config):
-    beams = reference_config.beams
-    perp = trap_params(reference_config.species, beams.intensity_perp, beams.detuning_perp, beams.wave_number)
-    par = trap_params(reference_config.species, beams.intensity_par, beams.detuning_par, beams.wave_number)
+    cfg = reference_config
+    perp = trap_params(cfg.species, cfg.intensity_perp, cfg.detuning_perp, cfg.wave_number)
+    par = trap_params(cfg.species, cfg.intensity_par, cfg.detuning_par, cfg.wave_number)
     total = budget_report(reference_config)["lattice_scatter"]["rate_per_s"]
     assert total == pytest.approx(2.0 * perp.scatter_rate + par.scatter_rate, rel=1e-15)
     assert total == pytest.approx(28.447402, rel=1e-7)
@@ -197,7 +197,10 @@ def test_catalysis_stays_a_weak_drive(cesium):
     # falls near 2.85 MHz, as for the trap beams
     below = catalysis_intensity(cesium, CG_PI_4, REF_MEAN_F, REF_MEAN_G, h * 2.8e6)
     assert 0.09 < below.field.saturation <= SATURATION_LIMIT
-    with pytest.raises(ValueError, match=r"^saturation 0\.102 at target_shift .* exceeds the weak-drive limit 0\.1;"):
+    # the message states the saturation and the limit, not the shift in joules
+    message = (r"^target_shift needs saturation 0\.102, above the weak-drive limit 0\.1; "
+               r"the catalysis model does not apply$")
+    with pytest.raises(ValueError, match=message):
         catalysis_intensity(cesium, CG_PI_4, REF_MEAN_F, REF_MEAN_G, h * 2.9e6)
 
 
@@ -207,12 +210,12 @@ def test_reference_config_loads(reference_config, cesium):
     cfg = reference_config
     assert cfg.species == cesium
     assert cfg.species_name == "cesium_d2"
-    assert cfg.beams.intensity_perp == pytest.approx(PERP_INTENSITY, rel=1e-15)
-    assert cfg.beams.intensity_par == pytest.approx(PAR_INTENSITY, rel=1e-15)
-    assert cfg.beams.detuning_perp == pytest.approx(PERP_DETUNING, rel=1e-15)
-    assert cfg.beams.detuning_par == pytest.approx(PAR_DETUNING, rel=1e-15)
-    assert cfg.beams.wave_number == pytest.approx(2.0 * math.pi / 852e-9, rel=1e-12)
-    assert cfg.beams.polarization_angle == pytest.approx(math.pi / 2.0, rel=1e-15)
+    assert cfg.intensity_perp == pytest.approx(PERP_INTENSITY, rel=1e-15)
+    assert cfg.intensity_par == pytest.approx(PAR_INTENSITY, rel=1e-15)
+    assert cfg.detuning_perp == pytest.approx(PERP_DETUNING, rel=1e-15)
+    assert cfg.detuning_par == pytest.approx(PAR_DETUNING, rel=1e-15)
+    assert cfg.wave_number == pytest.approx(2.0 * math.pi / 852e-9, rel=1e-12)
+    assert cfg.polarization_angle == pytest.approx(math.pi / 2.0, rel=1e-15)
     assert (cfg.design_geometry.eta_perp, cfg.design_geometry.eta_par) == (0.1, 0.2)
     assert cfg.target_shift == pytest.approx(h * 5000.0, rel=1e-15)
 
@@ -245,10 +248,10 @@ def test_config_unit_conversions(tmp_path):
         polarization_angle=f"{math.pi / 2.0} rad",
         target_shift="5000 Hz",
     ))
-    assert cfg.beams.intensity_perp == pytest.approx(PERP_INTENSITY, rel=1e-12)
-    assert cfg.beams.detuning_perp == pytest.approx(PERP_DETUNING, rel=1e-12)
-    assert cfg.beams.wave_number == pytest.approx(2.0 * math.pi / 852e-9, rel=1e-12)
-    assert cfg.beams.polarization_angle == math.pi / 2.0
+    assert cfg.intensity_perp == pytest.approx(PERP_INTENSITY, rel=1e-12)
+    assert cfg.detuning_perp == pytest.approx(PERP_DETUNING, rel=1e-12)
+    assert cfg.wave_number == pytest.approx(2.0 * math.pi / 852e-9, rel=1e-12)
+    assert cfg.polarization_angle == math.pi / 2.0
     assert cfg.target_shift == pytest.approx(h * 5000.0, rel=1e-12)
 
 
@@ -352,13 +355,14 @@ def test_config_rejects_duplicates(tmp_path):
         load_lattice_config(path)
 
 
-def test_beam_config_validation(cesium):
-    k = _wave_number(cesium)
-    LatticeBeamConfig(1.0, 1.0, 1.0, 1.0, k, 0.0)
+def test_beam_config_validation(cesium, reference_config):
+    beams = dict(intensity_perp=1.0, intensity_par=1.0, detuning_perp=1.0, detuning_par=1.0,
+                 wave_number=_wave_number(cesium), polarization_angle=0.0)
+    dataclasses.replace(reference_config, **beams)
     with pytest.raises(ValueError, match="intensity_perp must be positive"):
-        LatticeBeamConfig(-1.0, 1.0, 1.0, 1.0, k, 0.0)
+        dataclasses.replace(reference_config, **{**beams, "intensity_perp": -1.0})
     with pytest.raises(ValueError, match="intensity_par must be positive"):
-        LatticeBeamConfig(1.0, 0.0, 1.0, 1.0, k, 0.0)
+        dataclasses.replace(reference_config, **{**beams, "intensity_par": 0.0})
 
 
 # --- budget report ----------------------------------------------------------------

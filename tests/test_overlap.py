@@ -382,8 +382,8 @@ def _record_chunks(monkeypatch, cpus: int) -> list:
 
 
 def _serial_fan_out(workers, chunks, work):
-    # every chunk in order on the calling thread: no thread starts
-    return [work(k) for k in range(chunks)]
+    # every chunk in order on the calling thread, worker 0: no thread starts
+    return [work(k, 0) for k in range(chunks)]
 
 
 def _record_workers(monkeypatch, fan_out=overlap._fan_out) -> list:

@@ -6,6 +6,7 @@ every absolute import, at module level or inside a function.
 """
 
 import ast
+import sys
 import threading
 import time
 
@@ -31,7 +32,7 @@ def _wait_for(condition, timeout: float = 10.0) -> None:
 def test_results_come_back_in_chunk_order():
     taken = {}
 
-    def work(k):
+    def work(k, w):
         taken[k] = threading.current_thread()
         return k * k
 
@@ -42,10 +43,43 @@ def test_results_come_back_in_chunk_order():
     assert len(set(taken.values())) == 3
 
 
+@pytest.mark.parametrize("workers,chunks", [(3, 10), (5, 2), (1, 4), (8, 40)])
+def test_each_call_is_told_the_worker_that_runs_it(workers, chunks):
+    # a caller may keep one scratch per worker: one w is one thread, another
+    # w another thread, the calling thread is worker 0, and two calls told
+    # the same w never overlap, even with more workers than CPUs and a short
+    # switch interval
+    told = {}
+    busy = [False] * workers
+    overlapped = []
+
+    def work(k, w):
+        told[k] = (w, threading.current_thread())
+        overlapped.append(busy[w])
+        busy[w] = True
+        time.sleep(1e-4)
+        busy[w] = False
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _fan_out(workers, chunks, work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(overlapped)
+    assert sorted(told) == list(range(chunks))
+    thread_of = {}
+    for w, thread in told.values():
+        assert 0 <= w < workers
+        assert thread_of.setdefault(w, thread) is thread
+    assert len(set(thread_of.values())) == len(thread_of) == min(workers, chunks)
+    assert thread_of[0] is threading.current_thread()
+
+
 def test_one_worker_and_idle_workers_start_no_thread():
     threads_before = threading.active_count()
 
-    def work(k):
+    def work(k, w):
         return threading.active_count(), threading.current_thread()
 
     assert _fan_out(1, 4, work) == [(threads_before, threading.current_thread())] * 4
@@ -59,7 +93,7 @@ def test_a_failing_chunk_stops_the_other_threads_between_chunks():
     failed_thread = []
     taken = []
 
-    def work(k):
+    def work(k, w):
         if k == 1:
             failed_thread.append(threading.current_thread())
             raise _ChunkFailure("chunk 1")
@@ -75,10 +109,10 @@ def test_a_failing_chunk_stops_the_other_threads_between_chunks():
 
 def test_every_thread_is_joined():
     threads_before = threading.active_count()
-    _fan_out(4, 8, lambda k: time.sleep(1e-3))
+    _fan_out(4, 8, lambda k, w: time.sleep(1e-3))
     assert threading.active_count() == threads_before
 
-    def work(k):
+    def work(k, w):
         if k == 0:
             raise _ChunkFailure("calling thread")
         time.sleep(0.05)
@@ -95,7 +129,7 @@ def test_the_first_exception_in_thread_order_is_re_raised(calling_thread_fails):
     # thread is the one that surfaces
     thread_2_failed = threading.Event()
 
-    def work(k):
+    def work(k, w):
         if k == 2:
             thread_2_failed.set()
             raise _ChunkFailure("thread 2")
